@@ -178,8 +178,8 @@ def _cmd_model(args) -> int:
     return 0
 
 
-def _fit_result_dict(result: fitkit.FitResult, problem_datasets) -> dict:
-    series = xsection.legendre_coefficients(result.params)
+def _fit_result_dict(result: fitkit.FitResult, problem_datasets, config) -> dict:
+    series = xsection.legendre_coefficients(result.params, config)
     payload = {
         "converged": result.converged,
         "identifiable": result.identifiable,
@@ -236,10 +236,10 @@ def _cmd_fit(args) -> int:
         "weighting": config.residual_weighting,
     }
     if args.mode == "joint":
-        payload.update(_fit_result_dict(result, datasets))
+        payload.update(_fit_result_dict(result, datasets, config))
     else:
         payload["bins"] = [
-            {"bin_label": res.bin_labels[0], **_fit_result_dict(res, datasets)}
+            {"bin_label": res.bin_labels[0], **_fit_result_dict(res, datasets, config)}
             for res in result
         ]
     _emit_json(payload, args.output)

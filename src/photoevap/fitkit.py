@@ -19,13 +19,13 @@ import numpy as np
 from scipy.optimize import least_squares
 from scipy.stats import qmc
 
-from .errors import DataFormatError, NoConvergenceError, UnderdeterminedError
+from .errors import DataFormatError, UnderdeterminedError
 from .xsection import (
     ChannelConfig,
     DEFAULT_CONFIG,
     LegendreSeries,
     ShapeParams,
-    enumerate_terms,
+    _coefficient_matrix,
     legendre_coefficients,
     legendre_p,
 )
@@ -71,6 +71,8 @@ class AngularDataset:
             raise ValueError(f"bin {self.bin_label!r}: need at least 5 points, have {n}")
         if self.yields.size != n:
             raise ValueError(f"bin {self.bin_label!r}: theta and yield lengths differ")
+        if not (np.all(np.isfinite(self.theta_deg)) and np.all(np.isfinite(self.yields))):
+            raise ValueError(f"bin {self.bin_label!r}: angles and yields must be finite")
         if np.any(self.theta_deg <= 0.0) or np.any(self.theta_deg >= 180.0):
             raise ValueError(f"bin {self.bin_label!r}: angles must lie strictly inside (0, 180)")
         if np.all(self.theta_deg == self.theta_deg[0]):
@@ -82,8 +84,8 @@ class AngularDataset:
             self.errors = np.asarray(self.errors, dtype=float)
             if self.errors.size != n:
                 raise ValueError(f"bin {self.bin_label!r}: error column length differs")
-            if np.any(self.errors <= 0.0):
-                raise ValueError(f"bin {self.bin_label!r}: errors must be strictly positive")
+            if not np.all((self.errors > 0.0) & np.isfinite(self.errors)):
+                raise ValueError(f"bin {self.bin_label!r}: errors must be finite and strictly positive")
 
     def __len__(self) -> int:
         return self.theta_deg.size
@@ -163,14 +165,15 @@ class FitResult:
 
 
 class _FitProblem:
-    """Precomputed term-sum and design matrices for fast residual evaluation.
+    """Precomputed coefficient and design matrices for fast residual evaluation.
 
-    The normalised coefficient vector is evaluated directly from the real
-    part of the enumerated term geometries, which is algebraically equal
-    to :func:`legendre_coefficients` (conjugate partners cancel the
-    imaginary parts) but avoids per-evaluation bookkeeping.  The fast
-    path stays defined for the slightly negative r probed by the
-    finite-difference Hessian at the r = 0 bound (1/(1+r) = exp(-x3)).
+    The coefficient vector reads the same cached matrix M as
+    :func:`raw_coefficients`, in log space: c = Re(M) exp(P x / 2) with
+    P the power triples, times exp(-x3) = 1/(1+r) on the cross columns.
+    Only the real part is kept because conjugate partners cancel the
+    imaginary parts.  The log form stays defined for the slightly
+    negative r probed by the finite-difference Hessian at the r = 0
+    bound.
     """
 
     def __init__(self, datasets: list[AngularDataset], config: ChannelConfig):
@@ -181,26 +184,16 @@ class _FitProblem:
             np.column_stack([legendre_p(order, xi) for order in range(5)]) for xi in x
         ]
         self.n_points = sum(len(ds) for ds in datasets)
-        terms = enumerate_terms(config)
-        n = len(terms)
-        self._order_matrix = np.zeros((5, n))
-        for idx, t in enumerate(terms):
-            self._order_matrix[t.L, idx] = t.geometry.real
-        self._pow_half = 0.5 * np.array(
-            [
-                [(t.L1 == 2) + (t.L2 == 2), (t.l1p == 1) + (t.l2p == 1), (t.l1p == 2) + (t.l2p == 2)]
-                for t in terms
-            ],
-            dtype=float,
-        )
-        self._cross = np.array([t.L1 != t.L2 for t in terms], dtype=bool)
+        matrix, powers, self._cross_columns = _coefficient_matrix(config, False)
+        self._real_matrix = matrix.real
+        self._half_powers = 0.5 * powers
         self._inv_errors = [1.0 / ds.errors for ds in datasets]
 
     def coeff_vector(self, x: np.ndarray) -> np.ndarray | None:
         """Normalised c_0..c_4 at log-parameters x; None if degenerate."""
-        magnitude = np.exp(self._pow_half @ x[:3])
-        magnitude[self._cross] *= math.exp(-x[3])
-        raw = self._order_matrix @ magnitude
+        magnitude = np.exp(self._half_powers @ x[:3])
+        magnitude[self._cross_columns] *= math.exp(-x[3])
+        raw = self._real_matrix @ magnitude
         if not raw[0] > 0.0:
             return None
         return raw / raw[0]
@@ -350,29 +343,22 @@ def fit_angular(
     for shape_x in _sobol_starts(n_starts, seed):
         x0 = np.concatenate([shape_x, problem.start_norm_logs(shape_x)])
         x0 = np.clip(x0, lo + 1e-12, hi - 1e-12)
-        try:
-            sol = least_squares(
-                problem.residuals,
-                x0,
-                jac="2-point",
-                bounds=(lo, hi),
-                method="trf",
-                xtol=tol,
-                ftol=tol,
-                gtol=tol,
-                max_nfev=max_iter * (dim + 1),
-            )
-        except Exception:
-            results.append((math.inf, None, False))
-            continue
+        sol = least_squares(
+            problem.residuals,
+            x0,
+            jac="2-point",
+            bounds=(lo, hi),
+            method="trf",
+            xtol=tol,
+            ftol=tol,
+            gtol=tol,
+            max_nfev=max_iter * (dim + 1),
+        )
         results.append((2.0 * sol.cost, sol.x, sol.status > 0))
 
-    finite = [(c, x, ok) for c, x, ok in results if x is not None]
-    if not finite:
-        raise NoConvergenceError("every optimiser start failed")
-    best_chi2, best_x, best_ok = min(finite, key=lambda item: item[0])
+    best_chi2, best_x, best_ok = min(results, key=lambda item: item[0])
     agree_tol = max(tol, 1e-12) * max(1.0, best_chi2)
-    agreeing = sum(1 for c, _, _ in finite if c - best_chi2 <= agree_tol)
+    agreeing = sum(1 for c, _, _ in results if c - best_chi2 <= agree_tol)
 
     cov = _covariance(problem, best_x)
     identifiable = bool(np.all(np.diag(cov) <= 100.0))

@@ -77,8 +77,10 @@ class SpectrumPoint:
     def __post_init__(self) -> None:
         if not (self.eps > 0 and math.isfinite(self.eps)):
             raise ValueError(f"eps must be positive, got {self.eps!r}")
-        if self.err < 0:
-            raise ValueError(f"err must be >= 0, got {self.err!r}")
+        if not math.isfinite(self.counts):
+            raise ValueError(f"counts must be finite, got {self.counts!r}")
+        if not (self.err >= 0 and math.isfinite(self.err)):
+            raise ValueError(f"err must be finite and >= 0, got {self.err!r}")
 
 
 def nuclear_radius(nucleus: NucleusSpec) -> float:
@@ -272,6 +274,8 @@ def fit_temperature(points: list[SpectrumPoint], eps_max: float) -> TemperatureF
         raise UnderdeterminedError(
             f"need at least 3 points below eps_max = {eps_max:g}, have {len(usable)}"
         )
+    if len({p.eps for p in usable}) < 2:
+        raise UnderdeterminedError(f"need at least 2 distinct energies below eps_max = {eps_max:g}")
     bad = [p.eps for p in usable if p.counts <= 0]
     if bad:
         raise InvalidPointError(

@@ -17,6 +17,11 @@ Cross terms feed only odd Legendre orders, so the forward-backward
 asymmetry of the distribution decays as 1/(1+r) while the even shape is
 r-independent.  The series is normalised to c_0 = 1; absolute scale is a
 per-dataset fit parameter elsewhere.
+
+The default 195 terms share 10 power triples (a, b, c), so the sum is
+c = M m: column j of the complex 5 x 10 matrix M, built once per
+configuration from :func:`enumerate_terms`, sums the geometries of the
+terms with triple j; m_j = sqrt(A^a B^b C^c), over (1+r) for cross terms.
 """
 
 from __future__ import annotations
@@ -146,8 +151,19 @@ def _entrance_orbitals(multipole: int) -> tuple[int, ...]:
     return tuple(l for l in (multipole - 1, multipole + 1) if l >= 0)
 
 
-@lru_cache(maxsize=None)
-def _term_tuple(config: ChannelConfig, huby_phase: bool) -> tuple[TermAmplitude, ...]:
+def enumerate_terms(
+    config: ChannelConfig = DEFAULT_CONFIG, *, huby_phase: bool = False
+) -> list[TermAmplitude]:
+    """Every term passing the selection rules, in deterministic order.
+
+    The list is closed under swapping the two amplitudes
+    (L1, l1, l1p) <-> (L2, l2, l2p); swapped partners carry complex
+    conjugate geometry, which is what makes the summed series real.
+
+    ``huby_phase=True`` multiplies each Z coefficient by i**(-l1+l2-L)
+    (the later phase revision of the Z convention).  It exists as a sign
+    audit aid and is never applied implicitly.
+    """
     terms = []
     for L1 in config.multipoles:
         for L2 in config.multipoles:
@@ -173,7 +189,7 @@ def _term_tuple(config: ChannelConfig, huby_phase: bool) -> tuple[TermAmplitude,
                                     terms.append(
                                         TermAmplitude(L1, L2, l1, l2, l1p, l2p, ip, order, geom)
                                     )
-    return tuple(terms)
+    return terms
 
 
 def _geometry(
@@ -194,22 +210,6 @@ def _geometry(
     return geom
 
 
-def enumerate_terms(
-    config: ChannelConfig = DEFAULT_CONFIG, *, huby_phase: bool = False
-) -> list[TermAmplitude]:
-    """Every term passing the selection rules, in deterministic order.
-
-    The list is closed under swapping the two amplitudes
-    (L1, l1, l1p) <-> (L2, l2, l2p); swapped partners carry complex
-    conjugate geometry, which is what makes the summed series real.
-
-    ``huby_phase=True`` multiplies each Z coefficient by i**(-l1+l2-L)
-    (the later phase revision of the Z convention).  It exists as a sign
-    audit aid and is never applied implicitly.
-    """
-    return list(_term_tuple(config, huby_phase))
-
-
 def correlation_factor(L1: int, L2: int, r: float) -> float:
     """Energy-averaged correlation between two multipole amplitudes.
 
@@ -221,29 +221,38 @@ def correlation_factor(L1: int, L2: int, r: float) -> float:
     return 1.0 if L1 == L2 else 1.0 / (1.0 + r)
 
 
+def _powers(term: TermAmplitude) -> tuple[int, int, int]:
+    """Powers (a, b, c) of the term's magnitude factor sqrt(A^a B^b C^c)."""
+    return (
+        (term.L1 == 2) + (term.L2 == 2),
+        (term.l1p == 1) + (term.l2p == 1),
+        (term.l1p == 2) + (term.l2p == 2),
+    )
+
+
 def magnitude_factor(term: TermAmplitude, params: ShapeParams) -> float:
     """sqrt of the transmission-coefficient product for one term, in ratio form."""
-    a = (term.L1 == 2) + (term.L2 == 2)
-    b = (term.l1p == 1) + (term.l2p == 1)
-    c = (term.l1p == 2) + (term.l2p == 2)
+    a, b, c = _powers(term)
     return math.sqrt(params.A ** a * params.B ** b * params.C ** c)
 
 
-class _TermTable:
-    """Vectorised view of the enumerated terms, cached per configuration."""
+@lru_cache(maxsize=64)
+def _coefficient_matrix(config: ChannelConfig, huby_phase: bool):
+    """Read-only (M, P, cross): the term sum grouped by power triple, c = M @ m.
 
-    def __init__(self, terms: tuple[TermAmplitude, ...]):
-        self.order = np.array([t.L for t in terms], dtype=int)
-        self.geometry = np.array([t.geometry for t in terms], dtype=complex)
-        self.pow_a = np.array([(t.L1 == 2) + (t.L2 == 2) for t in terms], dtype=float)
-        self.pow_b = np.array([(t.l1p == 1) + (t.l2p == 1) for t in terms], dtype=float)
-        self.pow_c = np.array([(t.l1p == 2) + (t.l2p == 2) for t in terms], dtype=float)
-        self.cross = np.array([t.L1 != t.L2 for t in terms], dtype=bool)
-
-
-@lru_cache(maxsize=None)
-def _term_table(config: ChannelConfig, huby_phase: bool) -> _TermTable:
-    return _TermTable(_term_tuple(config, huby_phase))
+    Column j of the complex (5, n) matrix M sums the geometries of every
+    term whose magnitude factor has the powers (a, b, c) = P[j]; ``cross``
+    marks the a == 1 (dipole-quadrupole) columns, whose m_j carries 1/(1+r).
+    """
+    columns: dict[tuple[int, int, int], np.ndarray] = {}
+    for term in enumerate_terms(config, huby_phase=huby_phase):
+        column = columns.setdefault(_powers(term), np.zeros(MAX_ORDER + 1, dtype=complex))
+        column[term.L] += term.geometry
+    powers = np.array(sorted(columns), dtype=float)
+    arrays = (np.column_stack([columns[p] for p in sorted(columns)]), powers, powers[:, 0] == 1)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def raw_coefficients(
@@ -257,14 +266,11 @@ def raw_coefficients(
     Even orders collect only same-multipole terms and are independent of
     r; odd orders collect only cross terms and scale as sqrt(A)/(1+r).
     """
-    table = _term_table(config, huby_phase)
-    magnitude = np.sqrt(
-        params.A ** table.pow_a * params.B ** table.pow_b * params.C ** table.pow_c
-    )
-    corr = np.where(table.cross, 1.0 / (1.0 + params.r), 1.0)
-    coeffs = np.zeros(MAX_ORDER + 1, dtype=complex)
-    np.add.at(coeffs, table.order, table.geometry * magnitude * corr)
-    return coeffs
+    matrix, powers, cross = _coefficient_matrix(config, huby_phase)
+    a, b, c = powers.T
+    magnitude = np.sqrt(params.A ** a * params.B ** b * params.C ** c)
+    magnitude[cross] *= 1.0 / (1.0 + params.r)
+    return matrix @ magnitude
 
 
 @dataclass(frozen=True)
@@ -328,16 +334,20 @@ def _half_unit_integral(order: int) -> float:
     return (legendre_p(order - 1, 0.0) - legendre_p(order + 1, 0.0)) / (2 * order + 1)
 
 
+_HALF_INTEGRALS = tuple(_half_unit_integral(order) for order in range(MAX_ORDER + 1))
+
+
 def forward_backward_ratio(series: LegendreSeries) -> float:
     """U = forward / backward hemisphere yields of sigma(theta) sin(theta).
 
     Closed form from half-range Legendre integrals; the backward integral
-    must be positive or the series is unphysical.
+    must be positive or the series is unphysical.  Orders above P_4 raise.
     """
+    if len(series.coefficients) > len(_HALF_INTEGRALS):
+        raise ValueError(f"series has orders above P_{MAX_ORDER}")
     forward = 0.0
     backward = 0.0
-    for order, c in enumerate(series.coefficients):
-        half = _half_unit_integral(order)
+    for order, (c, half) in enumerate(zip(series.coefficients, _HALF_INTEGRALS)):
         forward += c * half
         backward += c * (half if order % 2 == 0 else -half)
     if backward <= 0.0:

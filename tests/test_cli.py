@@ -206,6 +206,60 @@ class TestFit:
         assert "numerical error" in err
 
 
+SAMPLE_ANGULAR = Path(__file__).resolve().parents[1] / "sample_data" / "angular_bi_gp.csv"
+
+
+class TestFitResidualTable:
+    @pytest.mark.parametrize("mode", ["joint", "per-bin"])
+    @pytest.mark.parametrize("weighting", ["equal", "2I+1", "spin-cutoff"])
+    def test_residual_squares_sum_to_chi2(self, capsys, weighting, mode):
+        payload, _ = run_json(
+            capsys, "fit", str(SAMPLE_ANGULAR), "--weighting", weighting,
+            "--mode", mode, "--starts", "4", "--tol", "1e-10",
+        )
+        fits = [payload] if mode == "joint" else payload["bins"]
+        for fit in fits:
+            total = sum(row["residual"] ** 2 for row in fit["residuals"])
+            assert total == pytest.approx(fit["chi2"], rel=1e-9)
+
+
+class TestBadInputExitsCleanly:
+    """Bad values give a typed error: no traceback, no NaN in the output."""
+
+    @staticmethod
+    def assert_clean(code, out, err, expected_code):
+        assert code == expected_code, err
+        assert "Traceback" not in err
+        assert "NaN" not in out
+
+    @pytest.mark.parametrize("column, value", [("yield", "nan"), ("theta_deg", "nan"), ("err", "inf")])
+    def test_non_finite_angular_value_is_data_error(self, capsys, tmp_path, column, value):
+        lines = SAMPLE_ANGULAR.read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[2].split(",")
+        row[header.index(column)] = value
+        lines[2] = ",".join(row)
+        path = tmp_path / "angular.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "fit", str(path), "--starts", "2")
+        self.assert_clean(code, out, err, 2)
+        assert f"bin {row[0]!r}" in err
+
+    def test_non_finite_count_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "spectrum.csv"
+        path.write_text("eps_mev,counts\n3.0,120.0\n4.0,nan\n5.0,40.0\n6.0,20.0\n")
+        code, out, err = run(capsys, "spectrum", str(path), "-A", "208", "-Z", "82")
+        self.assert_clean(code, out, err, 2)
+        assert "line 3" in err
+
+    def test_equal_energies_are_numerical_error(self, capsys, tmp_path):
+        path = tmp_path / "spectrum.csv"
+        path.write_text("eps_mev,counts\n5.0,120.0\n5.0,110.0\n5.0,130.0\n")
+        code, out, err = run(capsys, "spectrum", str(path), "-A", "208", "-Z", "82")
+        self.assert_clean(code, out, err, 3)
+        assert "distinct energies" in err
+
+
 class TestSpectrum:
     @pytest.fixture()
     def spectrum_csv(self, tmp_path):

@@ -34,6 +34,7 @@ from photoevap.xsection import (
     magnitude_factor,
     raw_coefficients,
 )
+from photoevap.xsection import _coefficient_matrix
 
 BASE = ShapeParams(A=0.082, B=0.47, C=0.37, r=0.11)
 
@@ -397,3 +398,61 @@ class TestAsymmetry:
     def test_negative_backward_yield_raises(self):
         with pytest.raises(DegenerateModelError):
             forward_backward_ratio(LegendreSeries((1.0, 3.0, 0.0, 0.0, 0.0)))
+
+
+AUDIT_CONFIGS = {
+    "equal": ChannelConfig(),
+    "2I+1": ChannelConfig(residual_weighting="2I+1"),
+    "spin-cutoff-1.3": ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=1.3),
+}
+
+
+def audit_points(seed=2024, n=12):
+    """Seeded points: each of A, B and C zero somewhere, r from 0 to 1e3."""
+    rng = np.random.default_rng(seed)
+    points = [
+        ShapeParams(A=0.0, B=0.47, C=0.37, r=0.11),
+        ShapeParams(A=0.082, B=0.0, C=0.37, r=1e3),
+        ShapeParams(A=0.082, B=0.47, C=0.0, r=0.0),
+        ShapeParams(A=0.0, B=0.0, C=0.0, r=5.0),
+    ]
+    for _ in range(n):
+        a, b, c = np.exp(rng.uniform(math.log(1e-3), math.log(10.0), 3))
+        points.append(ShapeParams(A=a, B=b, C=c, r=float(10.0 ** rng.uniform(-3.0, 3.0))))
+    return points
+
+
+class TestCoefficientMatrix:
+    """c = M m against the explicit sum over the enumerated terms.
+
+    xsection and the fit both read M, so this comparison is what keeps
+    the term list the independent reference for the grouped matrix.
+    """
+
+    def test_default_matrix_is_five_by_ten_and_read_only(self):
+        matrix, powers, cross = _coefficient_matrix(DEFAULT_CONFIG, False)
+        assert matrix.shape == (5, 10)
+        assert powers.shape == (10, 3)
+        assert list(cross) == [a == 1 for a in powers[:, 0]]
+        assert not matrix.flags.writeable
+
+    @pytest.mark.parametrize("huby_phase", [False, True])
+    @pytest.mark.parametrize("name", sorted(AUDIT_CONFIGS))
+    def test_matches_explicit_term_sum(self, name, huby_phase):
+        config = AUDIT_CONFIGS[name]
+        terms = enumerate_terms(config, huby_phase=huby_phase)
+        for params in audit_points():
+            expected = np.zeros(5, dtype=complex)
+            for t in terms:
+                expected[t.L] += (
+                    t.geometry * magnitude_factor(t, params) * correlation_factor(t.L1, t.L2, params.r)
+                )
+            got = raw_coefficients(params, config, huby_phase=huby_phase)
+            # relative to the largest coefficient: some orders cancel to rounding
+            scale = float(np.max(np.abs(expected)))
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_forward_backward_ratio_rejects_orders_above_four():
+    with pytest.raises(ValueError, match="above P_4"):
+        forward_backward_ratio(LegendreSeries((1.0, 0.1, 0.0, 0.0, 0.0, 0.01)))
