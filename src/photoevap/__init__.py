@@ -22,7 +22,6 @@ from .errors import (
     DataFormatError,
     DegenerateModelError,
     InvalidPointError,
-    NoConvergenceError,
     PhotoevapError,
     UnderdeterminedError,
     UnscalablePointError,
@@ -82,7 +81,6 @@ __all__ = [
     "DataFormatError",
     "DegenerateModelError",
     "InvalidPointError",
-    "NoConvergenceError",
     "UnderdeterminedError",
     "UnscalablePointError",
     "ShapeParams",

@@ -6,8 +6,8 @@ evaporation spectrum), exciton (exciton-model temperature window) and
 times (widths to lifetimes).
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
-malformed input), 3 numerical error (degenerate, underdetermined or
-non-convergent computation).
+malformed input), 3 numerical error (degenerate or underdetermined
+computation, or unscalable points).
 
 Every subcommand accepts ``--config FILE`` with flat ``key = value``
 lines naming long options; explicit command-line flags override the file.
@@ -29,7 +29,6 @@ from .errors import (
     DataFormatError,
     DegenerateModelError,
     InvalidPointError,
-    NoConvergenceError,
     UnderdeterminedError,
     UnscalablePointError,
 )
@@ -41,7 +40,6 @@ _NUMERICAL_ERRORS = (
     UnderdeterminedError,
     InvalidPointError,
     UnscalablePointError,
-    NoConvergenceError,
 )
 
 

@@ -23,7 +23,3 @@ class InvalidPointError(PhotoevapError, ValueError):
 
 class UnscalablePointError(PhotoevapError, ValueError):
     """A spectrum point cannot be scaled because the divisor vanishes."""
-
-
-class NoConvergenceError(PhotoevapError, RuntimeError):
-    """Every optimiser start failed to converge."""

@@ -2,11 +2,16 @@
 
 The model for each dataset (one proton-energy bin) is
 norm_k * sigma(theta; A, B, C, r) with sigma the c_0-normalised Legendre
-series from :mod:`photoevap.xsection`.  The fit runs in log space
-(log A, log B, log C, log(1+r), log norm_k) so positivity is structural,
-restarts from a deterministic low-discrepancy (Sobol) sample of the
-parameter box, and reports a covariance from the central finite-difference
-Hessian of chi^2/2 at the optimum.
+series from :mod:`photoevap.xsection`.  The norms enter linearly, so the
+optimiser searches only the shape (log A, log B, log C, log(1+r)) and
+profiles the norms out by variable projection (Golub and Pereyra, SIAM J.
+Numer. Anal. 10, 413 (1973)): for each trial shape every norm takes its
+closed-form weighted projection, and the projected residual has an
+analytic Jacobian in Kaufman's form (BIT 15, 49 (1975)).  The log space
+keeps positivity structural.  Restarts come from a deterministic
+low-discrepancy (Sobol) sample of the shape box.  The covariance is still
+taken over the full (shape, log norm_k) vector, from the central
+finite-difference Hessian of chi^2/2 at the optimum.
 """
 
 from __future__ import annotations
@@ -165,35 +170,42 @@ class FitResult:
 
 
 class _FitProblem:
-    """Precomputed coefficient and design matrices for fast residual evaluation.
+    """Stacked weighted design rows and the cached coefficient matrix of one fit.
 
     The coefficient vector reads the same cached matrix M as
-    :func:`raw_coefficients`, in log space: c = Re(M) exp(P x / 2) with
-    P the power triples, times exp(-x3) = 1/(1+r) on the cross columns.
-    Only the real part is kept because conjugate partners cancel the
-    imaginary parts.  The log form stays defined for the slightly
-    negative r probed by the finite-difference Hessian at the r = 0
-    bound.
+    :func:`raw_coefficients`, in log space: c = Re(M) m with
+    m = exp(Q x) and Q = [P / 2, -cross], so that m_j = sqrt(A^a B^b C^c)
+    times 1/(1+r) on the cross columns.  Only the real part is kept
+    because conjugate partners cancel the imaginary parts.  The log form
+    stays defined for the slightly negative r probed by the
+    finite-difference Hessian at the r = 0 bound.
+
+    All bins share one stacked system of N rows: the design row of point
+    i is P_0..P_4 at its angle over its error, its target the yield over
+    the error, and the (K, N) 0/1 membership matrix marks which bin holds
+    each row, so no step loops over bins.  :meth:`residuals` takes the
+    full (shape, log norm_k) vector; :meth:`profiled` takes the shape
+    alone and profiles the norms out.
     """
 
     def __init__(self, datasets: list[AngularDataset], config: ChannelConfig):
-        self.config = config
         self.datasets = datasets
-        x = [np.cos(np.deg2rad(ds.theta_deg)) for ds in datasets]
-        self.design = [
-            np.column_stack([legendre_p(order, xi) for order in range(5)]) for xi in x
-        ]
         self.n_points = sum(len(ds) for ds in datasets)
-        matrix, powers, self._cross_columns = _coefficient_matrix(config, False)
+        inv_errors = np.concatenate([1.0 / ds.errors for ds in datasets])
+        cosines = np.cos(np.deg2rad(np.concatenate([ds.theta_deg for ds in datasets])))
+        self._design = inv_errors[:, None] * np.column_stack(
+            [legendre_p(order, cosines) for order in range(5)]
+        )
+        self._targets = inv_errors * np.concatenate([ds.yields for ds in datasets])
+        self._membership = np.repeat(np.eye(len(datasets)), [len(ds) for ds in datasets], axis=1)
+        matrix, powers, cross_columns = _coefficient_matrix(config, False)
         self._real_matrix = matrix.real
-        self._half_powers = 0.5 * powers
-        self._inv_errors = [1.0 / ds.errors for ds in datasets]
+        self._log_powers = np.column_stack([0.5 * powers, -cross_columns.astype(float)])
+        self._last_key = None
 
     def coeff_vector(self, x: np.ndarray) -> np.ndarray | None:
         """Normalised c_0..c_4 at log-parameters x; None if degenerate."""
-        magnitude = np.exp(self._half_powers @ x[:3])
-        magnitude[self._cross_columns] *= math.exp(-x[3])
-        raw = self._real_matrix @ magnitude
+        raw = self._real_matrix @ np.exp(self._log_powers @ x[:_N_SHAPE])
         if not raw[0] > 0.0:
             return None
         return raw / raw[0]
@@ -207,33 +219,65 @@ class _FitProblem:
         )
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
+        """Weighted residuals at the full (shape, log norm_k) vector x."""
         coeff = self.coeff_vector(x)
         if coeff is None:
             return np.full(self.n_points, 1e6)
-        out = np.empty(self.n_points)
-        pos = 0
-        for k, ds in enumerate(self.datasets):
-            model = math.exp(x[_N_SHAPE + k]) * (self.design[k] @ coeff)
-            out[pos:pos + len(ds)] = (ds.yields - model) * self._inv_errors[k]
-            pos += len(ds)
-        return out
+        row_norms = np.exp(x[_N_SHAPE:]) @ self._membership
+        return self._targets - row_norms * (self._design @ coeff)
 
     def chi2(self, x: np.ndarray) -> float:
         res = self.residuals(x)
         return float(res @ res)
 
-    def start_norm_logs(self, shape_x: np.ndarray) -> list[float]:
-        """Weighted projection of each dataset onto the start shape."""
-        coeff = self.coeff_vector(shape_x)
-        logs = []
-        for k, ds in enumerate(self.datasets):
-            model = self.design[k] @ coeff
-            denom = float(np.sum((model / ds.errors) ** 2))
-            num = float(np.sum(ds.yields * model / ds.errors ** 2))
-            norm = num / denom if denom > 0 else 0.0
-            scale = float(np.mean(np.abs(ds.yields))) or 1.0
-            logs.append(math.log(max(norm, 1e-9 * scale)))
-        return logs
+    def profiled(self, shape_x: np.ndarray):
+        """(residuals, Jacobian, norms) with each bin's norm profiled out.
+
+        For the weighted model a_k and data b_k of bin k, the best norm
+        n_k = <a_k, b_k> / <a_k, a_k>, clipped to the log-norm bounds,
+        is the exact minimiser of the bounded problem in that coordinate.
+        The residual is b_k - n_k a_k, and its Jacobian is the projected
+        one in Kaufman's form, -a_k dn_k - n_k da_k with
+        dn_k = <b_k - 2 n_k a_k, da_k> / <a_k, a_k> (zero on a clipped bin).
+        da_k comes from the analytic dc/dx = (D - c D_0) / raw_0 with
+        D = Re(M) diag(m) Q the derivative of the raw coefficients.  The
+        last evaluation is cached, since the optimiser asks for the
+        Jacobian at the point whose residuals it has just taken.
+        """
+        key = shape_x.tobytes()
+        if key == self._last_key:
+            return self._last
+        magnitude = np.exp(self._log_powers @ shape_x)
+        raw = self._real_matrix @ magnitude
+        if not raw[0] > 0.0:
+            out = (
+                np.full(self.n_points, 1e6),
+                np.zeros((self.n_points, _N_SHAPE)),
+                np.full(len(self.datasets), math.exp(-_NORM_BOUND)),
+            )
+        else:
+            coeff = raw / raw[0]
+            d_raw = self._real_matrix @ (magnitude[:, None] * self._log_powers)
+            d_coeff = (d_raw - np.outer(coeff, d_raw[0])) / raw[0]
+            model = self._design @ coeff
+            d_model = self._design @ d_coeff
+            model_sq = self._membership @ (model * model)
+            unclipped = (self._membership @ (model * self._targets)) / model_sq
+            norms = np.clip(unclipped, math.exp(-_NORM_BOUND), math.exp(_NORM_BOUND))
+            row_norms = norms @ self._membership
+            d_norms = (
+                self._membership
+                @ ((self._targets - 2.0 * row_norms * model)[:, None] * d_model)
+                / model_sq[:, None]
+            )
+            d_norms[norms != unclipped] = 0.0
+            out = (
+                self._targets - row_norms * model,
+                -model[:, None] * (self._membership.T @ d_norms) - row_norms[:, None] * d_model,
+                norms,
+            )
+        self._last_key, self._last = key, out
+        return out
 
 
 def chi_square(
@@ -311,6 +355,11 @@ def fit_angular(
 ):
     """Multi-start bounded least-squares fit of (A, B, C, r) plus norms.
 
+    Each start searches the four shape parameters with the norms profiled
+    out, within ``max_iter * 5`` evaluations; one that runs out of them
+    only leaves ``converged`` false when it is the best.  ``chi2`` is the
+    full problem's chi-square at the best shape and its profiled norms.
+
     ``mode="joint"`` shares the shape parameters across all datasets and
     returns a single :class:`FitResult`; ``mode="per-bin"`` fits each
     dataset independently and returns a list.
@@ -336,36 +385,32 @@ def fit_angular(
             f"{problem.n_points} points cannot constrain {_N_SHAPE + n_norms} parameters"
         )
 
-    lo = np.array(_BOUND_LO + [-_NORM_BOUND] * n_norms)
-    hi = np.array(_BOUND_HI + [_NORM_BOUND] * n_norms)
-    dim = _N_SHAPE + n_norms
     results = []
-    for shape_x in _sobol_starts(n_starts, seed):
-        x0 = np.concatenate([shape_x, problem.start_norm_logs(shape_x)])
-        x0 = np.clip(x0, lo + 1e-12, hi - 1e-12)
+    for x0 in _sobol_starts(n_starts, seed):
         sol = least_squares(
-            problem.residuals,
+            lambda shape_x: problem.profiled(shape_x)[0],
             x0,
-            jac="2-point",
-            bounds=(lo, hi),
+            jac=lambda shape_x: problem.profiled(shape_x)[1],
+            bounds=(_BOUND_LO, _BOUND_HI),
             method="trf",
             xtol=tol,
             ftol=tol,
             gtol=tol,
-            max_nfev=max_iter * (dim + 1),
+            max_nfev=max_iter * (_N_SHAPE + 1),
         )
         results.append((2.0 * sol.cost, sol.x, sol.status > 0))
 
-    best_chi2, best_x, best_ok = min(results, key=lambda item: item[0])
-    agree_tol = max(tol, 1e-12) * max(1.0, best_chi2)
-    agreeing = sum(1 for c, _, _ in results if c - best_chi2 <= agree_tol)
+    best_cost, best_shape, best_ok = min(results, key=lambda item: item[0])
+    agree_tol = max(tol, 1e-12) * max(1.0, best_cost)
+    agreeing = sum(1 for c, _, _ in results if c - best_cost <= agree_tol)
+    best_x = np.concatenate([best_shape, np.log(problem.profiled(best_shape)[2])])
 
     cov = _covariance(problem, best_x)
     identifiable = bool(np.all(np.diag(cov) <= 100.0))
     return FitResult(
         params=problem.params_of(best_x),
         norms=tuple(math.exp(v) for v in best_x[_N_SHAPE:]),
-        chi2=best_chi2,
+        chi2=problem.chi2(best_x),
         dof=dof,
         covariance=cov,
         converged=best_ok,

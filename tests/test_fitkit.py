@@ -1,6 +1,7 @@
 """Dataset handling, chi-square bookkeeping and multi-start fitting."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +15,23 @@ from photoevap.fitkit import (
     read_angular_csv,
     synth_dataset,
 )
-from photoevap.xsection import DEFAULT_CONFIG, ShapeParams, legendre_coefficients
+from photoevap.xsection import (
+    DEFAULT_CONFIG,
+    ChannelConfig,
+    ShapeParams,
+    legendre_coefficients,
+)
 
 TRUTH = ShapeParams(A=0.082, B=0.47, C=0.37, r=0.11)
 NORMS = [1200.0, 950.0, 610.0]
 THETAS = np.linspace(30.0, 150.0, 10)
+SAMPLE_ANGULAR = Path(__file__).resolve().parents[1] / "sample_data" / "angular_bi_gp.csv"
+SIX_NORMS = [1200.0, 950.0, 610.0, 1500.0, 800.0, 1100.0]
+WEIGHTINGS = {
+    "equal": DEFAULT_CONFIG,
+    "2I+1": ChannelConfig(residual_weighting="2I+1"),
+    "spin-cutoff": ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=1.3),
+}
 
 
 def make_noisy(seed=7, noise=0.05):
@@ -148,6 +161,77 @@ class TestFastPathEquivalence:
             assert fast == pytest.approx(reference.coefficients, rel=1e-12, abs=1e-14)
 
 
+def random_shape(rng):
+    """A log-space shape drawn from the optimiser's start box."""
+    return np.concatenate(
+        [rng.uniform(math.log(1e-3), math.log(10.0), 3), [rng.uniform(0.0, math.log1p(100.0))]]
+    )
+
+
+def negate_bin(datasets, k):
+    """Replace bin k by one whose yields are all negative."""
+    ds = datasets[k]
+    datasets[k] = AngularDataset(ds.bin_label, ds.theta_deg, -np.abs(ds.yields), ds.errors)
+    return datasets
+
+
+class TestProfiledProblem:
+    """Variable projection: profiled norms and the analytic Jacobian."""
+
+    @staticmethod
+    def central_difference(problem, shape_x, step=1e-6):
+        columns = []
+        for i in range(shape_x.size):
+            h = np.zeros_like(shape_x)
+            h[i] = step * max(1.0, abs(shape_x[i]))
+            upper = problem.profiled(shape_x + h)[0]
+            lower = problem.profiled(shape_x - h)[0]
+            columns.append((upper - lower) / (2.0 * h[i]))
+        return np.column_stack(columns)
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    @pytest.mark.parametrize("weighting", sorted(WEIGHTINGS))
+    def test_jacobian_matches_central_difference(self, weighting, k):
+        config = WEIGHTINGS[weighting]
+        datasets = synth_dataset(TRUTH, SIX_NORMS[:k], THETAS, 0.05, 10 + k, config=config)
+        if k > 1:
+            # one bin with all-negative yields profiles to the clipped norm
+            datasets = negate_bin(datasets, k - 1)
+        problem = _FitProblem(datasets, config)
+        rng = np.random.default_rng(k)
+        for _ in range(4):
+            shape_x = random_shape(rng)
+            _, jacobian, norms = problem.profiled(shape_x)
+            assert jacobian.shape == (10 * k, 4)
+            if k > 1:
+                assert norms[-1] == math.exp(-40.0)
+            expected = self.central_difference(problem, shape_x)
+            scale = float(np.max(np.abs(expected)))
+            assert np.max(np.abs(jacobian - expected)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("weighting", sorted(WEIGHTINGS))
+    def test_norms_are_weighted_projections(self, weighting):
+        config = WEIGHTINGS[weighting]
+        datasets = negate_bin(synth_dataset(TRUTH, SIX_NORMS, THETAS, 0.05, 3, config=config), 2)
+        problem = _FitProblem(datasets, config)
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            shape_x = random_shape(rng)
+            residuals, _, norms = problem.profiled(shape_x)
+            series = legendre_coefficients(problem.params_of(shape_x), config)
+            expected_residuals = []
+            for ds, norm in zip(datasets, norms):
+                model = series.evaluate(np.deg2rad(ds.theta_deg)) / ds.errors
+                target = ds.yields / ds.errors
+                projection = float(model @ target) / float(model @ model)
+                expected = min(max(projection, math.exp(-40.0)), math.exp(40.0))
+                assert norm == pytest.approx(expected, rel=1e-10)
+                expected_residuals.append(target - norm * model)
+            assert residuals == pytest.approx(np.concatenate(expected_residuals), rel=1e-9, abs=1e-9)
+            full_x = np.concatenate([shape_x, np.log(norms)])
+            assert float(residuals @ residuals) == pytest.approx(problem.chi2(full_x), rel=1e-10)
+
+
 class TestSynthDataset:
     def test_deterministic_under_seed(self):
         first = make_noisy(seed=42)
@@ -263,3 +347,35 @@ class TestFitAngular:
             fit_angular([])
         with pytest.raises(ValueError):
             fit_angular(datasets, n_starts=0)
+
+
+class TestFitRegression:
+    """Best chi-square of the variable-projection fit against fixed values."""
+
+    # best chi2 of the joint (4 + K)-parameter search with a finite-difference
+    # Jacobian that the variable-projection fit replaced
+    @pytest.mark.parametrize(
+        "weighting, chi2", [("equal", 17.895341625923283), ("2I+1", 119.04171430471507)]
+    )
+    def test_sample_best_chi2(self, weighting, chi2):
+        result = fit_angular(read_angular_csv(SAMPLE_ANGULAR), WEIGHTINGS[weighting])
+        assert result.chi2 == pytest.approx(chi2, rel=1e-8)
+
+    def test_reported_chi2_is_chi_square_at_result(self):
+        datasets = synth_dataset(TRUTH, SIX_NORMS, THETAS, 0.05, 4)
+        result = fit_angular(datasets, n_starts=6, tol=1e-10)
+        assert result.dof == 60 - 10
+        assert chi_square(result.params, result.norms, datasets) == pytest.approx(
+            result.chi2, rel=1e-10
+        )
+
+    def test_all_negative_bin_gets_lower_norm_bound(self):
+        datasets = negate_bin(synth_dataset(TRUTH, NORMS, THETAS, 0.05, 8), 1)
+        result = fit_angular(datasets, n_starts=4, tol=1e-10)
+        assert math.isfinite(result.chi2)
+        assert np.all(np.isfinite(result.covariance))
+        assert result.norms[1] == pytest.approx(math.exp(-40.0), rel=1e-12)
+        assert result.norms[0] > 1.0 and result.norms[2] > 1.0
+        assert chi_square(result.params, result.norms, datasets) == pytest.approx(
+            result.chi2, rel=1e-10
+        )
