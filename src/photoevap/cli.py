@@ -484,9 +484,6 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"photoevap: numerical error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"photoevap: data error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"photoevap: data error: {exc}", file=sys.stderr)
         return 2

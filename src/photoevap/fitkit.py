@@ -10,8 +10,9 @@ closed-form weighted projection, and the projected residual has an
 analytic Jacobian in Kaufman's form (BIT 15, 49 (1975)).  The log space
 keeps positivity structural.  Restarts come from a deterministic
 low-discrepancy (Sobol) sample of the shape box.  The covariance is still
-taken over the full (shape, log norm_k) vector, from the central
-finite-difference Hessian of chi^2/2 at the optimum.
+taken over the full (shape, log norm_k) vector: the Hessian of chi^2/2 at
+the optimum is the central difference of the analytic gradient J^T r.
+Both searches share one model evaluation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.optimize import least_squares
 from scipy.stats import qmc
 
-from .errors import DataFormatError, UnderdeterminedError
+from .errors import DataFormatError, DegenerateModelError, UnderdeterminedError
 from .xsection import (
     ChannelConfig,
     DEFAULT_CONFIG,
@@ -177,19 +178,31 @@ class _FitProblem:
     m = exp(Q x) and Q = [P / 2, -cross], so that m_j = sqrt(A^a B^b C^c)
     times 1/(1+r) on the cross columns.  Only the real part is kept
     because conjugate partners cancel the imaginary parts.  The log form
-    stays defined for the slightly negative r probed by the
-    finite-difference Hessian at the r = 0 bound.
+    stays defined for the slightly negative r probed by the covariance's
+    gradient differences at the r = 0 bound.
+
+    Every isotropic geometry group is positive and every weight is >= 0,
+    so Re M[0] >= 0, and with m > 0 the raw c_0 is positive at every
+    shape as soon as Re M[0] has one positive entry.  A configuration
+    without one has c_0 = 0 everywhere and is rejected at construction.
 
     All bins share one stacked system of N rows: the design row of point
     i is P_0..P_4 at its angle over its error, its target the yield over
     the error, and the (K, N) 0/1 membership matrix marks which bin holds
-    each row, so no step loops over bins.  :meth:`residuals` takes the
-    full (shape, log norm_k) vector; :meth:`profiled` takes the shape
-    alone and profiles the norms out.
+    each row, so no step loops over bins.  :meth:`_evaluate` is the one
+    model evaluation; :meth:`residuals_and_jacobian` takes the full
+    (shape, log norm_k) vector and :meth:`profiled` the shape alone,
+    with the norms profiled out.
     """
 
     def __init__(self, datasets: list[AngularDataset], config: ChannelConfig):
-        self.datasets = datasets
+        matrix, powers, cross_columns = _coefficient_matrix(config, False)
+        if not np.any(matrix[0].real > 0.0):
+            raise DegenerateModelError(
+                "normalisation c_0 vanishes at every shape for this channel configuration"
+            )
+        self._real_matrix = matrix.real
+        self._log_powers = np.column_stack([0.5 * powers, -cross_columns.astype(float)])
         self.n_points = sum(len(ds) for ds in datasets)
         inv_errors = np.concatenate([1.0 / ds.errors for ds in datasets])
         cosines = np.cos(np.deg2rad(np.concatenate([ds.theta_deg for ds in datasets])))
@@ -198,17 +211,26 @@ class _FitProblem:
         )
         self._targets = inv_errors * np.concatenate([ds.yields for ds in datasets])
         self._membership = np.repeat(np.eye(len(datasets)), [len(ds) for ds in datasets], axis=1)
-        matrix, powers, cross_columns = _coefficient_matrix(config, False)
-        self._real_matrix = matrix.real
-        self._log_powers = np.column_stack([0.5 * powers, -cross_columns.astype(float)])
         self._last_key = None
 
-    def coeff_vector(self, x: np.ndarray) -> np.ndarray | None:
-        """Normalised c_0..c_4 at log-parameters x; None if degenerate."""
-        raw = self._real_matrix @ np.exp(self._log_powers @ x[:_N_SHAPE])
-        if not raw[0] > 0.0:
-            return None
-        return raw / raw[0]
+    def _evaluate(self, shape_x: np.ndarray):
+        """(coeff, model, d_model) at the log-space shape x.
+
+        coeff is the normalised c_0..c_4, model the weighted model rows
+        design @ coeff and d_model their (N, 4) derivative, from the
+        analytic dc/dx = (D - c D_0) / raw_0 with D = Re(M) diag(m) Q the
+        derivative of the raw coefficients.
+        """
+        magnitude = np.exp(self._log_powers @ shape_x)
+        raw = self._real_matrix @ magnitude
+        coeff = raw / raw[0]
+        d_raw = self._real_matrix @ (magnitude[:, None] * self._log_powers)
+        d_coeff = (d_raw - np.outer(coeff, d_raw[0])) / raw[0]
+        return coeff, self._design @ coeff, self._design @ d_coeff
+
+    def coeff_vector(self, x: np.ndarray) -> np.ndarray:
+        """Normalised c_0..c_4 at log-parameters x."""
+        return self._evaluate(x[:_N_SHAPE])[0]
 
     def params_of(self, x: np.ndarray) -> ShapeParams:
         return ShapeParams(
@@ -218,16 +240,20 @@ class _FitProblem:
             r=max(math.expm1(x[3]), 0.0),
         )
 
-    def residuals(self, x: np.ndarray) -> np.ndarray:
-        """Weighted residuals at the full (shape, log norm_k) vector x."""
-        coeff = self.coeff_vector(x)
-        if coeff is None:
-            return np.full(self.n_points, 1e6)
+    def residuals_and_jacobian(self, x: np.ndarray):
+        """Weighted residuals and their Jacobian at the full (shape, log norm_k) x.
+
+        The shape columns are -n d_model; the column of log n_k is
+        -n_k model on bin k's rows and zero elsewhere.
+        """
+        _, model, d_model = self._evaluate(x[:_N_SHAPE])
         row_norms = np.exp(x[_N_SHAPE:]) @ self._membership
-        return self._targets - row_norms * (self._design @ coeff)
+        scaled = row_norms * model
+        jacobian = np.hstack([-row_norms[:, None] * d_model, -scaled[:, None] * self._membership.T])
+        return self._targets - scaled, jacobian
 
     def chi2(self, x: np.ndarray) -> float:
-        res = self.residuals(x)
+        res = self.residuals_and_jacobian(x)[0]
         return float(res @ res)
 
     def profiled(self, shape_x: np.ndarray):
@@ -239,43 +265,28 @@ class _FitProblem:
         The residual is b_k - n_k a_k, and its Jacobian is the projected
         one in Kaufman's form, -a_k dn_k - n_k da_k with
         dn_k = <b_k - 2 n_k a_k, da_k> / <a_k, a_k> (zero on a clipped bin).
-        da_k comes from the analytic dc/dx = (D - c D_0) / raw_0 with
-        D = Re(M) diag(m) Q the derivative of the raw coefficients.  The
-        last evaluation is cached, since the optimiser asks for the
+        The last evaluation is cached, since the optimiser asks for the
         Jacobian at the point whose residuals it has just taken.
         """
         key = shape_x.tobytes()
         if key == self._last_key:
             return self._last
-        magnitude = np.exp(self._log_powers @ shape_x)
-        raw = self._real_matrix @ magnitude
-        if not raw[0] > 0.0:
-            out = (
-                np.full(self.n_points, 1e6),
-                np.zeros((self.n_points, _N_SHAPE)),
-                np.full(len(self.datasets), math.exp(-_NORM_BOUND)),
-            )
-        else:
-            coeff = raw / raw[0]
-            d_raw = self._real_matrix @ (magnitude[:, None] * self._log_powers)
-            d_coeff = (d_raw - np.outer(coeff, d_raw[0])) / raw[0]
-            model = self._design @ coeff
-            d_model = self._design @ d_coeff
-            model_sq = self._membership @ (model * model)
-            unclipped = (self._membership @ (model * self._targets)) / model_sq
-            norms = np.clip(unclipped, math.exp(-_NORM_BOUND), math.exp(_NORM_BOUND))
-            row_norms = norms @ self._membership
-            d_norms = (
-                self._membership
-                @ ((self._targets - 2.0 * row_norms * model)[:, None] * d_model)
-                / model_sq[:, None]
-            )
-            d_norms[norms != unclipped] = 0.0
-            out = (
-                self._targets - row_norms * model,
-                -model[:, None] * (self._membership.T @ d_norms) - row_norms[:, None] * d_model,
-                norms,
-            )
+        _, model, d_model = self._evaluate(shape_x)
+        model_sq = self._membership @ (model * model)
+        unclipped = (self._membership @ (model * self._targets)) / model_sq
+        norms = np.clip(unclipped, math.exp(-_NORM_BOUND), math.exp(_NORM_BOUND))
+        row_norms = norms @ self._membership
+        d_norms = (
+            self._membership
+            @ ((self._targets - 2.0 * row_norms * model)[:, None] * d_model)
+            / model_sq[:, None]
+        )
+        d_norms[norms != unclipped] = 0.0
+        out = (
+            self._targets - row_norms * model,
+            -model[:, None] * (self._membership.T @ d_norms) - row_norms[:, None] * d_model,
+            norms,
+        )
         self._last_key, self._last = key, out
         return out
 
@@ -306,37 +317,25 @@ def _sobol_starts(n_starts: int, seed) -> np.ndarray:
     return _START_LO + unit * (_START_HI - _START_LO)
 
 
-def _fd_hessian(fun, x: np.ndarray, step: float = 1e-4) -> np.ndarray:
-    """Central finite-difference Hessian of a scalar function."""
-    n = x.size
-    h = step * np.maximum(1.0, np.abs(x))
-    hess = np.empty((n, n))
-    f0 = fun(x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        fpp = fun(x + ei)
-        fmm = fun(x - ei)
-        hess[i, i] = (fpp + fmm - 2.0 * f0) / (h[i] * h[i])
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h[j]
-            fp_p = fun(x + ei + ej)
-            fp_m = fun(x + ei - ej)
-            fm_p = fun(x - ei + ej)
-            fm_m = fun(x - ei - ej)
-            hess[i, j] = hess[j, i] = (fp_p - fp_m - fm_p + fm_m) / (4.0 * h[i] * h[j])
-    return hess
+def _covariance(problem: _FitProblem, x: np.ndarray, step: float = 1e-4) -> np.ndarray:
+    """Covariance from the Hessian of chi^2/2, floor-regularised.
 
-
-def _covariance(problem: _FitProblem, x: np.ndarray) -> np.ndarray:
-    """Covariance from the FD Hessian of chi^2/2, floor-regularised.
-
+    Column i of the Hessian is the central difference of the analytic
+    gradient J^T r along x_i with step h_i = step * max(1, |x_i|), 2n
+    evaluations for n parameters; it is symmetrised before inversion.
     Directions with (near-)zero curvature get a huge variance instead of
     a pseudo-inverse zero, so flat parameters show up as unidentifiable
     rather than spuriously well determined.
     """
-    hess = _fd_hessian(lambda z: 0.5 * problem.chi2(z), x)
+
+    def gradient(z: np.ndarray) -> np.ndarray:
+        res, jac = problem.residuals_and_jacobian(z)
+        return jac.T @ res
+
+    h = step * np.maximum(1.0, np.abs(x))
+    hess = np.column_stack(
+        [(gradient(x + s) - gradient(x - s)) / (2.0 * s[i]) for i, s in enumerate(np.diag(h))]
+    )
     eigval, eigvec = np.linalg.eigh(0.5 * (hess + hess.T))
     floor = 1e-10
     inv = 1.0 / np.maximum(eigval, floor)
@@ -362,7 +361,8 @@ def fit_angular(
 
     ``mode="joint"`` shares the shape parameters across all datasets and
     returns a single :class:`FitResult`; ``mode="per-bin"`` fits each
-    dataset independently and returns a list.
+    dataset independently and returns a list.  A configuration whose c_0
+    vanishes at every shape raises :class:`DegenerateModelError`.
     """
     if mode not in ("joint", "per-bin"):
         raise ValueError(f"mode must be 'joint' or 'per-bin', got {mode!r}")

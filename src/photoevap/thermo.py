@@ -5,7 +5,8 @@ exp(-eps / T), so dividing the measured counts by eps * sigma_inv leaves a
 pure exponential whose log-slope is -1/T.  sigma_inv is the inverse
 (capture) cross section of the residual nucleus, modelled here as a
 single-partial-wave barrier transmission times the geometric area, or
-supplied as a lookup table.
+supplied as a lookup table.  The transmission is the WKB penetrability
+of the Coulomb + centrifugal barrier, in closed form for every l.
 
 The exciton estimate relates the same temperature to the equilibrium
 exciton number n = sqrt(2 g E*) with g = A/13 MeV^-1, and the timescale
@@ -20,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import AMU_MEV, E2_MEV_FM, HBAR_EV_S, HBARC_MEV_FM, R0_FM
 from .errors import (
@@ -98,34 +98,36 @@ def _reduced_mass_mev(nucleus: NucleusSpec) -> float:
     return AMU_MEV * a / (1.0 + a)
 
 
-def _wkb_exponent_coulomb(nucleus: NucleusSpec, eps: float) -> float:
-    """Closed-form s-wave Gamow exponent for a pure Coulomb barrier."""
-    v_c = coulomb_barrier(nucleus)
-    x = eps / v_c
-    mu = _reduced_mass_mev(nucleus)
-    eta = E2_MEV_FM * nucleus.charge * math.sqrt(mu / (2.0 * eps)) / HBARC_MEV_FM
-    return 2.0 * math.pi * eta * (2.0 / math.pi) * (
-        math.acos(math.sqrt(x)) - math.sqrt(x * (1.0 - x))
-    )
+def _wkb_exponent(nucleus: NucleusSpec, l: int, eps: float) -> float:
+    """Closed-form Gamow exponent through the Coulomb + centrifugal barrier.
 
+    With a = e^2 Z, b = l(l+1) (hbar c)^2 / 2 mu, Q(r) = -eps r^2 + a r + b,
+    D = sqrt(a^2 + 4 eps b) and the outer turning point r_out = (a + D) / 2 eps,
+    the exponent is 2 sqrt(2 mu) / hbar c times
 
-def _wkb_exponent_numeric(nucleus: NucleusSpec, l: int, eps: float) -> float:
-    """Gamow exponent through the combined Coulomb + centrifugal barrier."""
+        int_R^r_out sqrt(Q) / r dr = -sqrt(Q(R)) + a / (2 sqrt(eps)) arccos((2 eps R - a) / D)
+            + sqrt(b) ln[(2b + a R + 2 sqrt(b Q(R))) r_out / ((2b + a r_out) R)],
+
+    which for b = 0 is the pure-Coulomb s-wave form.  Q(R), the arccos
+    argument and the integral are clamped to their ranges, since rounding
+    just below the barrier top can push each past it.
+    """
     radius = nuclear_radius(nucleus)
     mu = _reduced_mass_mev(nucleus)
-    a_coul = E2_MEV_FM * nucleus.charge
-    b_cent = l * (l + 1) * HBARC_MEV_FM ** 2 / (2.0 * mu)
-
-    def potential(r: float) -> float:
-        return a_coul / r + b_cent / (r * r)
-
-    r_out = (a_coul + math.sqrt(a_coul * a_coul + 4.0 * eps * b_cent)) / (2.0 * eps)
-
-    def integrand(r: float) -> float:
-        return math.sqrt(max(potential(r) - eps, 0.0) * 2.0 * mu) / HBARC_MEV_FM
-
-    value, _ = quad(integrand, radius, r_out, limit=200)
-    return 2.0 * value
+    a = E2_MEV_FM * nucleus.charge
+    b = l * (l + 1) * HBARC_MEV_FM ** 2 / (2.0 * mu)
+    d = math.sqrt(a * a + 4.0 * eps * b)
+    r_out = (a + d) / (2.0 * eps)
+    q_surface = max(a * radius + b - eps * radius * radius, 0.0)
+    integral = (
+        -math.sqrt(q_surface)
+        + a / (2.0 * math.sqrt(eps)) * math.acos(min((2.0 * eps * radius - a) / d, 1.0))
+        + math.sqrt(b) * math.log(
+            (2.0 * b + a * radius + 2.0 * math.sqrt(b * q_surface)) * r_out
+            / ((2.0 * b + a * r_out) * radius)
+        )
+    )
+    return 2.0 * math.sqrt(2.0 * mu) / HBARC_MEV_FM * max(integral, 0.0)
 
 
 def inverse_capture_xsec(
@@ -138,10 +140,10 @@ def inverse_capture_xsec(
 
     Default model: pi R^2 times the transmission of partial wave l
     through the Coulomb + centrifugal barrier.  Below the barrier the
-    transmission is the WKB penetrability (closed form for the pure
-    Coulomb s-wave); at and above the barrier it is taken as 1, which
-    joins the sub-barrier branch continuously and keeps sigma_inv
-    non-decreasing in eps.
+    transmission is the WKB penetrability, in closed form for every l;
+    at and above the barrier it is taken as 1, which joins the
+    sub-barrier branch continuously and keeps sigma_inv non-decreasing
+    in eps.
 
     A user-supplied (eps, sigma) table overrides the model entirely.
     """
@@ -156,12 +158,7 @@ def inverse_capture_xsec(
     barrier = coulomb_barrier(nucleus) + l * (l + 1) * HBARC_MEV_FM ** 2 / (
         2.0 * mu * radius * radius
     )
-    if eps >= barrier:
-        transmission = 1.0
-    elif l == 0:
-        transmission = math.exp(-_wkb_exponent_coulomb(nucleus, eps))
-    else:
-        transmission = math.exp(-_wkb_exponent_numeric(nucleus, l, eps))
+    transmission = 1.0 if eps >= barrier else math.exp(-_wkb_exponent(nucleus, l, eps))
     return math.pi * radius * radius * transmission
 
 
@@ -175,6 +172,8 @@ class SigmaInvTable:
     def __post_init__(self) -> None:
         if len(self.eps) != len(self.sigma) or len(self.eps) < 2:
             raise DataFormatError("table needs at least two (eps, sigma) rows")
+        if not all(math.isfinite(v) for v in (*self.eps, *self.sigma)):
+            raise DataFormatError("table energies and cross sections must be finite")
         if any(b <= a for a, b in zip(self.eps, self.eps[1:])):
             raise DataFormatError("table energies must be strictly increasing")
         if any(s < 0 for s in self.sigma):

@@ -252,6 +252,21 @@ class TestBadInputExitsCleanly:
         self.assert_clean(code, out, err, 2)
         assert "line 3" in err
 
+    @pytest.mark.parametrize(
+        "table_row", ["5.0,nan", "nan,100.0", "5.0,inf"], ids=["nan-sigma", "nan-eps", "inf-sigma"]
+    )
+    def test_non_finite_table_entry_is_data_error(self, capsys, tmp_path, table_row):
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text("eps_mev,counts\n3.0,120.0\n4.0,80.0\n5.0,40.0\n6.0,20.0\n")
+        table = tmp_path / "table.csv"
+        table.write_text(f"eps_mev,sigma_fm2\n0.5,100.0\n{table_row}\n10.0,100.0\n")
+        code, out, err = run(
+            capsys, "spectrum", str(spectrum), "-A", "208", "-Z", "82",
+            "--sigma-inv-table", str(table),
+        )
+        self.assert_clean(code, out, err, 2)
+        assert "finite" in err
+
     def test_equal_energies_are_numerical_error(self, capsys, tmp_path):
         path = tmp_path / "spectrum.csv"
         path.write_text("eps_mev,counts\n5.0,120.0\n5.0,110.0\n5.0,130.0\n")

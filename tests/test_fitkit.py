@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from photoevap.errors import DataFormatError, UnderdeterminedError
+from photoevap.errors import DataFormatError, DegenerateModelError, UnderdeterminedError
 from photoevap.fitkit import (
     AngularDataset,
+    _covariance,
     _FitProblem,
     chi_square,
     fit_angular,
@@ -379,3 +380,63 @@ class TestFitRegression:
         assert chi_square(result.params, result.norms, datasets) == pytest.approx(
             result.chi2, rel=1e-10
         )
+
+
+# both terms of this channel have residual spin 1, whose
+# spin-cutoff weight underflows to 0 at sigma = 0.01: c_0 is 0 at every shape
+DEGENERATE = ChannelConfig(
+    multipoles=(1,), exit_orbitals=(0,), residual_weighting="spin-cutoff", spin_cutoff_sigma=0.01
+)
+
+
+class TestDegenerateConfiguration:
+    def test_fit_angular_raises(self):
+        datasets = synth_dataset(TRUTH, [1200.0], THETAS, 0.05, 1)
+        with pytest.raises(DegenerateModelError):
+            fit_angular(datasets, DEGENERATE, n_starts=2)
+
+    def test_chi_square_raises(self):
+        datasets = synth_dataset(TRUTH, [1200.0], THETAS, 0.05, 1)
+        with pytest.raises(DegenerateModelError):
+            chi_square(TRUTH, [1200.0], datasets, DEGENERATE)
+
+
+class TestFullProblem:
+    """Residuals, Jacobian and covariance over the full (shape, log norm_k) vector."""
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    @pytest.mark.parametrize("weighting", sorted(WEIGHTINGS))
+    def test_jacobian_matches_central_difference(self, weighting, k):
+        config = WEIGHTINGS[weighting]
+        datasets = synth_dataset(TRUTH, SIX_NORMS[:k], THETAS, 0.05, 20 + k, config=config)
+        problem = _FitProblem(datasets, config)
+        rng = np.random.default_rng(30 + k)
+        for _ in range(4):
+            x = np.concatenate([random_shape(rng), np.log(SIX_NORMS[:k]) + rng.normal(0.0, 1.0, k)])
+            _, jacobian = problem.residuals_and_jacobian(x)
+            assert jacobian.shape == (10 * k, 4 + k)
+            columns = []
+            for i in range(x.size):
+                h = np.zeros_like(x)
+                h[i] = 1e-6 * max(1.0, abs(x[i]))
+                upper = problem.residuals_and_jacobian(x + h)[0]
+                lower = problem.residuals_and_jacobian(x - h)[0]
+                columns.append((upper - lower) / (2.0 * h[i]))
+            expected = np.column_stack(columns)
+            scale = float(np.max(np.abs(expected)))
+            assert np.max(np.abs(jacobian - expected)) <= 1e-6 * scale
+
+    # under 2I+1, J^T J has a null direction here (smallest eigenvalue
+    # 4e-11, next 3e2), which the covariance floors by design
+    @pytest.mark.parametrize("weighting", ["equal", "spin-cutoff"])
+    def test_covariance_is_gauss_newton_inverse_at_exact_data(self, weighting):
+        # with zero residuals the Hessian of chi^2/2 is exactly J^T J
+        config = WEIGHTINGS[weighting]
+        datasets = synth_dataset(TRUTH, NORMS, THETAS, 0.0, None, config=config)
+        problem = _FitProblem(datasets, config)
+        x = np.log([TRUTH.A, TRUTH.B, TRUTH.C, 1.0 + TRUTH.r] + NORMS)
+        residuals, jacobian = problem.residuals_and_jacobian(x)
+        assert np.max(np.abs(residuals)) < 1e-9
+        expected = np.diag(np.linalg.inv(jacobian.T @ jacobian))
+        got = np.diag(_covariance(problem, x))
+        assert got == pytest.approx(expected, rel=1e-3)

@@ -1,8 +1,9 @@
 """Spectrum scaling, barrier transmission, temperature and lifetimes.
 
-The closed-form s-wave barrier penetrability is checked against a direct
+The closed-form barrier penetrability is checked against a direct
 numerical integral of the same turning-point problem written here with
-scipy.quad, so the two routes share no code.
+scipy.quad, for the s-wave and for higher partial waves, so the two
+routes share no code.
 """
 
 import math
@@ -130,6 +131,44 @@ class TestInverseCapture:
             integral, _ = quad(integrand, radius, r_out, limit=200)
             expected = math.pi * radius**2 * math.exp(-2.0 * integral)
             assert inverse_capture_xsec(PB208, 0, eps) == pytest.approx(expected, rel=1e-7)
+
+    @pytest.mark.parametrize("l", [1, 2, 5])
+    @pytest.mark.parametrize("mass, charge", [(208, 82), (90, 40), (40, 20), (12, 6)])
+    def test_matches_quadrature_oracle_higher_partial_waves(self, mass, charge, l):
+        # the same independent route with the centrifugal term added
+        nucleus = NucleusSpec(mass, charge)
+        radius = nuclear_radius(nucleus)
+        mu = AMU_MEV * mass / (mass + 1.0)
+        a_coul = E2_MEV_FM * charge
+        b_cent = l * (l + 1) * HBARC_MEV_FM**2 / (2.0 * mu)
+        barrier = a_coul / radius + b_cent / radius**2
+
+        for fraction in (0.2, 0.5, 0.8, 0.95):
+            eps = fraction * barrier
+
+            def integrand(r):
+                excess = a_coul / r + b_cent / r**2 - eps
+                return math.sqrt(max(excess, 0.0) * 2.0 * mu) / HBARC_MEV_FM
+
+            r_out = (a_coul + math.sqrt(a_coul**2 + 4.0 * eps * b_cent)) / (2.0 * eps)
+            integral, _ = quad(integrand, radius, r_out, limit=200, epsabs=0.0, epsrel=1e-12)
+            expected = math.pi * radius**2 * math.exp(-2.0 * integral)
+            assert inverse_capture_xsec(nucleus, l, eps) == pytest.approx(expected, rel=1e-7)
+
+    @pytest.mark.parametrize("mass, charge", [(208, 82), (90, 40), (40, 20), (12, 6), (238, 92)])
+    def test_just_below_the_barrier_stays_within_the_geometric_area(self, mass, charge):
+        # rounding within a few ulps of the barrier top must neither leave
+        # the domain of sqrt/acos nor give a transmission above 1
+        nucleus = NucleusSpec(mass, charge)
+        radius = nuclear_radius(nucleus)
+        mu = AMU_MEV * mass / (mass + 1.0)
+        area = math.pi * radius**2
+        for l in range(7):
+            eps = coulomb_barrier(nucleus) + l * (l + 1) * HBARC_MEV_FM**2 / (2.0 * mu * radius * radius)
+            for _ in range(40):
+                eps = float(np.nextafter(eps, 0.0))
+                sigma = inverse_capture_xsec(nucleus, l, eps)
+                assert 0.0 < sigma <= area
 
     def test_table_override(self):
         table = SigmaInvTable((1.0, 3.0, 5.0), (10.0, 30.0, 50.0))

@@ -8,6 +8,7 @@ against adaptive quadrature.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -456,3 +457,29 @@ class TestCoefficientMatrix:
 def test_forward_backward_ratio_rejects_orders_above_four():
     with pytest.raises(ValueError, match="above P_4"):
         forward_backward_ratio(LegendreSeries((1.0, 0.1, 0.0, 0.0, 0.0, 0.01)))
+
+
+def channel_subsets(values):
+    return [
+        subset
+        for size in range(1, len(values) + 1)
+        for subset in itertools.combinations(values, size)
+    ]
+
+
+@pytest.mark.parametrize("huby_phase", [False, True])
+@pytest.mark.parametrize(
+    "weighting, sigma",
+    [("equal", 2.0), ("2I+1", 2.0), ("spin-cutoff", 0.01), ("spin-cutoff", 1.3), ("spin-cutoff", 2.0)],
+)
+def test_isotropic_row_is_non_negative_for_every_channel_subset(weighting, sigma, huby_phase):
+    """Re M[0] >= 0, so c_0 > 0 at every shape once one entry is positive.
+
+    The fit checks only for a positive entry when it is set up and never
+    again, so this sign is what keeps its normalisation away from zero.
+    """
+    for multipoles in channel_subsets((1, 2)):
+        for exits in channel_subsets((0, 1, 2)):
+            config = ChannelConfig(multipoles, exits, weighting, sigma)
+            isotropic = _coefficient_matrix(config, huby_phase)[0][0]
+            assert np.all(isotropic.real >= 0.0), (multipoles, exits)
