@@ -6,8 +6,8 @@ evaporation spectrum), exciton (exciton-model temperature window) and
 times (widths to lifetimes).
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
-malformed input), 3 numerical error (degenerate or underdetermined
-computation, or unscalable points).
+malformed input), 3 numerical error (every other ``PhotoevapError``: a
+degenerate or underdetermined computation, or unscalable points).
 
 Every subcommand accepts ``--config FILE`` with flat ``key = value``
 lines naming long options; explicit command-line flags override the file.
@@ -25,22 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import angmom, fitkit, thermo, xsection
-from .errors import (
-    DataFormatError,
-    DegenerateModelError,
-    InvalidPointError,
-    UnderdeterminedError,
-    UnscalablePointError,
-)
+from .errors import DataFormatError, PhotoevapError
 
 SCHEMA_VERSION = 1
-
-_NUMERICAL_ERRORS = (
-    DegenerateModelError,
-    UnderdeterminedError,
-    InvalidPointError,
-    UnscalablePointError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -371,7 +358,7 @@ def _build_parser() -> _Parser:
     fit.add_argument("data", help="CSV with columns bin_label, theta_deg, yield[, err]")
     fit.add_argument("--mode", choices=("joint", "per-bin"), default="joint")
     fit.add_argument("--starts", type=int, default=32, help="number of multi-start points")
-    fit.add_argument("--seed", type=int, default=None, help="scrambles the start sample")
+    fit.add_argument("--seed", type=int, default=None, help="shifts the start lattice")
     fit.add_argument("--tol", type=float, default=1e-12)
     fit.add_argument("--max-iter", type=int, default=400)
     _add_weighting_options(fit)
@@ -481,7 +468,7 @@ def main(argv=None) -> int:
     except DataFormatError as exc:
         print(f"photoevap: data error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except PhotoevapError as exc:
         print(f"photoevap: numerical error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -9,7 +9,7 @@ Numer. Anal. 10, 413 (1973)): for each trial shape every norm takes its
 closed-form weighted projection, and the projected residual has an
 analytic Jacobian in Kaufman's form (BIT 15, 49 (1975)).  The log space
 keeps positivity structural.  Restarts come from a deterministic
-low-discrepancy (Sobol) sample of the shape box.  The covariance is still
+additive-recurrence lattice over the shape box.  The covariance is still
 taken over the full (shape, log norm_k) vector: the Hessian of chi^2/2 at
 the optimum is the central difference of the analytic gradient J^T r.
 Both searches share one model evaluation.
@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.stats import qmc
 
 from .errors import DataFormatError, DegenerateModelError, UnderdeterminedError
 from .xsection import (
@@ -150,7 +148,9 @@ class FitResult:
 
     ``covariance`` is over (log A, log B, log C, log(1+r), log norm_k) in
     that order; ``identifiable`` is False when any of its diagonal entries
-    exceeds 100 (a log-space sigma of 10).
+    exceeds 100 (a log-space sigma of 10), or when a row of c_1..c_4 is
+    structurally zero for the configuration (c_4 under "2I+1"), so fewer
+    than four coefficients carry the four shape parameters.
     """
 
     params: ShapeParams
@@ -185,6 +185,8 @@ class _FitProblem:
     so Re M[0] >= 0, and with m > 0 the raw c_0 is positive at every
     shape as soon as Re M[0] has one positive entry.  A configuration
     without one has c_0 = 0 everywhere and is rejected at construction.
+    ``shape_rows`` counts the rows c_1..c_4 of Re M that are not
+    structurally zero (largest entry above 1e-12 of the largest in M).
 
     All bins share one stacked system of N rows: the design row of point
     i is P_0..P_4 at its angle over its error, its target the yield over
@@ -202,6 +204,8 @@ class _FitProblem:
                 "normalisation c_0 vanishes at every shape for this channel configuration"
             )
         self._real_matrix = matrix.real
+        row_size = np.max(np.abs(self._real_matrix[1:]), axis=1)
+        self.shape_rows = int(np.sum(row_size > 1e-12 * np.max(np.abs(self._real_matrix))))
         self._log_powers = np.column_stack([0.5 * powers, -cross_columns.astype(float)])
         self.n_points = sum(len(ds) for ds in datasets)
         inv_errors = np.concatenate([1.0 / ds.errors for ds in datasets])
@@ -210,6 +214,8 @@ class _FitProblem:
             [legendre_p(order, cosines) for order in range(5)]
         )
         self._targets = inv_errors * np.concatenate([ds.yields for ds in datasets])
+        if not math.isfinite(float(self._targets @ self._targets)):
+            raise DegenerateModelError("chi-square overflows: yields too large for their errors")
         self._membership = np.repeat(np.eye(len(datasets)), [len(ds) for ds in datasets], axis=1)
         self._last_key = None
 
@@ -309,11 +315,12 @@ def chi_square(
     return problem.chi2(x)
 
 
-def _sobol_starts(n_starts: int, seed) -> np.ndarray:
-    """Deterministic Sobol sample of the shape-parameter start box."""
-    sampler = qmc.Sobol(d=_N_SHAPE, scramble=seed is not None, seed=seed)
-    m = max(0, math.ceil(math.log2(max(n_starts, 1))))
-    unit = sampler.random_base2(m)[:n_starts]
+def _lattice_starts(n_starts: int, seed) -> np.ndarray:
+    """Additive-recurrence (R_d) lattice on the start box: unit point i is
+    (shift + i phi^-j) mod 1, phi^5 = phi + 1, with shift 0 unless seeded."""
+    shift = np.zeros(_N_SHAPE) if seed is None else np.random.default_rng(seed).random(_N_SHAPE)
+    alpha = 1.1673039782614187 ** -np.arange(1.0, _N_SHAPE + 1)
+    unit = (shift + np.outer(np.arange(n_starts), alpha)) % 1.0
     return _START_LO + unit * (_START_HI - _START_LO)
 
 
@@ -385,8 +392,9 @@ def fit_angular(
             f"{problem.n_points} points cannot constrain {_N_SHAPE + n_norms} parameters"
         )
 
+    from scipy.optimize import least_squares  # scipy loads only when a fit runs
     results = []
-    for x0 in _sobol_starts(n_starts, seed):
+    for x0 in _lattice_starts(n_starts, seed):
         sol = least_squares(
             lambda shape_x: problem.profiled(shape_x)[0],
             x0,
@@ -406,7 +414,7 @@ def fit_angular(
     best_x = np.concatenate([best_shape, np.log(problem.profiled(best_shape)[2])])
 
     cov = _covariance(problem, best_x)
-    identifiable = bool(np.all(np.diag(cov) <= 100.0))
+    identifiable = problem.shape_rows == _N_SHAPE and bool(np.all(np.diag(cov) <= 100.0))
     return FitResult(
         params=problem.params_of(best_x),
         norms=tuple(math.exp(v) for v in best_x[_N_SHAPE:]),

@@ -266,7 +266,10 @@ def fit_temperature(points: list[SpectrumPoint], eps_max: float) -> TemperatureF
     Fits ln(scaled counts) = intercept - eps/T by weighted least squares
     over points with eps <= eps_max.  Weights come from the propagated
     errors when all are positive, otherwise every point gets unit weight
-    and the slope variance is estimated from the residual scatter.
+    and the slope variance is estimated from the residual scatter.  The
+    sums use weights relative to the heaviest point and offsets from it,
+    centred on the weighted mean, so a dominant point neither cancels the
+    energy spread nor overflows.
     """
     usable = [p for p in points if p.eps <= eps_max]
     if len(usable) < 3:
@@ -281,31 +284,43 @@ def fit_temperature(points: list[SpectrumPoint], eps_max: float) -> TemperatureF
             "non-positive scaled value at eps = " + ", ".join(f"{e:g}" for e in bad) + " MeV"
         )
     eps = np.array([p.eps for p in usable])
-    logy = np.log([p.counts for p in usable])
+    counts = np.array([p.counts for p in usable])
+    logy = np.log(counts)
     errs = np.array([p.err for p in usable])
     weighted = bool(np.all(errs > 0))
-    if weighted:
-        w = ([p.counts for p in usable] / errs) ** 2  # sigma_ln = err / value
-    else:
-        w = np.ones_like(eps)
+    # weights relative to the heaviest point, so that no sum overflows
+    inv_rel = counts / errs if weighted else np.ones_like(eps)
+    ref = int(np.argmax(inv_rel))
+    scale = float(inv_rel[ref])
+    if not math.isfinite(scale):
+        raise InvalidPointError(f"error too small to weight the point at eps = {eps[ref]:g} MeV")
+    w = (inv_rel / scale) ** 2
     s0 = float(np.sum(w))
-    sx = float(np.sum(w * eps))
-    sy = float(np.sum(w * logy))
-    sxx = float(np.sum(w * eps * eps))
-    sxy = float(np.sum(w * eps * logy))
-    delta = s0 * sxx - sx * sx
-    slope = (s0 * sxy - sx * sy) / delta
-    intercept = (sxx * sy - sx * sxy) / delta
-    var_slope = s0 / delta
+    # offsets from the heaviest point: exact zeros there, and on a flat spectrum
+    x = eps - eps[ref]
+    y = logy - logy[ref]
+    mean_x = float(np.dot(w, x)) / s0
+    d_x = x - mean_x
+    w_dx = w * d_x
+    sxx = float(np.dot(w_dx, d_x))
+    if not sxx > 0.0:
+        raise UnderdeterminedError("the weights leave no spread in energy below eps_max")
+    slope = float(np.dot(w_dx, y)) / sxx
+    intercept = logy[ref] + float(np.dot(w, y)) / s0 - slope * (eps[ref] + mean_x)
+    var_slope = 1.0 / sxx / scale / scale
     if not weighted:
         resid = logy - (intercept + slope * eps)
         dof = len(usable) - 2
         var_slope *= float(np.sum(resid * resid)) / dof if dof > 0 else 0.0
+    if not all(map(math.isfinite, (sxx, intercept, var_slope))):
+        raise DegenerateModelError("temperature fit leaves the floating-point range")
     if slope == 0.0:
         warnings.warn("scaled spectrum is flat; temperature is infinite", RuntimeWarning)
         return TemperatureFit(math.inf, intercept, math.inf, len(usable))
     temperature = -1.0 / slope
-    temperature_err = math.sqrt(var_slope) / (slope * slope)
+    temperature_err = math.sqrt(var_slope) / slope / slope
+    if not (math.isfinite(temperature) and math.isfinite(temperature_err)):
+        raise DegenerateModelError("temperature fit leaves the floating-point range")
     return TemperatureFit(temperature, intercept, temperature_err, len(usable))
 
 
@@ -358,19 +373,24 @@ def timescales(
     gamma_spreading_mev: float,
     level_spacing_mev: float,
 ) -> TimescaleReport:
-    """Convert the fitted r and the three input widths into lifetimes."""
+    """Convert the fitted r and the three input widths into lifetimes.
+
+    A width that is not positive and finite in eV, or inputs whose derived
+    widths, lifetimes or tau_phase / tau_thermalization overflow (with
+    r > 0, tau_phase too), raise ``ValueError``.
+    """
     if r < 0 or not math.isfinite(r):
         raise ValueError(f"r must be finite and >= 0, got {r!r}")
-    for name, value in (
-        ("gamma_cn_ev", gamma_cn_ev),
-        ("gamma_spreading_mev", gamma_spreading_mev),
-        ("level_spacing_mev", level_spacing_mev),
+    for name, value, to_ev in (
+        ("gamma_cn_ev", gamma_cn_ev, 1.0),
+        ("gamma_spreading_mev", gamma_spreading_mev, 1e6),
+        ("level_spacing_mev", level_spacing_mev, 1e6),
     ):
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be positive, got {value!r}")
+        if not (value > 0 and math.isfinite(value * to_ev)):
+            raise ValueError(f"{name} must be positive and finite in eV, got {value!r}")
     beta = r * gamma_cn_ev
     tau_phase = math.inf if beta == 0.0 else HBAR_EV_S / beta
-    return TimescaleReport(
+    report = TimescaleReport(
         r=r,
         beta=beta,
         tau_phase=tau_phase,
@@ -382,3 +402,10 @@ def timescales(
         t_heisenberg=HBAR_EV_S / (level_spacing_mev * 1e6),
         n_eff=gamma_spreading_mev / level_spacing_mev,
     )
+    # only r = 0 may give an infinite dephasing time, and nothing may overflow
+    derived = [beta, report.tau_cn, report.tau_thermalization, report.t_heisenberg, report.n_eff]
+    if r > 0:
+        derived += [tau_phase, tau_phase / report.tau_thermalization]
+    if not all(math.isfinite(value) for value in derived):
+        raise ValueError("widths out of range: a derived width, lifetime or ratio overflows")
+    return report

@@ -143,7 +143,8 @@ def _residual_weight(config: ChannelConfig, spin: int) -> float:
     if config.residual_weighting == "2I+1":
         return 2.0 * spin + 1.0
     sigma = config.spin_cutoff_sigma
-    return math.exp(-spin * (spin + 1) / (2.0 * sigma * sigma))
+    # divided step by step: 2 sigma^2 underflows to 0 for a tiny sigma
+    return math.exp(-spin * (spin + 1) / 2.0 / sigma / sigma)
 
 
 def _entrance_orbitals(multipole: int) -> tuple[int, ...]:
@@ -304,8 +305,9 @@ def legendre_coefficients(
 
     The conjugate-paired term sum must be real; a residual imaginary part
     above 1e-10 of |c_0| indicates a broken term table and raises.
-    A non-positive c_0 (possible only for pathological weightings) raises
-    ``DegenerateModelError``.
+    A non-positive c_0 (possible only for pathological weightings) or a
+    non-finite raw coefficient (A, B or C so large that the products
+    overflow) raises ``DegenerateModelError``.
     """
     raw = raw_coefficients(params, config, huby_phase=huby_phase)
     limit = 1e-10 * max(abs(raw[0]), np.finfo(float).tiny)
@@ -315,7 +317,11 @@ def legendre_coefficients(
     real = raw.real.copy()
     if real[0] <= 0.0:
         raise DegenerateModelError(f"non-positive isotropic coefficient c_0 = {real[0]:g}")
-    return LegendreSeries(tuple(float(c) for c in real / real[0]), scale=float(real[0]))
+    coefficients = tuple(float(c) for c in real / real[0])
+    # an overflowing product leaves inf or NaN here, and a NaN residue passes the bound above
+    if not all(map(math.isfinite, (real[0], *coefficients))):
+        raise DegenerateModelError(f"raw coefficients overflow at {params}")
+    return LegendreSeries(coefficients, scale=float(real[0]))
 
 
 def cross_section(

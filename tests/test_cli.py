@@ -1,5 +1,7 @@
 """Command line behavior: output formats, config files, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,10 +9,13 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import photoevap
 from photoevap.cli import main
@@ -147,6 +152,13 @@ class TestModel:
         payload, _ = run_json(capsys, *self.ARGS, "--weighting", "2I+1")
         assert payload["asymmetry_U"] == pytest.approx(0.9449872477085287, rel=1e-12)
 
+    def test_overflowing_parameter_is_numerical_error(self, capsys):
+        # A**2 overflows; this used to print "c_0": NaN with exit 0
+        code, out, err = run(capsys, "model", "-A", "1e308", "-B", "1", "-C", "1", "-r", "0")
+        assert code == 3
+        assert out == ""
+        assert "overflow" in err
+
 
 class TestFit:
     @pytest.fixture()
@@ -196,6 +208,14 @@ class TestFit:
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "fit", str(tmp_path / "absent.csv"))
         assert code == 2
+
+    def test_two_i_plus_one_sample_fit_is_not_identifiable(self, capsys):
+        # c_4 vanishes under 2I+1: three coefficients cannot carry four shape parameters
+        payload, _ = run_json(
+            capsys, "fit", str(SAMPLE_ANGULAR), "--weighting", "2I+1", "--starts", "4",
+            "--tol", "1e-10",
+        )
+        assert payload["identifiable"] is False
 
     def test_underdetermined_is_numerical_error(self, capsys, tmp_path):
         datasets = synth_dataset(TRUTH, [100.0], np.linspace(30, 150, 5), 0.0, None)
@@ -371,6 +391,15 @@ class TestTimes:
         payload = json.loads(out)
         assert math.isinf(payload["tau_phase_s"])
 
+    def test_width_infinite_in_ev_is_usage_error(self, capsys):
+        # 1e308 MeV is inf eV; this used to end in a ZeroDivisionError traceback
+        code, out, err = run(
+            capsys, "times", "-r", "1", "--gcn", "0.1eV", "--gspr", "1e308MeV", "--D", "1MeV"
+        )
+        assert code == 1
+        assert out == ""
+        assert "gamma_spreading_mev" in err
+
     def test_missing_unit_suffix_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "times", "-r", "0.11", "--gcn", "0.1", "--gspr", "2MeV",
@@ -478,6 +507,21 @@ class TestTopLevel:
         # main's returned code must become the process exit status.
         assert _run_console_script(target, tmp_path, "transmogrify").returncode == 1
 
+    def test_import_loads_no_scipy(self):
+        import_root = Path(photoevap.__file__).resolve().parents[1]
+        code = (
+            "import sys, photoevap.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(import_root)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     @pytest.mark.skipif(
         shutil.which("photoevap") is None,
         reason="photoevap executable not on PATH",
@@ -489,3 +533,189 @@ class TestTopLevel:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1.00000000000"
 
+
+
+# --------------------------------------------------------------------------
+# The CLI contract over generated inputs: an exit code in {0, 1, 2, 3} and
+# no escaping exception for every argv, and at exit 0 JSON without NaN whose
+# only Infinity tokens are the ones README documents.
+
+# mostly plausible values, and every float (NaN, the infinities, subnormals
+# and extremes included) as well
+_WILD = st.floats()
+_NUMBER = st.one_of(st.floats(0.0, 100.0), st.floats(-1e3, 1e3), _WILD).map(repr)
+_WEIGHTING = st.sampled_from(["equal", "2I+1", "spin-cutoff", "flat"])
+_SPIN = st.one_of(
+    st.integers(-6, 12).map(lambda n: f"{n}/2"), st.sampled_from(["1.5", "0.3", "x", "1/0", ""])
+)
+
+
+class _File(str):
+    """An argv token naming a generated file: the prefix, then its path."""
+
+    def __new__(cls, prefix, text):
+        token = super().__new__(cls, prefix)
+        token.text = text
+        return token
+
+    def __repr__(self):
+        return f"_File({str(self)!r}, {self.text!r})"
+
+
+@st.composite
+def _csv_file(draw, prefix, header, rows):
+    """A CSV of the given rows, in about half the draws with one cell replaced."""
+    rows = [list(map(str, row)) for row in rows]
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.one_of(_WILD.map(repr), st.just("x")))
+    return _File(prefix, "\n".join([header, *map(",".join, rows)]) + "\n")
+
+
+def _options(draw, *pairs):
+    """Each (flag, strategy) pair as one `flag=value` token, or left out."""
+    return [f"{flag}={draw(values)}" for flag, values in pairs if draw(st.booleans())]
+
+
+@st.composite
+def _coeff_argv(draw):
+    kind = draw(st.sampled_from(["cg", "w6j", "racah", "z"]))
+    return ["coeff", kind, "--", *draw(st.lists(_SPIN, min_size=6, max_size=6))]
+
+
+@st.composite
+def _model_argv(draw):
+    grid = draw(st.tuples(_NUMBER, _NUMBER, st.integers(-1, 40)))
+    return [
+        "model", *(f"-{name}{draw(_NUMBER)}" for name in "ABCr"),
+        *_options(
+            draw,
+            ("--weighting", _WEIGHTING),
+            ("--spin-cutoff-sigma", _NUMBER),
+            ("--grid", st.just(":".join(map(str, grid)))),
+            ("--format", st.sampled_from(["json", "csv"])),
+        ),
+        *draw(st.lists(st.just("--huby-phase"), max_size=1)),
+    ]
+
+
+@st.composite
+def _fit_argv(draw):
+    with_err = draw(st.booleans())
+    rows = []
+    for label, size in (("bin1", 6), ("bin2", draw(st.sampled_from([0, 5])))):
+        thetas = draw(st.lists(st.integers(1, 179), min_size=size, max_size=size, unique=True))
+        for theta in thetas:
+            row = [label, theta, draw(st.floats(1.0, 1e3))]
+            rows.append(row + [draw(st.floats(0.1, 10.0))] if with_err else row)
+    return [
+        "fit",
+        draw(_csv_file("", "bin_label,theta_deg,yield" + ",err" * with_err, rows)),
+        f"--starts={draw(st.integers(1, 3))}",
+        f"--max-iter={draw(st.integers(1, 20))}",
+        *_options(
+            draw,
+            ("--seed", st.integers(-1, 2**32)),
+            ("--tol", _NUMBER),
+            ("--mode", st.sampled_from(["joint", "per-bin"])),
+            ("--weighting", _WEIGHTING),
+            ("--spin-cutoff-sigma", _NUMBER),
+        ),
+    ]
+
+
+@st.composite
+def _spectrum_argv(draw):
+    with_err = draw(st.booleans())
+    row = st.tuples(st.floats(0.5, 12.0), st.floats(1e-3, 1e6), *[st.floats(0.0, 10.0)] * with_err)
+    charge = draw(st.integers(-1, 100))
+    argv = [
+        "spectrum",
+        draw(_csv_file(
+            "", "eps_mev,counts" + ",err" * with_err, draw(st.lists(row, min_size=3, max_size=8))
+        )),
+        f"--charge={charge}",
+        f"--mass-number={charge + draw(st.integers(-1, 200))}",
+        *_options(draw, ("--l", st.integers(-1, 8)), ("--eps-max", _NUMBER)),
+    ]
+    if draw(st.booleans()):
+        table_row = st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 1e3))
+        table = sorted(draw(st.lists(table_row, min_size=2, max_size=4, unique_by=lambda r: r[0])))
+        argv.append(draw(_csv_file("--sigma-inv-table=", "eps_mev,sigma_fm2", table)))
+    return argv
+
+
+@st.composite
+def _exciton_argv(draw):
+    mass_number = draw(st.integers(-5, 400))
+    return ["exciton", f"--mass-number={mass_number}", f"--excitation={draw(_NUMBER)}"]
+
+
+@st.composite
+def _times_argv(draw):
+    width = st.tuples(_NUMBER, st.sampled_from(["eV", "keV", "MeV"] * 3 + ["", "GeV"])).map("".join)
+    widths = (f"--{name}={draw(width)}" for name in ("gcn", "gspr", "D"))
+    return ["times", f"-r{draw(_NUMBER)}", *widths]
+
+
+# Infinity is documented only for the dephasing time at r = 0 and for the
+# temperature of a flat scaled spectrum
+_INFINITY_ALLOWED = {
+    "times": {"tau_phase_s", "tau_phase_over_tau_thermalization"},
+    "spectrum": {"temperature_mev", "temperature_err_mev"},
+}
+
+
+def _reject_nan(constant):
+    if constant == "NaN":
+        raise ValueError("NaN in JSON output")
+    return float(constant)
+
+
+def _infinite_keys(payload):
+    if isinstance(payload, dict):
+        for key, value in payload.items():
+            if isinstance(value, float) and math.isinf(value):
+                yield key
+            else:
+                yield from _infinite_keys(value)
+    elif isinstance(payload, list):
+        for value in payload:
+            yield from _infinite_keys(value)
+
+
+class TestContract:
+    @given(
+        st.one_of(
+            _coeff_argv(), _model_argv(), _fit_argv(),
+            _spectrum_argv(), _exciton_argv(), _times_argv(),
+        )
+    )
+    @example(["model", "-A1e308", "-B1", "-C1", "-r0"])
+    @example(["times", "-r1", "--gcn=0.1eV", "--gspr=1e308MeV", "--D=1MeV"])
+    @settings(max_examples=300)
+    def test_exit_code_and_json_output(self, argv):
+        argv, out, err = list(argv), io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            for i, token in enumerate(argv):
+                if isinstance(token, _File):
+                    path = Path(tmp) / f"input{i}.csv"
+                    path.write_text(token.text)
+                    argv[i] = token + str(path)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2, 3), err.getvalue()
+        if code != 0:
+            return
+        if argv[0] == "coeff":
+            assert math.isfinite(float(out.getvalue()))
+            return
+        if "--format=csv" in argv:
+            return
+        payload = json.loads(out.getvalue(), parse_constant=_reject_nan)
+        infinite = set(_infinite_keys(payload))
+        assert infinite <= _INFINITY_ALLOWED.get(argv[0], set()), infinite
+        if infinite and argv[0] == "times":
+            assert payload["r"] == 0.0
+        if infinite and argv[0] == "spectrum":
+            assert math.isinf(payload["temperature_mev"])

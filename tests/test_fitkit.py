@@ -8,9 +8,12 @@ import pytest
 
 from photoevap.errors import DataFormatError, DegenerateModelError, UnderdeterminedError
 from photoevap.fitkit import (
+    _START_HI,
+    _START_LO,
     AngularDataset,
     _covariance,
     _FitProblem,
+    _lattice_starts,
     chi_square,
     fit_angular,
     read_angular_csv,
@@ -350,6 +353,58 @@ class TestFitAngular:
             fit_angular(datasets, n_starts=0)
 
 
+class TestLatticeStarts:
+    @pytest.mark.parametrize("seed", [None, 0, 12345])
+    @pytest.mark.parametrize("n_starts", [1, 6, 32, 100])
+    def test_starts_fill_the_box_with_distinct_rows(self, n_starts, seed):
+        starts = _lattice_starts(n_starts, seed)
+        assert starts.shape == (n_starts, 4)
+        assert np.all((starts >= _START_LO) & (starts < _START_HI))
+        assert len({row.tobytes() for row in starts}) == n_starts
+
+    def test_unseeded_first_start_is_lower_corner(self):
+        assert np.array_equal(_lattice_starts(6, None)[0], _START_LO)
+        assert np.array_equal(_lattice_starts(6, None), _lattice_starts(32, None)[:6])
+
+    def test_seed_reproduces_and_shifts_the_sample(self):
+        seeded = _lattice_starts(6, 7)
+        assert np.array_equal(seeded, _lattice_starts(6, 7))
+        assert not np.any(np.all(seeded == _lattice_starts(6, None), axis=1))
+        assert not np.array_equal(seeded, _lattice_starts(6, 8))
+
+
+# four shapes away from every bound
+IDENTIFIABILITY_TRUTHS = [
+    TRUTH,
+    ShapeParams(A=0.5, B=2.0, C=0.1, r=1.0),
+    ShapeParams(A=0.2, B=0.8, C=0.6, r=0.3),
+    ShapeParams(A=1.0, B=0.3, C=1.5, r=0.05),
+]
+
+
+class TestStructuralIdentifiability:
+    """c_4 vanishes at every shape under 2I+1, so (A, B, C, r) cannot all be resolved."""
+
+    @pytest.mark.parametrize("weighting, rows", [("equal", 4), ("2I+1", 3), ("spin-cutoff", 4)])
+    def test_shape_rows(self, weighting, rows):
+        datasets = synth_dataset(TRUTH, NORMS, THETAS, 0.05, 1)
+        assert _FitProblem(datasets, WEIGHTINGS[weighting]).shape_rows == rows
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("truth", IDENTIFIABILITY_TRUTHS)
+    def test_two_i_plus_one_fits_are_not_identifiable(self, truth, seed):
+        config = WEIGHTINGS["2I+1"]
+        datasets = synth_dataset(truth, NORMS[:2], THETAS, 0.05, seed, config=config)
+        assert not fit_angular(datasets, config, n_starts=6, tol=1e-10).identifiable
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("truth", IDENTIFIABILITY_TRUTHS)
+    def test_equal_weighting_verdict_is_the_covariance_rule(self, truth, seed):
+        datasets = synth_dataset(truth, NORMS[:2], THETAS, 0.05, seed)
+        result = fit_angular(datasets, n_starts=6, tol=1e-10)
+        assert result.identifiable == bool(np.all(np.diag(result.covariance) <= 100.0))
+
+
 class TestFitRegression:
     """Best chi-square of the variable-projection fit against fixed values."""
 
@@ -399,6 +454,14 @@ class TestDegenerateConfiguration:
         datasets = synth_dataset(TRUTH, [1200.0], THETAS, 0.05, 1)
         with pytest.raises(DegenerateModelError):
             chi_square(TRUTH, [1200.0], datasets, DEGENERATE)
+
+
+def test_chi_square_overflow_raises():
+    # each weighted yield is finite, but its square is not
+    datasets = synth_dataset(TRUTH, [1.0], THETAS, 0.0, None)
+    datasets[0].yields[3] = 1.5e154
+    with pytest.raises(DegenerateModelError, match="overflows"):
+        fit_angular(datasets, n_starts=1)
 
 
 class TestFullProblem:

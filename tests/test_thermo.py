@@ -340,6 +340,36 @@ class TestFitTemperature:
             fit = fit_temperature(points, eps_max=8.0)
         assert math.isinf(fit.temperature)
 
+    @pytest.mark.parametrize("heavy", [0, 2])
+    def test_dominant_weight_keeps_energy_spread(self, heavy):
+        # one point weighs 1e16 times the others: the uncentred normal
+        # equations cancelled to a zero determinant here
+        rel = [0.05, 0.05, 0.05]
+        rel[heavy] = 5e-10
+        points = [
+            SpectrumPoint(p.eps, p.counts, r * p.counts)
+            for p, r in zip(self.exponential_points(0.55, n=3), rel)
+        ]
+        fit = fit_temperature(points, eps_max=8.0)
+        assert fit.temperature == pytest.approx(0.55, rel=1e-12)
+        assert fit.log_intercept == pytest.approx(2.0, rel=1e-12)
+
+    def test_error_too_small_to_weight_raises(self):
+        points = [
+            SpectrumPoint(p.eps, p.counts, 0.05 * p.counts) for p in self.exponential_points(0.55)
+        ]
+        points[2] = SpectrumPoint(points[2].eps, 1e10, 1e-320)
+        with pytest.raises(InvalidPointError):
+            fit_temperature(points, eps_max=8.0)
+
+    def test_weight_on_one_energy_is_underdetermined(self):
+        points = [
+            SpectrumPoint(p.eps, p.counts, 0.05 * p.counts) for p in self.exponential_points(0.55)
+        ]
+        points[2] = SpectrumPoint(points[2].eps, 1.0, 1e-300)
+        with pytest.raises(UnderdeterminedError):
+            fit_temperature(points, eps_max=8.0)
+
     def test_noisy_recovery_within_uncertainty(self):
         rng = np.random.default_rng(5)
         eps = np.linspace(1.0, 6.0, 60)
@@ -433,3 +463,22 @@ class TestTimescales:
             timescales(0.1, 0.1, -2.0, 1e-16)
         with pytest.raises(ValueError):
             timescales(0.1, 0.1, 2.0, 0.0)
+
+    @pytest.mark.parametrize("spreading_mev, spacing_mev", [(1e308, 1.0), (1.0, 1e308)])
+    def test_width_infinite_in_ev_raises(self, spreading_mev, spacing_mev):
+        # finite in MeV, infinite in eV: the lifetime would be 0 and its ratio divide by it
+        with pytest.raises(ValueError, match="finite in eV"):
+            timescales(1.0, 0.1, spreading_mev, spacing_mev)
+
+    @pytest.mark.parametrize(
+        "r, gamma_cn_ev, spreading_mev, spacing_mev",
+        [
+            (1.4e154, 1.4e154, 1e-6, 1e-6),  # beta overflows
+            (1.7e-258, 1.7e-258, 1e-6, 1e-6),  # beta underflows to 0 at r > 0
+            (1e-300, 1.0, 1e300, 1.0),  # tau_phase / tau_thermalization overflows
+            (0.0, 1.0, 1e300, 1e-300),  # n_eff overflows
+        ],
+    )
+    def test_overflowing_derived_value_raises(self, r, gamma_cn_ev, spreading_mev, spacing_mev):
+        with pytest.raises(ValueError, match="overflows"):
+            timescales(r, gamma_cn_ev, spreading_mev, spacing_mev)

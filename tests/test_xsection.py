@@ -294,6 +294,31 @@ class TestLegendreCoefficients:
         assert low.coefficients[3] == 0.0
 
 
+    @pytest.mark.parametrize(
+        "params",
+        [ShapeParams(A=1e308, B=1.0, C=1.0, r=0.0), ShapeParams(A=1.0, B=1e200, C=0.0, r=1.0)],
+    )
+    def test_overflowing_coefficients_raise(self, params):
+        # A**2 or B**2 overflows; the NaN residue would pass the realness check
+        with pytest.raises(DegenerateModelError, match="overflow"):
+            legendre_coefficients(params)
+        with pytest.raises(DegenerateModelError):
+            asymmetry(params)
+
+    def test_largest_finite_products_still_evaluate(self):
+        series = legendre_coefficients(ShapeParams(A=1e150, B=1.0, C=1.0, r=0.0))
+        assert all(math.isfinite(c) for c in series.coefficients)
+
+    def test_tiny_spin_cutoff_sigma_keeps_only_spin_zero(self):
+        # 2 sigma^2 underflows to 0 here; the weights must still be exp(-I'(I'+1)/2sigma^2)
+        config = ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=1e-200)
+        matrix = _coefficient_matrix(config, False)[0]
+        terms = enumerate_terms(config)
+        assert all(t.geometry == 0 for t in terms if t.Ip > 0)
+        assert any(t.geometry != 0 for t in terms if t.Ip == 0)
+        assert np.all(np.isfinite(matrix))
+
+
 class TestSeriesEvaluation:
     def test_matches_direct_polynomial_sum(self):
         series = legendre_coefficients(BASE)
