@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple, Union
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 
 __all__ = [
     "AngularMomentum",
@@ -310,7 +311,7 @@ def z_coeff(
 
 
 def legendre_p(order: int, x):
-    """P_order(x) by the Bonnet three-term recurrence.
+    """P_order(x) from :func:`numpy.polynomial.legendre.legvander`.
 
     ``x`` may be a scalar or an ndarray; every entry must lie in [-1, 1].
     """
@@ -319,12 +320,5 @@ def legendre_p(order: int, x):
     arr = np.asarray(x, dtype=float)
     if np.any(np.abs(arr) > 1.0):
         raise ValueError("argument outside [-1, 1]")
-    scalar = arr.ndim == 0
-    xa = np.atleast_1d(arr)
-    p_prev = np.ones_like(xa)
-    if order == 0:
-        return float(p_prev[0]) if scalar else p_prev.reshape(arr.shape)
-    p = xa.copy()
-    for n in range(1, order):
-        p, p_prev = ((2 * n + 1) * xa * p - n * p_prev) / (n + 1), p
-    return float(p[0]) if scalar else p.reshape(arr.shape)
+    values = legvander(arr, order)[..., order].reshape(arr.shape)
+    return float(values) if arr.ndim == 0 else values

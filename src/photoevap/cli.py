@@ -474,8 +474,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"photoevap: data error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"photoevap: error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # MemoryError: e.g. a --grid or --starts count
+        print(f"photoevap: error: {exc or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 
 from .errors import DataFormatError, DegenerateModelError, UnderdeterminedError
 from .xsection import (
@@ -31,7 +32,6 @@ from .xsection import (
     ShapeParams,
     _coefficient_matrix,
     legendre_coefficients,
-    legendre_p,
 )
 
 __all__ = [
@@ -171,21 +171,20 @@ class FitResult:
 
 
 class _FitProblem:
-    """Stacked weighted design rows and the cached coefficient matrix of one fit.
+    """Stacked weighted design rows and the coefficient matrix of one fit.
 
-    The coefficient vector reads the same cached matrix M as
-    :func:`raw_coefficients`, in log space: c = Re(M) m with
+    The coefficient vector reads the same real matrix M as
+    :func:`raw_coefficients`, in log space: c = M m with
     m = exp(Q x) and Q = [P / 2, -cross], so that m_j = sqrt(A^a B^b C^c)
-    times 1/(1+r) on the cross columns.  Only the real part is kept
-    because conjugate partners cancel the imaginary parts.  The log form
-    stays defined for the slightly negative r probed by the covariance's
-    gradient differences at the r = 0 bound.
+    times 1/(1+r) on the cross columns.  The log form stays defined for
+    the slightly negative r probed by the covariance's gradient
+    differences at the r = 0 bound.
 
     Every isotropic geometry group is positive and every weight is >= 0,
-    so Re M[0] >= 0, and with m > 0 the raw c_0 is positive at every
-    shape as soon as Re M[0] has one positive entry.  A configuration
+    so M[0] >= 0, and with m > 0 the raw c_0 is positive at every
+    shape as soon as M[0] has one positive entry.  A configuration
     without one has c_0 = 0 everywhere and is rejected at construction.
-    ``shape_rows`` counts the rows c_1..c_4 of Re M that are not
+    ``shape_rows`` counts the rows c_1..c_4 of M that are not
     structurally zero (largest entry above 1e-12 of the largest in M).
 
     All bins share one stacked system of N rows: the design row of point
@@ -199,20 +198,18 @@ class _FitProblem:
 
     def __init__(self, datasets: list[AngularDataset], config: ChannelConfig):
         matrix, powers, cross_columns = _coefficient_matrix(config, False)
-        if not np.any(matrix[0].real > 0.0):
+        if not np.any(matrix[0] > 0.0):
             raise DegenerateModelError(
                 "normalisation c_0 vanishes at every shape for this channel configuration"
             )
-        self._real_matrix = matrix.real
-        row_size = np.max(np.abs(self._real_matrix[1:]), axis=1)
-        self.shape_rows = int(np.sum(row_size > 1e-12 * np.max(np.abs(self._real_matrix))))
+        self._matrix = matrix
+        row_size = np.max(np.abs(matrix[1:]), axis=1)
+        self.shape_rows = int(np.sum(row_size > 1e-12 * np.max(np.abs(matrix))))
         self._log_powers = np.column_stack([0.5 * powers, -cross_columns.astype(float)])
         self.n_points = sum(len(ds) for ds in datasets)
         inv_errors = np.concatenate([1.0 / ds.errors for ds in datasets])
         cosines = np.cos(np.deg2rad(np.concatenate([ds.theta_deg for ds in datasets])))
-        self._design = inv_errors[:, None] * np.column_stack(
-            [legendre_p(order, cosines) for order in range(5)]
-        )
+        self._design = inv_errors[:, None] * legvander(cosines, 4)
         self._targets = inv_errors * np.concatenate([ds.yields for ds in datasets])
         if not math.isfinite(float(self._targets @ self._targets)):
             raise DegenerateModelError("chi-square overflows: yields too large for their errors")
@@ -224,19 +221,15 @@ class _FitProblem:
 
         coeff is the normalised c_0..c_4, model the weighted model rows
         design @ coeff and d_model their (N, 4) derivative, from the
-        analytic dc/dx = (D - c D_0) / raw_0 with D = Re(M) diag(m) Q the
+        analytic dc/dx = (D - c D_0) / raw_0 with D = M diag(m) Q the
         derivative of the raw coefficients.
         """
         magnitude = np.exp(self._log_powers @ shape_x)
-        raw = self._real_matrix @ magnitude
+        raw = self._matrix @ magnitude
         coeff = raw / raw[0]
-        d_raw = self._real_matrix @ (magnitude[:, None] * self._log_powers)
+        d_raw = self._matrix @ (magnitude[:, None] * self._log_powers)
         d_coeff = (d_raw - np.outer(coeff, d_raw[0])) / raw[0]
         return coeff, self._design @ coeff, self._design @ d_coeff
-
-    def coeff_vector(self, x: np.ndarray) -> np.ndarray:
-        """Normalised c_0..c_4 at log-parameters x."""
-        return self._evaluate(x[:_N_SHAPE])[0]
 
     def params_of(self, x: np.ndarray) -> ShapeParams:
         return ShapeParams(

@@ -19,20 +19,22 @@ r-independent.  The series is normalised to c_0 = 1; absolute scale is a
 per-dataset fit parameter elsewhere.
 
 The default 195 terms share 10 power triples (a, b, c), so the sum is
-c = M m: column j of the complex 5 x 10 matrix M, built once per
-configuration from :func:`enumerate_terms`, sums the geometries of the
-terms with triple j; m_j = sqrt(A^a B^b C^c), over (1+r) for cross terms.
+c = M m with m_j = sqrt(A^a B^b C^c), over (1+r) for cross terms.  The
+residual-spin weight w(I') multiplies a geometry free of it, so the real
+5 x 10 matrix is M = sum_I' w(I') G[I'], where G[I'] groups the terms of
+spin I' by triple; G is built and checked real once per channel set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
+from numpy.polynomial.legendre import legval
 
-from .angmom import clebsch_gordan, legendre_p, z_coeff
+from .angmom import clebsch_gordan, z_coeff
 from .errors import DegenerateModelError
 
 __all__ = [
@@ -237,23 +239,42 @@ def magnitude_factor(term: TermAmplitude, params: ShapeParams) -> float:
     return math.sqrt(params.A ** a * params.B ** b * params.C ** c)
 
 
-@lru_cache(maxsize=64)
-def _coefficient_matrix(config: ChannelConfig, huby_phase: bool):
-    """Read-only (M, P, cross): the term sum grouped by power triple, c = M @ m.
+@cache
+def _spin_geometry(multipoles: tuple[int, ...], exit_orbitals: tuple[int, ...], huby_phase: bool):
+    """Read-only (G, spins, P, cross): the unweighted term sum per residual spin.
 
-    Column j of the complex (5, n) matrix M sums the geometries of every
-    term whose magnitude factor has the powers (a, b, c) = P[j]; ``cross``
-    marks the a == 1 (dipole-quadrupole) columns, whose m_j carries 1/(1+r).
+    G[s, L, j] sums the geometries of the terms with residual spin spins[s],
+    Legendre order L and magnitude powers (a, b, c) = P[j]; ``cross`` marks
+    the a == 1 (dipole-quadrupole) columns, whose m_j carries 1/(1+r).
+    Conjugate partners cancel the imaginary parts; a residue above 1e-12
+    of the largest real entry means a broken term table and raises.
     """
-    columns: dict[tuple[int, int, int], np.ndarray] = {}
-    for term in enumerate_terms(config, huby_phase=huby_phase):
-        column = columns.setdefault(_powers(term), np.zeros(MAX_ORDER + 1, dtype=complex))
-        column[term.L] += term.geometry
-    powers = np.array(sorted(columns), dtype=float)
-    arrays = (np.column_stack([columns[p] for p in sorted(columns)]), powers, powers[:, 0] == 1)
-    for array in arrays:
+    terms = enumerate_terms(ChannelConfig(multipoles, exit_orbitals), huby_phase=huby_phase)
+    spins = sorted({term.Ip for term in terms})
+    powers = sorted({_powers(term) for term in terms})
+    geometry = np.zeros((len(spins), MAX_ORDER + 1, len(powers)), dtype=complex)
+    for term in terms:
+        geometry[spins.index(term.Ip), term.L, powers.index(_powers(term))] += term.geometry
+    residue = float(np.max(np.abs(geometry.imag)))
+    if residue > 1e-12 * float(np.max(np.abs(geometry.real))):
+        raise RuntimeError(f"imaginary residue {residue:g} exceeds realisation bound")
+    powers = np.array(powers, dtype=float)
+    real, cross = geometry.real.copy(), powers[:, 0] == 1
+    for array in (real, powers, cross):
         array.flags.writeable = False
-    return arrays
+    return real, tuple(spins), powers, cross
+
+
+def _coefficient_matrix(config: ChannelConfig, huby_phase: bool):
+    """Read-only (M, P, cross) with c = M @ m: the real (5, n) M = sum_I' w(I') G[I'].
+
+    Column j holds the terms whose magnitude factor has the powers P[j].
+    """
+    geometry, spins, powers, cross = _spin_geometry(config.multipoles, config.exit_orbitals, huby_phase)
+    weights = np.array([_residual_weight(config, spin) for spin in spins])
+    matrix = np.einsum("s,slj->lj", weights, geometry)
+    matrix.flags.writeable = False
+    return matrix, powers, cross
 
 
 def raw_coefficients(
@@ -262,7 +283,7 @@ def raw_coefficients(
     *,
     huby_phase: bool = False,
 ) -> np.ndarray:
-    """Unnormalised complex Legendre coefficients c_0..c_4 of the term sum.
+    """Unnormalised real Legendre coefficients c_0..c_4 of the term sum.
 
     Even orders collect only same-multipole terms and are independent of
     r; odd orders collect only cross terms and scale as sqrt(A)/(1+r).
@@ -290,8 +311,7 @@ class LegendreSeries:
         arr = np.asarray(theta, dtype=float)
         if np.any(arr < 0.0) or np.any(arr > math.pi):
             raise ValueError("theta must lie in [0, pi]")
-        x = np.cos(arr)
-        total = sum(c * legendre_p(order, x) for order, c in enumerate(self.coefficients))
+        total = legval(np.cos(arr), self.coefficients)
         return float(total) if arr.ndim == 0 else total
 
 
@@ -301,27 +321,20 @@ def legendre_coefficients(
     *,
     huby_phase: bool = False,
 ) -> LegendreSeries:
-    """Realised, c_0-normalised Legendre coefficients for the given params.
+    """c_0-normalised Legendre coefficients for the given params.
 
-    The conjugate-paired term sum must be real; a residual imaginary part
-    above 1e-10 of |c_0| indicates a broken term table and raises.
     A non-positive c_0 (possible only for pathological weightings) or a
     non-finite raw coefficient (A, B or C so large that the products
     overflow) raises ``DegenerateModelError``.
     """
     raw = raw_coefficients(params, config, huby_phase=huby_phase)
-    limit = 1e-10 * max(abs(raw[0]), np.finfo(float).tiny)
-    residue = float(np.max(np.abs(raw.imag)))
-    if residue >= limit:
-        raise RuntimeError(f"imaginary residue {residue:g} exceeds realisation bound")
-    real = raw.real.copy()
-    if real[0] <= 0.0:
-        raise DegenerateModelError(f"non-positive isotropic coefficient c_0 = {real[0]:g}")
-    coefficients = tuple(float(c) for c in real / real[0])
-    # an overflowing product leaves inf or NaN here, and a NaN residue passes the bound above
-    if not all(map(math.isfinite, (real[0], *coefficients))):
+    if raw[0] <= 0.0:
+        raise DegenerateModelError(f"non-positive isotropic coefficient c_0 = {raw[0]:g}")
+    coefficients = tuple(float(c) for c in raw / raw[0])
+    # an overflowing product leaves inf or NaN here
+    if not all(map(math.isfinite, (raw[0], *coefficients))):
         raise DegenerateModelError(f"raw coefficients overflow at {params}")
-    return LegendreSeries(coefficients, scale=float(real[0]))
+    return LegendreSeries(coefficients, scale=float(raw[0]))
 
 
 def cross_section(
@@ -333,14 +346,9 @@ def cross_section(
     return legendre_coefficients(params, config).evaluate(theta)
 
 
-def _half_unit_integral(order: int) -> float:
-    # int_0^1 P_L(x) dx = (P_{L-1}(0) - P_{L+1}(0)) / (2L + 1), 1 for L = 0
-    if order == 0:
-        return 1.0
-    return (legendre_p(order - 1, 0.0) - legendre_p(order + 1, 0.0)) / (2 * order + 1)
-
-
-_HALF_INTEGRALS = tuple(_half_unit_integral(order) for order in range(MAX_ORDER + 1))
+# forward row int_0^1 P_L dx = (P_{L-1}(0) - P_{L+1}(0)) / (2L + 1), 1 for L = 0;
+# backward row int_-1^0 P_L dx = (-1)^L times it
+_HALF_INTEGRALS = np.array([[1.0, 0.5, 0.0, -0.125, 0.0], [1.0, -0.5, 0.0, 0.125, 0.0]])
 
 
 def forward_backward_ratio(series: LegendreSeries) -> float:
@@ -349,13 +357,10 @@ def forward_backward_ratio(series: LegendreSeries) -> float:
     Closed form from half-range Legendre integrals; the backward integral
     must be positive or the series is unphysical.  Orders above P_4 raise.
     """
-    if len(series.coefficients) > len(_HALF_INTEGRALS):
+    n = len(series.coefficients)
+    if n > MAX_ORDER + 1:
         raise ValueError(f"series has orders above P_{MAX_ORDER}")
-    forward = 0.0
-    backward = 0.0
-    for order, (c, half) in enumerate(zip(series.coefficients, _HALF_INTEGRALS)):
-        forward += c * half
-        backward += c * (half if order % 2 == 0 else -half)
+    forward, backward = np.dot(_HALF_INTEGRALS[:, :n], series.coefficients).tolist()
     if backward <= 0.0:
         raise DegenerateModelError(f"non-positive backward yield {backward:g}")
     return forward / backward

@@ -287,6 +287,20 @@ class TestBadInputExitsCleanly:
         self.assert_clean(code, out, err, 2)
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["model", "-A", "1", "-B", "1", "-C", "1", "-r", "0", "--grid", "0:180:10000000000000"],
+            ["fit", str(SAMPLE_ANGULAR), "--starts", "10000000000000"],
+        ],
+        ids=["grid", "starts"],
+    )
+    def test_unallocatable_count_is_usage_error(self, capsys, argv):
+        # 1e13 float64 or int64 entries (73 TiB) are refused at allocation, before any write
+        code, out, err = run(capsys, *argv)
+        self.assert_clean(code, out, err, 1)
+        assert err.startswith("photoevap: error: ") and err.count("\n") == 1
+
     def test_equal_energies_are_numerical_error(self, capsys, tmp_path):
         path = tmp_path / "spectrum.csv"
         path.write_text("eps_mev,counts\n5.0,120.0\n5.0,110.0\n5.0,130.0\n")

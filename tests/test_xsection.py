@@ -35,7 +35,8 @@ from photoevap.xsection import (
     magnitude_factor,
     raw_coefficients,
 )
-from photoevap.xsection import _coefficient_matrix
+from photoevap import xsection
+from photoevap.xsection import _coefficient_matrix, _spin_geometry
 
 BASE = ShapeParams(A=0.082, B=0.47, C=0.37, r=0.11)
 
@@ -430,6 +431,8 @@ AUDIT_CONFIGS = {
     "equal": ChannelConfig(),
     "2I+1": ChannelConfig(residual_weighting="2I+1"),
     "spin-cutoff-1.3": ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=1.3),
+    "spin-cutoff-0.7": ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=0.7),
+    "spin-cutoff-3.9": ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=3.9),
 }
 
 
@@ -477,6 +480,43 @@ class TestCoefficientMatrix:
             # relative to the largest coefficient: some orders cancel to rounding
             scale = float(np.max(np.abs(expected)))
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestSpinGeometry:
+    """M = sum_I' w(I') G[I'] from one sigma-free geometry per channel set."""
+
+    @pytest.fixture
+    def fresh_cache(self):
+        _spin_geometry.cache_clear()
+        yield
+        _spin_geometry.cache_clear()
+
+    def test_unseen_sigma_reuses_the_geometry(self, monkeypatch):
+        legendre_coefficients(BASE, ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=2.0))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return enumerate_terms(*args, **kwargs)
+
+        monkeypatch.setattr(xsection, "enumerate_terms", counting)
+        for sigma in (0.37, 1.11, 2.71, 5.3, 17.0):
+            legendre_coefficients(BASE, ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=sigma))
+        assert calls == []
+
+    def test_imaginary_residue_raises(self, monkeypatch, fresh_cache):
+        def corrupted(*args, **kwargs):
+            terms = enumerate_terms(*args, **kwargs)
+            # a cross term: its swapped partner (L1 != L2) is another list entry
+            k = next(i for i, t in enumerate(terms) if t.L1 != t.L2 and abs(t.geometry) > 1e-3)
+            terms[k] = dataclasses.replace(terms[k], geometry=1j * terms[k].geometry)
+            return terms
+
+        monkeypatch.setattr(xsection, "enumerate_terms", corrupted)
+        with pytest.raises(RuntimeError, match="imaginary residue"):
+            _coefficient_matrix(DEFAULT_CONFIG, False)
+        with pytest.raises(RuntimeError, match="imaginary residue"):
+            legendre_coefficients(BASE)
 
 
 def test_forward_backward_ratio_rejects_orders_above_four():
