@@ -7,9 +7,10 @@ instances.
 
 Clebsch-Gordan and 6j coefficients are evaluated from the closed Racah
 sums with a precomputed log-factorial table and signed exponent summation.
-Every coefficient is memoised under a canonical :class:`CouplingKey`; the
-cache is a plain dict and is safe for concurrent readers because entries
-are pure functions of their key.
+Arguments are converted to doubled integers once, at the public boundary;
+the Clebsch-Gordan and 6j kernels are memoised on those integers with
+:func:`functools.cache`, and every composite coefficient calls the kernels
+directly.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from functools import cache
+from typing import Union
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
 __all__ = [
     "AngularMomentum",
-    "CouplingKey",
     "SpinLike",
     "clear_caches",
     "clebsch_gordan",
@@ -50,6 +51,8 @@ def _doubled(value: SpinLike) -> int:
         return value.two_j
     if isinstance(value, bool):
         raise ValueError(f"not a spin value: {value!r}")
+    if isinstance(value, int):
+        return 2 * value
     try:
         two = 2 * Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -95,18 +98,9 @@ class AngularMomentum:
         return str(self.value)
 
 
-class CouplingKey(NamedTuple):
-    """Canonical cache key: coefficient family plus doubled arguments."""
-
-    kind: str
-    args: tuple
-
-
-_CACHE: dict[CouplingKey, float] = {}
-
-
 def clear_caches() -> None:
-    _CACHE.clear()
+    _cg_two.cache_clear()
+    _6j_two.cache_clear()
 
 
 def _check_projection(two_j: int, two_m: int, label: str) -> None:
@@ -140,8 +134,9 @@ def _signed_exp_sum(signs_logs: list[tuple[int, float]]) -> tuple[float, float]:
     return acc, top
 
 
+@cache
 def _cg_two(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> float:
-    """Uncached Clebsch-Gordan evaluation on doubled arguments."""
+    """Clebsch-Gordan evaluation on doubled arguments."""
     if tm != tm1 + tm2:
         return 0.0
     if not _triangle_two(tj1, tj2, tj):
@@ -199,17 +194,12 @@ def clebsch_gordan(
     _check_projection(tj1, tm1, "(j1, m1)")
     _check_projection(tj2, tm2, "(j2, m2)")
     _check_projection(tj, tm, "(j, m)")
-    key = CouplingKey("cg", (tj1, tm1, tj2, tm2, tj, tm))
-    try:
-        return _CACHE[key]
-    except KeyError:
-        value = _cg_two(*key.args)
-        _CACHE[key] = value
-        return value
+    return _cg_two(tj1, tm1, tj2, tm2, tj, tm)
 
 
+@cache
 def _6j_two(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> float:
-    """Uncached 6j evaluation {a b c; d e f} on doubled arguments."""
+    """6j evaluation {a b c; d e f} on doubled arguments."""
     triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
     for x, y, z in triads:
         if not _triangle_two(x, y, z):
@@ -248,33 +238,24 @@ def wigner_6j(
     j1: SpinLike, j2: SpinLike, j3: SpinLike, j4: SpinLike, j5: SpinLike, j6: SpinLike
 ) -> float:
     """{j1 j2 j3; j4 j5 j6}; 0 when any of the four triads fails."""
-    key = CouplingKey(
-        "6j",
-        (two_j_of(j1), two_j_of(j2), two_j_of(j3), two_j_of(j4), two_j_of(j5), two_j_of(j6)),
-    )
-    try:
-        return _CACHE[key]
-    except KeyError:
-        value = _6j_two(*key.args)
-        _CACHE[key] = value
-        return value
+    return _6j_two(*map(two_j_of, (j1, j2, j3, j4, j5, j6)))
+
+
+def _racah_two(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> float:
+    """Racah W on doubled arguments; exactly 0.0 when the 6j vanishes."""
+    six = _6j_two(ta, tb, te, td, tc, tf)
+    if six == 0.0:
+        return 0.0
+    # a+b+c+d is integral whenever the triads allow a nonzero 6j
+    phase = -1 if ((ta + tb + tc + td) // 2) % 2 else 1
+    return phase * six
 
 
 def racah_w(
     a: SpinLike, b: SpinLike, c: SpinLike, d: SpinLike, e: SpinLike, f: SpinLike
 ) -> float:
     """Racah W(a b c d; e f) = (-1)^(a+b+c+d) {a b e; d c f}."""
-    ta, tb, tc, td = two_j_of(a), two_j_of(b), two_j_of(c), two_j_of(d)
-    te, tf = two_j_of(e), two_j_of(f)
-    six = wigner_6j(
-        AngularMomentum(ta), AngularMomentum(tb), AngularMomentum(te),
-        AngularMomentum(td), AngularMomentum(tc), AngularMomentum(tf),
-    )
-    if six == 0.0:
-        return 0.0
-    # a+b+c+d is integral whenever the triads allow a nonzero 6j
-    phase = -1 if ((ta + tb + tc + td) // 2) % 2 else 1
-    return phase * six
+    return _racah_two(*map(two_j_of, (a, b, c, d, e, f)))
 
 
 def z_coeff(
@@ -294,16 +275,10 @@ def z_coeff(
             raise ValueError(f"{name} must be an integer orbital momentum")
     if ((tl1 + tl2 + tL) // 2) % 2 != 0:
         return 0.0
-    cg0 = clebsch_gordan(
-        AngularMomentum(tl1), 0, AngularMomentum(tl2), 0, AngularMomentum(tL), 0
-    )
+    cg0 = _cg_two(tl1, 0, tl2, 0, tL, 0)
     if cg0 == 0.0:
         return 0.0
-    w = racah_w(
-        AngularMomentum(tl1), AngularMomentum(tj1),
-        AngularMomentum(tl2), AngularMomentum(tj2),
-        AngularMomentum(ts), AngularMomentum(tL),
-    )
+    w = _racah_two(tl1, tj1, tl2, tj2, ts, tL)
     if w == 0.0:
         return 0.0
     norm = math.sqrt((tl1 + 1.0) * (tl2 + 1.0) * (tj1 + 1.0) * (tj2 + 1.0))

@@ -317,11 +317,11 @@ def _lattice_starts(n_starts: int, seed) -> np.ndarray:
     return _START_LO + unit * (_START_HI - _START_LO)
 
 
-def _covariance(problem: _FitProblem, x: np.ndarray, step: float = 1e-4) -> np.ndarray:
+def _covariance(problem: _FitProblem, x: np.ndarray) -> np.ndarray:
     """Covariance from the Hessian of chi^2/2, floor-regularised.
 
     Column i of the Hessian is the central difference of the analytic
-    gradient J^T r along x_i with step h_i = step * max(1, |x_i|), 2n
+    gradient J^T r along x_i with step h_i = 1e-4 * max(1, |x_i|), 2n
     evaluations for n parameters; it is symmetrised before inversion.
     Directions with (near-)zero curvature get a huge variance instead of
     a pseudo-inverse zero, so flat parameters show up as unidentifiable
@@ -332,7 +332,7 @@ def _covariance(problem: _FitProblem, x: np.ndarray, step: float = 1e-4) -> np.n
         res, jac = problem.residuals_and_jacobian(z)
         return jac.T @ res
 
-    h = step * np.maximum(1.0, np.abs(x))
+    h = 1e-4 * np.maximum(1.0, np.abs(x))
     hess = np.column_stack(
         [(gradient(x + s) - gradient(x - s)) / (2.0 * s[i]) for i, s in enumerate(np.diag(h))]
     )
@@ -370,6 +370,10 @@ def fit_angular(
         raise ValueError("no datasets to fit")
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if mode == "per-bin":
         return [
             fit_angular([ds], config, n_starts=n_starts, seed=seed, tol=tol,

@@ -145,14 +145,15 @@ def inverse_capture_xsec(
     sub-barrier branch continuously and keeps sigma_inv non-decreasing
     in eps.
 
-    A user-supplied (eps, sigma) table overrides the model entirely.
+    A user-supplied (eps, sigma) table overrides the model entirely;
+    ``l`` is validated either way.
     """
+    if not isinstance(l, (int, np.integer)) or l < 0:
+        raise ValueError(f"l must be a non-negative integer, got {l!r}")
     if table is not None:
         return table(eps)
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive, got {eps!r}")
-    if not isinstance(l, (int, np.integer)) or l < 0:
-        raise ValueError(f"l must be a non-negative integer, got {l!r}")
     radius = nuclear_radius(nucleus)
     mu = _reduced_mass_mev(nucleus)
     barrier = coulomb_barrier(nucleus) + l * (l + 1) * HBARC_MEV_FM ** 2 / (

@@ -19,10 +19,9 @@ from sympy import Rational
 from sympy.physics.wigner import wigner_6j as sympy_6j
 
 from oracles import cg_exact, racah_w_exact, six_j_exact, z_coeff_exact
-from photoevap import angmom
+from photoevap import angmom, xsection
 from photoevap.angmom import (
     AngularMomentum,
-    CouplingKey,
     clear_caches,
     clebsch_gordan,
     legendre_p,
@@ -48,7 +47,8 @@ def projections(j):
 class TestSpinParsing:
     @pytest.mark.parametrize(
         "value,expected",
-        [(0, 0), (1, 2), (0.5, 1), ("3/2", 3), (Fraction(5, 2), 5), (AngularMomentum(4), 4)],
+        [(0, 0), (1, 2), (0.5, 1), ("3/2", 3), (Fraction(5, 2), 5), (AngularMomentum(4), 4),
+         (np.int64(3), 6)],
     )
     def test_doubled_forms(self, value, expected):
         assert two_j_of(value) == expected
@@ -349,19 +349,36 @@ class TestCache:
         clear_caches()
         args = (Fraction(3, 2), Fraction(1, 2), 1, 0, Fraction(3, 2), Fraction(1, 2))
         first = clebsch_gordan(*args)
-        direct = angmom._cg_two(3, 1, 2, 0, 3, 1)
+        direct = angmom._cg_two.__wrapped__(3, 1, 2, 0, 3, 1)
+        hits = angmom._cg_two.cache_info().hits
         cached = clebsch_gordan(*args)
         assert first == direct
         assert math.copysign(1.0, first) == math.copysign(1.0, direct)
         assert cached == first
-        key = CouplingKey("cg", (3, 1, 2, 0, 3, 1))
-        assert key in angmom._CACHE
+        assert angmom._cg_two.cache_info().hits == hits + 1
 
     def test_clear_caches_empties(self):
         clebsch_gordan(1, 0, 1, 0, 2, 0)
-        assert angmom._CACHE
+        wigner_6j(1, 1, 1, 1, 1, 1)
+        assert angmom._cg_two.cache_info().currsize
+        assert angmom._6j_two.cache_info().currsize
         clear_caches()
-        assert not angmom._CACHE
+        assert angmom._cg_two.cache_info().currsize == 0
+        assert angmom._6j_two.cache_info().currsize == 0
+
+    def test_cold_term_build_constructs_no_fraction(self, monkeypatch):
+        # integer spins take the doubled-integer path from the boundary inwards
+        constructed = []
+
+        def counting_fraction(*args, **kwargs):
+            constructed.append(args)
+            return Fraction(*args, **kwargs)
+
+        clear_caches()
+        xsection._spin_geometry.cache_clear()
+        monkeypatch.setattr(angmom, "Fraction", counting_fraction)
+        assert xsection.enumerate_terms()
+        assert constructed == []
 
 
 class TestLegendre:

@@ -301,6 +301,32 @@ class TestBadInputExitsCleanly:
         self.assert_clean(code, out, err, 1)
         assert err.startswith("photoevap: error: ") and err.count("\n") == 1
 
+    def test_negative_l_with_table_is_usage_error(self, capsys, tmp_path):
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text("eps_mev,counts\n3.0,120.0\n4.0,80.0\n5.0,40.0\n6.0,20.0\n")
+        table = tmp_path / "table.csv"
+        table.write_text("eps_mev,sigma_fm2\n0.5,100.0\n10.0,100.0\n")
+        code, out, err = run(
+            capsys, "spectrum", str(spectrum), "-A", "208", "-Z", "82", "--l", "-3",
+            "--sigma-inv-table", str(table),
+        )
+        self.assert_clean(code, out, err, 1)
+        assert "l must be a non-negative integer" in err
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--tol", "nan"], "tol must be finite"),
+            (["--tol", "inf"], "tol must be finite"),
+            (["--max-iter", "0"], "max_iter must be >= 1"),
+        ],
+        ids=["tol-nan", "tol-inf", "max-iter-0"],
+    )
+    def test_unusable_stopping_rule_is_usage_error(self, capsys, option, message):
+        code, out, err = run(capsys, "fit", str(SAMPLE_ANGULAR), "--starts", "2", *option)
+        self.assert_clean(code, out, err, 1)
+        assert message in err and "max_nfev" not in err
+
     def test_equal_energies_are_numerical_error(self, capsys, tmp_path):
         path = tmp_path / "spectrum.csv"
         path.write_text("eps_mev,counts\n5.0,120.0\n5.0,110.0\n5.0,130.0\n")

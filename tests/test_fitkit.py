@@ -352,6 +352,20 @@ class TestFitAngular:
         with pytest.raises(ValueError):
             fit_angular(datasets, n_starts=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"tol": math.nan}, "tol must be finite and > 0"),
+            ({"tol": math.inf}, "tol must be finite and > 0"),
+            ({"tol": 0.0}, "tol must be finite and > 0"),
+            ({"tol": -1e-8}, "tol must be finite and > 0"),
+            ({"max_iter": 0}, "max_iter must be >= 1"),
+        ],
+    )
+    def test_rejects_unusable_stopping_rules(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            fit_angular(make_noisy(), n_starts=1, **kwargs)
+
 
 class TestLatticeStarts:
     @pytest.mark.parametrize("seed", [None, 0, 12345])

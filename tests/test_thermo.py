@@ -182,6 +182,13 @@ class TestInverseCapture:
         with pytest.raises(ValueError):
             inverse_capture_xsec(PB208, 1.5, 4.0)
 
+    def test_table_does_not_bypass_l_validation(self):
+        table = SigmaInvTable((1.0, 3.0, 5.0), (10.0, 30.0, 50.0))
+        with pytest.raises(ValueError, match="l must be a non-negative integer"):
+            inverse_capture_xsec(PB208, -3, 2.0, table)
+        with pytest.raises(ValueError, match="l must be a non-negative integer"):
+            scale_spectrum([SpectrumPoint(2.0, 5.0)], PB208, l=-3, table=table)
+
 
 class TestSigmaInvTable:
     def test_interpolates_linearly(self):
