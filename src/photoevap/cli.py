@@ -163,7 +163,8 @@ def _cmd_model(args) -> int:
     return 0
 
 
-def _fit_result_dict(result: fitkit.FitResult, problem_datasets, config) -> dict:
+def _fit_result_dict(result: fitkit.FitResult, datasets, config) -> dict:
+    """Report of one fit, its residual table built from the datasets it fitted."""
     series = xsection.legendre_coefficients(result.params, config)
     payload = {
         "converged": result.converged,
@@ -182,14 +183,12 @@ def _fit_result_dict(result: fitkit.FitResult, problem_datasets, config) -> dict
         "covariance": result.covariance.tolist(),
     }
     residuals = []
-    by_label = {ds.bin_label: ds for ds in problem_datasets}
-    for label, norm in zip(result.bin_labels, result.norms):
-        ds = by_label[label]
+    for ds, norm in zip(datasets, result.norms):
         model = norm * series.evaluate(np.deg2rad(ds.theta_deg))
         for theta, value, err, m in zip(ds.theta_deg, ds.yields, ds.errors, model):
             residuals.append(
                 {
-                    "bin_label": label,
+                    "bin_label": ds.bin_label,
                     "theta_deg": float(theta),
                     "yield": float(value),
                     "model": float(m),
@@ -205,15 +204,12 @@ def _cmd_fit(args) -> int:
     if any(ds.unit_weights for ds in datasets):
         print("warning: no err column; using unit weights", file=sys.stderr)
     config = _channel_config(args)
-    result = fitkit.fit_angular(
-        datasets,
-        config,
-        n_starts=args.starts,
-        seed=args.seed,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        mode=args.mode,
-    )
+    groups = [datasets] if args.mode == "joint" else [[ds] for ds in datasets]
+    options = dict(n_starts=args.starts, seed=args.seed, tol=args.tol, max_iter=args.max_iter)
+    reports = [
+        _fit_result_dict(fitkit.fit_angular(group, config, **options), group, config)
+        for group in groups
+    ]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "fit",
@@ -221,11 +217,10 @@ def _cmd_fit(args) -> int:
         "weighting": config.residual_weighting,
     }
     if args.mode == "joint":
-        payload.update(_fit_result_dict(result, datasets, config))
+        payload.update(reports[0])
     else:
         payload["bins"] = [
-            {"bin_label": res.bin_labels[0], **_fit_result_dict(res, datasets, config)}
-            for res in result
+            {"bin_label": group[0].bin_label, **report} for group, report in zip(groups, reports)
         ]
     _emit_json(payload, args.output)
     return 0
@@ -417,7 +412,7 @@ def _load_config_tokens(path: str) -> list[str]:
                 prefix = "-" if len(key) == 1 else "--"
                 tokens.append(prefix + key.replace("_", "-"))
                 tokens.append(value)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read config file {path}: {exc}") from exc
     return tokens
 
@@ -464,14 +459,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # every site that can overflow checks its result and raises a typed
+        # error, so numpy's warnings would only be noise before that message
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except DataFormatError as exc:
         print(f"photoevap: data error: {exc}", file=sys.stderr)
         return 2
     except PhotoevapError as exc:
         print(f"photoevap: numerical error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # UnicodeDecodeError: a file not in UTF-8
         print(f"photoevap: data error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, MemoryError) as exc:  # MemoryError: e.g. a --grid or --starts count

@@ -2,17 +2,18 @@
 
 The model for each dataset (one proton-energy bin) is
 norm_k * sigma(theta; A, B, C, r) with sigma the c_0-normalised Legendre
-series from :mod:`photoevap.xsection`.  The norms enter linearly, so the
-optimiser searches only the shape (log A, log B, log C, log(1+r)) and
-profiles the norms out by variable projection (Golub and Pereyra, SIAM J.
-Numer. Anal. 10, 413 (1973)): for each trial shape every norm takes its
-closed-form weighted projection, and the projected residual has an
-analytic Jacobian in Kaufman's form (BIT 15, 49 (1975)).  The log space
-keeps positivity structural.  Restarts come from a deterministic
-additive-recurrence lattice over the shape box.  The covariance is still
-taken over the full (shape, log norm_k) vector: the Hessian of chi^2/2 at
-the optimum is the central difference of the analytic gradient J^T r.
-Both searches share one model evaluation.
+series from :mod:`photoevap.xsection`.  All datasets of one fit share the
+shape; a bin is fitted alone by passing it as the only dataset.  The
+norms enter linearly, so the optimiser searches only the shape (log A,
+log B, log C, log(1+r)) and profiles the norms out by variable projection
+(Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): for each trial
+shape every norm takes its closed-form weighted projection, and the
+projected residual has an analytic Jacobian in Kaufman's form (BIT 15, 49
+(1975)).  The log space keeps positivity structural.  Restarts come from
+a deterministic additive-recurrence lattice over the shape box.  The
+covariance is still taken over the full (shape, log norm_k) vector: the
+Hessian of chi^2/2 at the optimum is the central difference of the
+analytic gradient J^T r.  Both searches share one model evaluation.
 """
 
 from __future__ import annotations
@@ -102,7 +103,6 @@ def read_angular_csv(path) -> list[AngularDataset]:
     column yields unit weights; callers should warn about that.
     """
     groups: dict[str, list[tuple[float, float, float | None]]] = {}
-    order: list[str] = []
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         required = {"bin_label", "theta_deg", "yield"}
@@ -117,15 +117,11 @@ def read_angular_csv(path) -> list[AngularDataset]:
                 err = float(row["err"]) if has_err and row["err"] not in (None, "") else None
             except (TypeError, ValueError) as exc:
                 raise DataFormatError(f"{path}: bad row on line {lineno}: {exc}") from exc
-            if label not in groups:
-                groups[label] = []
-                order.append(label)
-            groups[label].append((theta, value, err))
-    if not order:
+            groups.setdefault(label, []).append((theta, value, err))
+    if not groups:
         raise DataFormatError(f"{path}: no data rows")
     datasets = []
-    for label in order:
-        rows = groups[label]
+    for label, rows in groups.items():
         errs = [e for _, _, e in rows]
         use_errs = None if any(e is None for e in errs) else np.array(errs)
         try:
@@ -350,22 +346,17 @@ def fit_angular(
     seed=None,
     tol: float = 1e-12,
     max_iter: int = 400,
-    mode: str = "joint",
-):
+) -> FitResult:
     """Multi-start bounded least-squares fit of (A, B, C, r) plus norms.
 
+    All datasets share the shape parameters, and each has its own norm.
     Each start searches the four shape parameters with the norms profiled
     out, within ``max_iter * 5`` evaluations; one that runs out of them
     only leaves ``converged`` false when it is the best.  ``chi2`` is the
     full problem's chi-square at the best shape and its profiled norms.
-
-    ``mode="joint"`` shares the shape parameters across all datasets and
-    returns a single :class:`FitResult`; ``mode="per-bin"`` fits each
-    dataset independently and returns a list.  A configuration whose c_0
-    vanishes at every shape raises :class:`DegenerateModelError`.
+    A configuration whose c_0 vanishes at every shape raises
+    :class:`DegenerateModelError`.
     """
-    if mode not in ("joint", "per-bin"):
-        raise ValueError(f"mode must be 'joint' or 'per-bin', got {mode!r}")
     if not datasets:
         raise ValueError("no datasets to fit")
     if n_starts < 1:
@@ -374,12 +365,6 @@ def fit_angular(
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if mode == "per-bin":
-        return [
-            fit_angular([ds], config, n_starts=n_starts, seed=seed, tol=tol,
-                        max_iter=max_iter, mode="joint")
-            for ds in datasets
-        ]
 
     problem = _FitProblem(datasets, config)
     n_norms = len(datasets)

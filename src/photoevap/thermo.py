@@ -93,17 +93,22 @@ def coulomb_barrier(nucleus: NucleusSpec) -> float:
     return E2_MEV_FM * nucleus.charge / nuclear_radius(nucleus)
 
 
-def _reduced_mass_mev(nucleus: NucleusSpec) -> float:
-    a = nucleus.mass_number
-    return AMU_MEV * a / (1.0 + a)
+def inverse_capture_xsec(
+    nucleus: NucleusSpec,
+    l: int,
+    eps: float,
+    table: "SigmaInvTable | None" = None,
+) -> float:
+    """Inverse (capture) cross section sigma_inv(eps) in fm^2.
 
-
-def _wkb_exponent(nucleus: NucleusSpec, l: int, eps: float) -> float:
-    """Closed-form Gamow exponent through the Coulomb + centrifugal barrier.
-
-    With a = e^2 Z, b = l(l+1) (hbar c)^2 / 2 mu, Q(r) = -eps r^2 + a r + b,
+    Default model: pi R^2 times the transmission of partial wave l
+    through the Coulomb + centrifugal barrier.  At and above the barrier
+    the transmission is taken as 1, which joins the sub-barrier branch
+    continuously and keeps sigma_inv non-decreasing in eps.  Below it is
+    the WKB penetrability exp(-G), in closed form for every l: with
+    a = e^2 Z, b = l(l+1) (hbar c)^2 / 2 mu, Q(r) = -eps r^2 + a r + b,
     D = sqrt(a^2 + 4 eps b) and the outer turning point r_out = (a + D) / 2 eps,
-    the exponent is 2 sqrt(2 mu) / hbar c times
+    the Gamow exponent G is 2 sqrt(2 mu) / hbar c times
 
         int_R^r_out sqrt(Q) / r dr = -sqrt(Q(R)) + a / (2 sqrt(eps)) arccos((2 eps R - a) / D)
             + sqrt(b) ln[(2b + a R + 2 sqrt(b Q(R))) r_out / ((2b + a r_out) R)],
@@ -111,9 +116,23 @@ def _wkb_exponent(nucleus: NucleusSpec, l: int, eps: float) -> float:
     which for b = 0 is the pure-Coulomb s-wave form.  Q(R), the arccos
     argument and the integral are clamped to their ranges, since rounding
     just below the barrier top can push each past it.
+
+    A user-supplied (eps, sigma) table overrides the model entirely;
+    ``l`` is validated either way.
     """
+    if not isinstance(l, (int, np.integer)) or l < 0:
+        raise ValueError(f"l must be a non-negative integer, got {l!r}")
+    if table is not None:
+        return table(eps)
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive, got {eps!r}")
     radius = nuclear_radius(nucleus)
-    mu = _reduced_mass_mev(nucleus)
+    mu = AMU_MEV * nucleus.mass_number / (1.0 + nucleus.mass_number)  # reduced mass [MeV]
+    barrier = coulomb_barrier(nucleus) + l * (l + 1) * HBARC_MEV_FM ** 2 / (
+        2.0 * mu * radius * radius
+    )
+    if eps >= barrier:
+        return math.pi * radius * radius
     a = E2_MEV_FM * nucleus.charge
     b = l * (l + 1) * HBARC_MEV_FM ** 2 / (2.0 * mu)
     d = math.sqrt(a * a + 4.0 * eps * b)
@@ -127,40 +146,8 @@ def _wkb_exponent(nucleus: NucleusSpec, l: int, eps: float) -> float:
             / ((2.0 * b + a * r_out) * radius)
         )
     )
-    return 2.0 * math.sqrt(2.0 * mu) / HBARC_MEV_FM * max(integral, 0.0)
-
-
-def inverse_capture_xsec(
-    nucleus: NucleusSpec,
-    l: int,
-    eps: float,
-    table: "SigmaInvTable | None" = None,
-) -> float:
-    """Inverse (capture) cross section sigma_inv(eps) in fm^2.
-
-    Default model: pi R^2 times the transmission of partial wave l
-    through the Coulomb + centrifugal barrier.  Below the barrier the
-    transmission is the WKB penetrability, in closed form for every l;
-    at and above the barrier it is taken as 1, which joins the
-    sub-barrier branch continuously and keeps sigma_inv non-decreasing
-    in eps.
-
-    A user-supplied (eps, sigma) table overrides the model entirely;
-    ``l`` is validated either way.
-    """
-    if not isinstance(l, (int, np.integer)) or l < 0:
-        raise ValueError(f"l must be a non-negative integer, got {l!r}")
-    if table is not None:
-        return table(eps)
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive, got {eps!r}")
-    radius = nuclear_radius(nucleus)
-    mu = _reduced_mass_mev(nucleus)
-    barrier = coulomb_barrier(nucleus) + l * (l + 1) * HBARC_MEV_FM ** 2 / (
-        2.0 * mu * radius * radius
-    )
-    transmission = 1.0 if eps >= barrier else math.exp(-_wkb_exponent(nucleus, l, eps))
-    return math.pi * radius * radius * transmission
+    gamow = 2.0 * math.sqrt(2.0 * mu) / HBARC_MEV_FM * max(integral, 0.0)
+    return math.pi * radius * radius * math.exp(-gamow)
 
 
 @dataclass(frozen=True)
@@ -217,8 +204,10 @@ def read_spectrum_csv(path) -> list[SpectrumPoint]:
                 counts = float(row["counts"])
                 err = float(row["err"]) if has_err and row["err"] not in (None, "") else 0.0
                 points.append(SpectrumPoint(eps, counts, err))
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise DataFormatError(f"{path}: bad row on line {lineno}: {exc}") from exc
+    if not points:
+        raise DataFormatError(f"{path}: no data rows")
     return points
 
 

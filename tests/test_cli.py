@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import photoevap
 from photoevap.cli import main
-from photoevap.fitkit import synth_dataset
+from photoevap.fitkit import fit_angular, read_angular_csv, synth_dataset
 from photoevap.xsection import ShapeParams
 
 TRUTH = ShapeParams(A=0.082, B=0.47, C=0.37, r=0.11)
@@ -191,6 +191,23 @@ class TestFit:
         assert payload["mode"] == "per-bin"
         assert [b["bin_label"] for b in payload["bins"]] == ["bin1", "bin2"]
 
+    def test_per_bin_entries_are_single_bin_fits(self, capsys, data_csv):
+        payload, _ = run_json(
+            capsys, "fit", str(data_csv), "--mode", "per-bin", "--starts", "4",
+            "--tol", "1e-10", "--seed", "5",
+        )
+        datasets = read_angular_csv(data_csv)
+        assert len(payload["bins"]) == len(datasets)
+        for entry, ds in zip(payload["bins"], datasets):
+            result = fit_angular([ds], n_starts=4, seed=5, tol=1e-10)
+            assert entry["dof"] == len(ds) - 5
+            assert list(entry["norms"]) == [ds.bin_label]
+            assert entry["chi2"] == result.chi2
+            assert entry["params"] == {
+                "A": result.params.A, "B": result.params.B,
+                "C": result.params.C, "r": result.params.r,
+            }
+
     def test_missing_err_column_warns(self, capsys, tmp_path):
         datasets = synth_dataset(TRUTH, [1200.0, 650.0], np.linspace(30, 150, 8), 0.0, None)
         path = tmp_path / "angular.csv"
@@ -326,6 +343,58 @@ class TestBadInputExitsCleanly:
         code, out, err = run(capsys, "fit", str(SAMPLE_ANGULAR), "--starts", "2", *option)
         self.assert_clean(code, out, err, 1)
         assert message in err and "max_nfev" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "{bad}"],
+            ["spectrum", "{bad}", "-A", "208", "-Z", "82"],
+            ["spectrum", "{good}", "-A", "208", "-Z", "82", "--sigma-inv-table", "{bad}"],
+            ["model", "--config", "{bad}"],
+        ],
+        ids=["fit-data", "spectrum-data", "table", "config"],
+    )
+    def test_undecodable_file_is_data_error(self, capsys, tmp_path, argv):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("eps_mev,counts\n3.0,120.0 \u00b5\n".encode("latin-1"))  # not UTF-8
+        good = tmp_path / "spectrum.csv"
+        good.write_text("eps_mev,counts\n3.0,120.0\n4.0,80.0\n5.0,40.0\n6.0,20.0\n")
+        code, out, err = run(capsys, *(token.format(bad=bad, good=good) for token in argv))
+        self.assert_clean(code, out, err, 2)
+        assert err.startswith("photoevap: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("eps_mev,counts\n3.0,120.0\n4.0\n5.0,40.0\n", "bad row on line 3"),
+            ("eps_mev,counts\n", "no data rows"),
+        ],
+        ids=["short-row", "header-only"],
+    )
+    def test_malformed_spectrum_is_data_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "spectrum.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "spectrum", str(path), "-A", "208", "-Z", "82")
+        self.assert_clean(code, out, err, 2)
+        assert err.startswith("photoevap: data error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["model", "-A", "1e200", "-B", "1", "-C", "1", "-r", "0"],
+            ["spectrum", "spectrum.csv", "-A", "208", "-Z", "82"],
+        ],
+        ids=["model-overflow", "spectrum-tiny-error"],
+    )
+    def test_numerical_error_prints_no_numpy_warning(self, tmp_path, argv):
+        # a fresh process, since pytest captures warnings that a user would see
+        (tmp_path / "spectrum.csv").write_text(
+            "eps_mev,counts,err\n3.0,120.0,1e-320\n4.0,80.0,1.0\n5.0,40.0,1.0\n"
+        )
+        proc = _run_console_script("photoevap.cli:main", tmp_path, *argv)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("photoevap: numerical error: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
     def test_equal_energies_are_numerical_error(self, capsys, tmp_path):
         path = tmp_path / "spectrum.csv"
@@ -591,25 +660,39 @@ _SPIN = st.one_of(
 
 
 class _File(str):
-    """An argv token naming a generated file: the prefix, then its path."""
+    """An argv token naming a generated file: the prefix, then its path.
 
-    def __new__(cls, prefix, text):
+    ``malformed`` marks a file that is a data error whatever its values.
+    """
+
+    def __new__(cls, prefix, text, malformed=False):
         token = super().__new__(cls, prefix)
         token.text = text
+        token.malformed = malformed
         return token
 
     def __repr__(self):
-        return f"_File({str(self)!r}, {self.text!r})"
+        return f"_File({str(self)!r}, {self.text!r}, malformed={self.malformed!r})"
 
 
 @st.composite
-def _csv_file(draw, prefix, header, rows):
-    """A CSV of the given rows, in about half the draws with one cell replaced."""
+def _csv_file(draw, prefix, header, rows, damage=False):
+    """A CSV of the given rows, in about half the draws with one cell replaced.
+
+    With ``damage``, about one draw in four also cuts a row to its first
+    cell or keeps only the header, which marks the file malformed.
+    """
     rows = [list(map(str, row)) for row in rows]
     if rows and draw(st.booleans()):
         row = draw(st.sampled_from(rows))
         row[draw(st.integers(0, len(row) - 1))] = draw(st.one_of(_WILD.map(repr), st.just("x")))
-    return _File(prefix, "\n".join([header, *map(",".join, rows)]) + "\n")
+    cut = draw(st.sampled_from(["", "", "", "short row", "header only"])) if damage else ""
+    if cut == "short row":
+        index = draw(st.integers(0, len(rows) - 1))
+        rows[index] = rows[index][:1]
+    elif cut == "header only":
+        rows = []
+    return _File(prefix, "\n".join([header, *map(",".join, rows)]) + "\n", malformed=bool(cut))
 
 
 def _options(draw, *pairs):
@@ -650,7 +733,7 @@ def _fit_argv(draw):
             rows.append(row + [draw(st.floats(0.1, 10.0))] if with_err else row)
     return [
         "fit",
-        draw(_csv_file("", "bin_label,theta_deg,yield" + ",err" * with_err, rows)),
+        draw(_csv_file("", "bin_label,theta_deg,yield" + ",err" * with_err, rows, damage=True)),
         f"--starts={draw(st.integers(1, 3))}",
         f"--max-iter={draw(st.integers(1, 20))}",
         *_options(
@@ -672,7 +755,8 @@ def _spectrum_argv(draw):
     argv = [
         "spectrum",
         draw(_csv_file(
-            "", "eps_mev,counts" + ",err" * with_err, draw(st.lists(row, min_size=3, max_size=8))
+            "", "eps_mev,counts" + ",err" * with_err, draw(st.lists(row, min_size=3, max_size=8)),
+            damage=True,
         )),
         f"--charge={charge}",
         f"--mass-number={charge + draw(st.integers(-1, 200))}",
@@ -733,8 +817,11 @@ class TestContract:
     )
     @example(["model", "-A1e308", "-B1", "-C1", "-r0"])
     @example(["times", "-r1", "--gcn=0.1eV", "--gspr=1e308MeV", "--D=1MeV"])
+    @example(["spectrum", _File("", "eps_mev,counts\n3.0,1\n4.0\n5.0,2\n", True), "-Z82", "-A208"])
+    @example(["spectrum", _File("", "eps_mev,counts\n", True), "-Z82", "-A208"])
     @settings(max_examples=300)
     def test_exit_code_and_json_output(self, argv):
+        malformed = any(getattr(token, "malformed", False) for token in argv)
         argv, out, err = list(argv), io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             for i, token in enumerate(argv):
@@ -745,6 +832,9 @@ class TestContract:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
         assert code in (0, 1, 2, 3), err.getvalue()
+        if malformed:
+            # only a usage error, reported before any file is read, comes first
+            assert code == 2 or err.getvalue().startswith("usage:"), err.getvalue()
         if code != 0:
             return
         if argv[0] == "coeff":

@@ -312,14 +312,6 @@ class TestFitAngular:
         second = fit_angular(make_noisy(), n_starts=4, tol=1e-10)
         assert first.params == second.params
 
-    def test_per_bin_mode(self):
-        results = fit_angular(make_noisy(), n_starts=4, tol=1e-10, mode="per-bin")
-        assert len(results) == 3
-        for k, result in enumerate(results):
-            assert result.bin_labels == (f"bin{k + 1}",)
-            assert result.dof == 10 - 5
-            assert len(result.norms) == 1
-
     def test_covariance_labels(self):
         result = fit_angular(make_noisy(), n_starts=2, tol=1e-8)
         assert result.covariance_labels == (
@@ -345,8 +337,6 @@ class TestFitAngular:
 
     def test_argument_validation(self):
         datasets = make_noisy()
-        with pytest.raises(ValueError):
-            fit_angular(datasets, mode="global")
         with pytest.raises(ValueError):
             fit_angular([])
         with pytest.raises(ValueError):
