@@ -679,8 +679,8 @@ class _File(str):
 def _csv_file(draw, prefix, header, rows, damage=False):
     """A CSV of the given rows, in about half the draws with one cell replaced.
 
-    With ``damage``, about one draw in four also cuts a row to its first
-    cell or keeps only the header, which marks the file malformed.
+    With ``damage``, two draws in five also cut a row to its first
+    cell or keep only the header, which marks the file malformed.
     """
     rows = [list(map(str, row)) for row in rows]
     if rows and draw(st.booleans()):
