@@ -5,6 +5,12 @@ fit (shape-parameter extraction), spectrum (temperature from an
 evaporation spectrum), exciton (exciton-model temperature window) and
 times (widths to lifetimes).
 
+Each ``_cmd_*`` returns its payload: a dict, or text (``coeff`` and
+``model --format csv``).  ``main`` owns the rest: it puts the
+``schema_version``/``command`` envelope in front of a dict and writes it
+as JSON, writes the result once to ``--output`` or stdout, and maps the
+outcome to the exit code.
+
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
 malformed input), 3 numerical error (every other ``PhotoevapError``: a
 degenerate or underdetermined computation, or unscalable points).
@@ -17,10 +23,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
-from fractions import Fraction
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,6 +33,14 @@ from . import angmom, fitkit, thermo, xsection
 from .errors import DataFormatError, PhotoevapError
 
 SCHEMA_VERSION = 1
+
+# kind -> (function, argument signature); spin tokens go to angmom as typed
+_COEFF_KINDS = {
+    "cg": (angmom.clebsch_gordan, "j1 m1 j2 m2 j m"),
+    "w6j": (angmom.wigner_6j, "j1 j2 j3 j4 j5 j6"),
+    "racah": (angmom.racah_w, "a b c d e f"),
+    "z": (angmom.z_coeff, "l1 j1 l2 j2 s L"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,20 +50,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _parse_spin(token: str) -> Fraction:
-    """Spin token: integer, fraction like 3/2, or decimal like 1.5."""
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad spin token {token!r}") from exc
-
-
-def _format_coefficient(value: float) -> str:
-    if value == 0.0:
-        return "0"
-    return f"{value:#.12g}"
 
 
 _WIDTH_PATTERN = re.compile(r"^\s*([-+0-9.eE]+)\s*(ev|kev|mev)\s*$", re.IGNORECASE)
@@ -68,14 +67,6 @@ def _parse_width(token: str, scale: dict) -> float:
     except ValueError as exc:
         raise ValueError(f"bad width value in {token!r}") from exc
     return value * scale[match.group(2).lower()]
-
-
-def _parse_width_mev(token: str) -> float:
-    return _parse_width(token, _WIDTH_SCALE_MEV)
-
-
-def _parse_width_ev(token: str) -> float:
-    return _parse_width(token, _WIDTH_SCALE_EV)
 
 
 def _parse_grid(token: str) -> np.ndarray:
@@ -108,59 +99,32 @@ def _emit(text: str, output: str | None) -> None:
             handle.write(text)
 
 
-def _emit_json(payload: dict, output: str | None) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", output)
+def _cmd_coeff(args) -> str:
+    function, _ = _COEFF_KINDS[args.kind]
+    value = function(*args.values)
+    return f"{value:#.12g}\n" if value != 0.0 else "0\n"
 
 
-def _cmd_coeff(args) -> int:
-    values = [_parse_spin(tok) for tok in args.values]
-    if args.kind == "cg":
-        result = angmom.clebsch_gordan(*values)
-    elif args.kind == "w6j":
-        result = angmom.wigner_6j(*values)
-    elif args.kind == "racah":
-        result = angmom.racah_w(*values)
-    else:
-        result = angmom.z_coeff(*values)
-    print(_format_coefficient(result))
-    return 0
-
-
-_COEFF_SIGNATURES = {
-    "cg": "j1 m1 j2 m2 j m",
-    "w6j": "j1 j2 j3 j4 j5 j6",
-    "racah": "a b c d e f",
-    "z": "l1 j1 l2 j2 s L",
-}
-
-
-def _cmd_model(args) -> int:
+def _cmd_model(args) -> dict | str:
     params = xsection.ShapeParams(A=args.A, B=args.B, C=args.C, r=args.r)
     config = _channel_config(args)
     series = xsection.legendre_coefficients(params, config, huby_phase=args.huby_phase)
     grid = _parse_grid(args.grid)
     sigma = series.evaluate(np.deg2rad(grid))
     ratio = xsection.forward_backward_ratio(series)
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "model",
-            "params": {"A": params.A, "B": params.B, "C": params.C, "r": params.r},
-            "weighting": config.residual_weighting,
-            "coefficients": {f"c_{order}": c for order, c in enumerate(series.coefficients)},
-            "asymmetry_U": ratio,
-            "curve": [
-                {"theta_deg": float(t), "sigma": float(s)} for t, s in zip(grid, sigma)
-            ],
-        }
-        _emit_json(payload, args.output)
-    else:
+    if args.format == "csv":
         lines = [f"# c_{order} = {c!r}" for order, c in enumerate(series.coefficients)]
         lines.append(f"# asymmetry_U = {ratio!r}")
         lines.append("theta_deg,sigma")
         lines.extend(f"{t:.12g},{s:.12g}" for t, s in zip(grid, sigma))
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+        return "\n".join(lines) + "\n"
+    return {
+        "params": asdict(params),
+        "weighting": config.residual_weighting,
+        "coefficients": {f"c_{order}": c for order, c in enumerate(series.coefficients)},
+        "asymmetry_U": ratio,
+        "curve": [{"theta_deg": float(t), "sigma": float(s)} for t, s in zip(grid, sigma)],
+    }
 
 
 def _fit_result_dict(result: fitkit.FitResult, datasets, config) -> dict:
@@ -172,12 +136,7 @@ def _fit_result_dict(result: fitkit.FitResult, datasets, config) -> dict:
         "chi2": result.chi2,
         "dof": result.dof,
         "n_starts_agreeing": result.n_starts_agreeing,
-        "params": {
-            "A": result.params.A,
-            "B": result.params.B,
-            "C": result.params.C,
-            "r": result.params.r,
-        },
+        "params": asdict(result.params),
         "norms": dict(zip(result.bin_labels, result.norms)),
         "covariance_labels": list(result.covariance_labels),
         "covariance": result.covariance.tolist(),
@@ -199,7 +158,7 @@ def _fit_result_dict(result: fitkit.FitResult, datasets, config) -> dict:
     return payload
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> dict:
     datasets = fitkit.read_angular_csv(args.data)
     if any(ds.unit_weights for ds in datasets):
         print("warning: no err column; using unit weights", file=sys.stderr)
@@ -210,31 +169,23 @@ def _cmd_fit(args) -> int:
         _fit_result_dict(fitkit.fit_angular(group, config, **options), group, config)
         for group in groups
     ]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "fit",
-        "mode": args.mode,
-        "weighting": config.residual_weighting,
-    }
+    payload = {"mode": args.mode, "weighting": config.residual_weighting}
     if args.mode == "joint":
         payload.update(reports[0])
     else:
         payload["bins"] = [
             {"bin_label": group[0].bin_label, **report} for group, report in zip(groups, reports)
         ]
-    _emit_json(payload, args.output)
-    return 0
+    return payload
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> dict:
     points = thermo.read_spectrum_csv(args.data)
     nucleus = thermo.NucleusSpec(args.mass_number, args.charge)
     table = thermo.SigmaInvTable.from_csv(args.sigma_inv_table) if args.sigma_inv_table else None
     scaled = thermo.scale_spectrum(points, nucleus, l=args.l, table=table)
     fit = thermo.fit_temperature(scaled, args.eps_max)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "spectrum",
+    return {
         "nucleus": {"A": nucleus.mass_number, "Z": nucleus.charge},
         "sigma_inv_source": "table" if table is not None else "model",
         "partial_wave_l": args.l,
@@ -244,15 +195,11 @@ def _cmd_spectrum(args) -> int:
         "temperature_err_mev": fit.temperature_err,
         "log_intercept": fit.log_intercept,
     }
-    _emit_json(payload, args.output)
-    return 0
 
 
-def _cmd_exciton(args) -> int:
+def _cmd_exciton(args) -> dict:
     report = thermo.exciton_report(args.mass_number, args.excitation)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "exciton",
+    return {
         "mass_number": args.mass_number,
         "excitation_mev": args.excitation,
         "g_per_mev": report.g,
@@ -261,23 +208,16 @@ def _cmd_exciton(args) -> int:
         "t_low_mev": report.t_low,
         "t_high_mev": report.t_high,
     }
-    _emit_json(payload, args.output)
-    return 0
 
 
-def _cmd_times(args) -> int:
-    gamma_cn_ev = _parse_width_ev(args.gcn)
-    gamma_spreading = _parse_width_mev(args.gspr)
-    spacing = _parse_width_mev(args.D)
-    report = thermo.timescales(args.r, gamma_cn_ev, gamma_spreading, spacing)
-    ratio = (
-        report.tau_phase / report.tau_thermalization
-        if math.isfinite(report.tau_phase)
-        else math.inf
+def _cmd_times(args) -> dict:
+    report = thermo.timescales(
+        args.r,
+        _parse_width(args.gcn, _WIDTH_SCALE_EV),
+        _parse_width(args.gspr, _WIDTH_SCALE_MEV),
+        _parse_width(args.D, _WIDTH_SCALE_MEV),
     )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "times",
+    return {
         "r": report.r,
         "beta_ev": report.beta,
         "tau_phase_s": report.tau_phase,
@@ -285,13 +225,12 @@ def _cmd_times(args) -> int:
         "tau_cn_s": report.tau_cn,
         "gamma_spreading_mev": report.gamma_spreading,
         "tau_thermalization_s": report.tau_thermalization,
-        "tau_phase_over_tau_thermalization": ratio,
+        # at r = 0 this is inf / finite: the JSON Infinity token
+        "tau_phase_over_tau_thermalization": report.tau_phase / report.tau_thermalization,
         "level_spacing_mev": report.level_spacing,
         "t_heisenberg_s": report.t_heisenberg,
         "n_eff": report.n_eff,
     }
-    _emit_json(payload, args.output)
-    return 0
 
 
 def _add_weighting_options(parser) -> None:
@@ -324,10 +263,10 @@ def _build_parser() -> _Parser:
             "Print one coupling coefficient.  Spins accept '1', '3/2' or '1.5'; "
             "prefix negative fractions with '--' to stop option parsing.  "
             "Signatures: "
-            + "; ".join(f"{k}: {v}" for k, v in _COEFF_SIGNATURES.items())
+            + "; ".join(f"{kind}: {signature}" for kind, (_, signature) in _COEFF_KINDS.items())
         ),
     )
-    coeff.add_argument("kind", choices=("cg", "w6j", "racah", "z"))
+    coeff.add_argument("kind", choices=_COEFF_KINDS)
     coeff.add_argument("values", nargs=6, metavar="SPIN")
     coeff.add_argument("--config", default=None, help=argparse.SUPPRESS)
     coeff.set_defaults(func=_cmd_coeff)
@@ -421,29 +360,21 @@ def _apply_config(argv: list[str]) -> list[str]:
     """Strip --config from argv and splice its tokens after the subcommand."""
     remaining: list[str] = []
     config_path = None
-    i = 0
-    while i < len(argv):
-        token = argv[i]
+    tokens = iter(argv)
+    for token in tokens:
         if token == "--config":
-            if i + 1 >= len(argv):
+            value = next(tokens, None)
+            if value is None:
                 remaining.append(token)  # let argparse report the missing value
-                i += 1
-                continue
-            config_path = argv[i + 1]
-            i += 2
-            continue
-        if token.startswith("--config="):
+            else:
+                config_path = value
+        elif token.startswith("--config="):
             config_path = token.split("=", 1)[1]
-            i += 1
-            continue
-        remaining.append(token)
-        i += 1
+        else:
+            remaining.append(token)
     if config_path is None:
         return remaining
-    tokens = _load_config_tokens(config_path)
-    if not remaining:
-        return tokens
-    return [remaining[0], *tokens, *remaining[1:]]
+    return [*remaining[:1], *_load_config_tokens(config_path), *remaining[1:]]
 
 
 def main(argv=None) -> int:
@@ -462,14 +393,19 @@ def main(argv=None) -> int:
         # every site that can overflow checks its result and raises a typed
         # error, so numpy's warnings would only be noise before that message
         with np.errstate(all="ignore"):
-            return args.func(args)
+            result = args.func(args)
+        if isinstance(result, dict):
+            envelope = {"schema_version": SCHEMA_VERSION, "command": args.command}
+            result = json.dumps({**envelope, **result}, indent=2) + "\n"
+        _emit(result, getattr(args, "output", None))
+        return 0
     except DataFormatError as exc:
         print(f"photoevap: data error: {exc}", file=sys.stderr)
         return 2
     except PhotoevapError as exc:
         print(f"photoevap: numerical error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, UnicodeDecodeError) as exc:  # UnicodeDecodeError: a file not in UTF-8
+    except OSError as exc:
         print(f"photoevap: data error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, MemoryError) as exc:  # MemoryError: e.g. a --grid or --starts count

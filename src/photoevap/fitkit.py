@@ -103,21 +103,24 @@ def read_angular_csv(path) -> list[AngularDataset]:
     column yields unit weights; callers should warn about that.
     """
     groups: dict[str, list[tuple[float, float, float | None]]] = {}
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"bin_label", "theta_deg", "yield"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise DataFormatError(f"{path}: expected columns bin_label, theta_deg, yield[, err]")
-        has_err = "err" in reader.fieldnames
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                label = row["bin_label"]
-                theta = float(row["theta_deg"])
-                value = float(row["yield"])
-                err = float(row["err"]) if has_err and row["err"] not in (None, "") else None
-            except (TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path}: bad row on line {lineno}: {exc}") from exc
-            groups.setdefault(label, []).append((theta, value, err))
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.DictReader(handle)
+            required = {"bin_label", "theta_deg", "yield"}
+            if reader.fieldnames is None or not required <= set(reader.fieldnames):
+                raise DataFormatError(f"{path}: expected columns bin_label, theta_deg, yield[, err]")
+            has_err = "err" in reader.fieldnames
+            for lineno, row in enumerate(reader, start=2):
+                try:
+                    label = row["bin_label"]
+                    theta = float(row["theta_deg"])
+                    value = float(row["yield"])
+                    err = float(row["err"]) if has_err and row["err"] not in (None, "") else None
+                except (TypeError, ValueError) as exc:
+                    raise DataFormatError(f"{path}: bad row on line {lineno}: {exc}") from exc
+                groups.setdefault(label, []).append((theta, value, err))
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
     if not groups:
         raise DataFormatError(f"{path}: no data rows")
     datasets = []
@@ -355,7 +358,9 @@ def fit_angular(
     only leaves ``converged`` false when it is the best.  ``chi2`` is the
     full problem's chi-square at the best shape and its profiled norms.
     A configuration whose c_0 vanishes at every shape raises
-    :class:`DegenerateModelError`.
+    :class:`DegenerateModelError`; no more points than parameters (four
+    plus one norm per dataset) raises :class:`UnderdeterminedError`
+    naming the bin labels.
     """
     if not datasets:
         raise ValueError("no datasets to fit")
@@ -370,8 +375,10 @@ def fit_angular(
     n_norms = len(datasets)
     dof = problem.n_points - (_N_SHAPE + n_norms)
     if dof <= 0:
+        labels = ", ".join(repr(ds.bin_label) for ds in datasets)
         raise UnderdeterminedError(
-            f"{problem.n_points} points cannot constrain {_N_SHAPE + n_norms} parameters"
+            f"{problem.n_points} points in {labels} cannot constrain"
+            f" {_N_SHAPE + n_norms} parameters"
         )
 
     from scipy.optimize import least_squares  # scipy loads only when a fit runs

@@ -170,16 +170,19 @@ class SigmaInvTable:
     @classmethod
     def from_csv(cls, path) -> "SigmaInvTable":
         eps, sigma = [], []
-        with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None or not {"eps_mev", "sigma_fm2"} <= set(reader.fieldnames):
-                raise DataFormatError(f"{path}: expected columns eps_mev, sigma_fm2")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    eps.append(float(row["eps_mev"]))
-                    sigma.append(float(row["sigma_fm2"]))
-                except (TypeError, ValueError) as exc:
-                    raise DataFormatError(f"{path}: bad number on line {lineno}") from exc
+        try:
+            with open(path, newline="") as handle:
+                reader = csv.DictReader(handle)
+                if reader.fieldnames is None or not {"eps_mev", "sigma_fm2"} <= set(reader.fieldnames):
+                    raise DataFormatError(f"{path}: expected columns eps_mev, sigma_fm2")
+                for lineno, row in enumerate(reader, start=2):
+                    try:
+                        eps.append(float(row["eps_mev"]))
+                        sigma.append(float(row["sigma_fm2"]))
+                    except (TypeError, ValueError) as exc:
+                        raise DataFormatError(f"{path}: bad number on line {lineno}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
         return cls(tuple(eps), tuple(sigma))
 
     def __call__(self, eps: float) -> float:
@@ -193,19 +196,22 @@ class SigmaInvTable:
 def read_spectrum_csv(path) -> list[SpectrumPoint]:
     """Load a spectrum CSV with columns eps_mev, counts and optional err."""
     points = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"eps_mev", "counts"} <= set(reader.fieldnames):
-            raise DataFormatError(f"{path}: expected columns eps_mev, counts[, err]")
-        has_err = "err" in reader.fieldnames
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                eps = float(row["eps_mev"])
-                counts = float(row["counts"])
-                err = float(row["err"]) if has_err and row["err"] not in (None, "") else 0.0
-                points.append(SpectrumPoint(eps, counts, err))
-            except (TypeError, ValueError) as exc:
-                raise DataFormatError(f"{path}: bad row on line {lineno}: {exc}") from exc
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.DictReader(handle)
+            if reader.fieldnames is None or not {"eps_mev", "counts"} <= set(reader.fieldnames):
+                raise DataFormatError(f"{path}: expected columns eps_mev, counts[, err]")
+            has_err = "err" in reader.fieldnames
+            for lineno, row in enumerate(reader, start=2):
+                try:
+                    eps = float(row["eps_mev"])
+                    counts = float(row["counts"])
+                    err = float(row["err"]) if has_err and row["err"] not in (None, "") else 0.0
+                    points.append(SpectrumPoint(eps, counts, err))
+                except (TypeError, ValueError) as exc:
+                    raise DataFormatError(f"{path}: bad row on line {lineno}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
     if not points:
         raise DataFormatError(f"{path}: no data rows")
     return points

@@ -242,8 +242,22 @@ class TestFit:
         assert code == 3
         assert "numerical error" in err
 
+    def test_underdetermined_bin_is_named(self, capsys, tmp_path):
+        # per-bin needs 6 angles in every bin; joint pools the 13 points
+        datasets = synth_dataset(TRUTH, [1200.0], np.linspace(30.0, 150.0, 8), 0.05, 13)
+        datasets += synth_dataset(TRUTH, [650.0], np.linspace(30.0, 150.0, 5), 0.05, 14)
+        datasets[1].bin_label = "short"
+        path = tmp_path / "angular.csv"
+        write_angular_csv(path, datasets)
+        code, _, err = run(capsys, "fit", str(path), "--mode", "per-bin", "--starts", "2")
+        assert code == 3
+        assert err.startswith("photoevap: numerical error: ") and "'short'" in err
+        code, _, err = run(capsys, "fit", str(path), "--starts", "2")
+        assert code == 0, err
+
 
 SAMPLE_ANGULAR = Path(__file__).resolve().parents[1] / "sample_data" / "angular_bi_gp.csv"
+SAMPLE_SPECTRUM = SAMPLE_ANGULAR.with_name("spectrum_bi_gp.csv")
 
 
 class TestFitResidualTable:
@@ -362,6 +376,7 @@ class TestBadInputExitsCleanly:
         code, out, err = run(capsys, *(token.format(bad=bad, good=good) for token in argv))
         self.assert_clean(code, out, err, 2)
         assert err.startswith("photoevap: ") and err.count("\n") == 1
+        assert str(bad) in err  # with two input files, the message says which one
 
     @pytest.mark.parametrize(
         "text, message",
@@ -516,6 +531,33 @@ class TestTimes:
         )
         assert code == 1
         assert "suffix" in err
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            TestModel.ARGS,
+            ("fit", str(SAMPLE_ANGULAR), "--starts", "2"),
+            ("spectrum", str(SAMPLE_SPECTRUM), "-A", "208", "-Z", "82"),
+            ("exciton", "-A", "208", "-E", "6.3"),
+            TestTimes.ARGS,
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_schema_and_command_lead_and_output_file_matches_stdout(
+        self, capsys, tmp_path, argv
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert list(payload)[:2] == ["schema_version", "command"]
+        assert payload["schema_version"] == 1 and payload["command"] == argv[0]
+        target = tmp_path / "out.json"
+        code, to_stdout, err = run(capsys, *argv, "--output", str(target))
+        assert code == 0, err
+        assert to_stdout == ""
+        assert target.read_bytes() == out.encode()
 
 
 class TestConfigFile:
