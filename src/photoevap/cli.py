@@ -337,7 +337,7 @@ def _load_config_tokens(path: str) -> list[str]:
     """Flat key = value lines -> option tokens, inserted before user flags."""
     tokens = []
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for lineno, line in enumerate(handle, start=1):
                 text = line.split("#", 1)[0].strip()
                 if not text:

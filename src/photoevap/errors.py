@@ -1,5 +1,14 @@
 """Exception types shared by the library and mapped to CLI exit codes."""
 
+__all__ = [
+    "DataFormatError",
+    "DegenerateModelError",
+    "InvalidPointError",
+    "PhotoevapError",
+    "UnderdeterminedError",
+    "UnscalablePointError",
+]
+
 
 class PhotoevapError(Exception):
     """Base class for all package-specific errors."""

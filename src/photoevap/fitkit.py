@@ -18,14 +18,14 @@ analytic gradient J^T r.  Both searches share one model evaluation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
-from .errors import DataFormatError, DegenerateModelError, UnderdeterminedError
+from ._csvfile import read_csv
+from .errors import DegenerateModelError, UnderdeterminedError
 from .xsection import (
     ChannelConfig,
     DEFAULT_CONFIG,
@@ -52,6 +52,7 @@ _START_HI = np.array([math.log(10.0)] * 3 + [math.log1p(100.0)])
 _BOUND_LO = [math.log(1e-6)] * 3 + [0.0]
 _BOUND_HI = [math.log(1e4)] * 3 + [math.log1p(1e4)]
 _NORM_BOUND = 40.0
+_MACHINE_EPS = float(np.finfo(float).eps)  # scipy refuses tolerances below it
 
 
 @dataclass
@@ -102,43 +103,23 @@ def read_angular_csv(path) -> list[AngularDataset]:
     Columns: bin_label, theta_deg, yield and optional err.  A missing err
     column yields unit weights; callers should warn about that.
     """
-    groups: dict[str, list[tuple[float, float, float | None]]] = {}
-    try:
-        with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            required = {"bin_label", "theta_deg", "yield"}
-            if reader.fieldnames is None or not required <= set(reader.fieldnames):
-                raise DataFormatError(f"{path}: expected columns bin_label, theta_deg, yield[, err]")
-            has_err = "err" in reader.fieldnames
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    label = row["bin_label"]
-                    theta = float(row["theta_deg"])
-                    value = float(row["yield"])
-                    err = float(row["err"]) if has_err and row["err"] not in (None, "") else None
-                except (TypeError, ValueError) as exc:
-                    raise DataFormatError(f"{path}: bad row on line {lineno}: {exc}") from exc
-                groups.setdefault(label, []).append((theta, value, err))
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    if not groups:
-        raise DataFormatError(f"{path}: no data rows")
-    datasets = []
-    for label, rows in groups.items():
-        errs = [e for _, _, e in rows]
-        use_errs = None if any(e is None for e in errs) else np.array(errs)
-        try:
-            datasets.append(
-                AngularDataset(
-                    label,
-                    np.array([t for t, _, _ in rows]),
-                    np.array([v for _, v, _ in rows]),
-                    use_errs,
-                )
-            )
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: {exc}") from exc
-    return datasets
+
+    def convert(row):
+        err = float(row["err"]) if row.get("err") else None
+        return row["bin_label"], float(row["theta_deg"]), float(row["yield"]), err
+
+    def build(rows):
+        groups: dict[str, list[list]] = {}
+        for label, *point in rows:
+            groups.setdefault(label, []).append(point)
+        datasets = []
+        for label, points in groups.items():
+            thetas, values, errs = zip(*points)
+            use_errs = None if None in errs else np.array(errs)
+            datasets.append(AngularDataset(label, np.array(thetas), np.array(values), use_errs))
+        return datasets
+
+    return read_csv(path, ("bin_label", "theta_deg", "yield"), convert, build, optional=("err",))
 
 
 @dataclass(frozen=True)
@@ -368,6 +349,8 @@ def fit_angular(
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if tol < _MACHINE_EPS:
+        raise ValueError(f"tol must be >= machine epsilon {_MACHINE_EPS!r}, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 

@@ -15,13 +15,13 @@ report converts widths to lifetimes via tau = hbar / Gamma.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvfile import read_csv
 from .constants import AMU_MEV, E2_MEV_FM, HBAR_EV_S, HBARC_MEV_FM, R0_FM
 from .errors import (
     DataFormatError,
@@ -169,21 +169,10 @@ class SigmaInvTable:
 
     @classmethod
     def from_csv(cls, path) -> "SigmaInvTable":
-        eps, sigma = [], []
-        try:
-            with open(path, newline="") as handle:
-                reader = csv.DictReader(handle)
-                if reader.fieldnames is None or not {"eps_mev", "sigma_fm2"} <= set(reader.fieldnames):
-                    raise DataFormatError(f"{path}: expected columns eps_mev, sigma_fm2")
-                for lineno, row in enumerate(reader, start=2):
-                    try:
-                        eps.append(float(row["eps_mev"]))
-                        sigma.append(float(row["sigma_fm2"]))
-                    except (TypeError, ValueError) as exc:
-                        raise DataFormatError(f"{path}: bad number on line {lineno}") from exc
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: {exc}") from exc
-        return cls(tuple(eps), tuple(sigma))
+        def convert(row):
+            return float(row["eps_mev"]), float(row["sigma_fm2"])
+
+        return read_csv(path, ("eps_mev", "sigma_fm2"), convert, lambda rows: cls(*zip(*rows)))
 
     def __call__(self, eps: float) -> float:
         if eps < self.eps[0] or eps > self.eps[-1]:
@@ -195,26 +184,12 @@ class SigmaInvTable:
 
 def read_spectrum_csv(path) -> list[SpectrumPoint]:
     """Load a spectrum CSV with columns eps_mev, counts and optional err."""
-    points = []
-    try:
-        with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None or not {"eps_mev", "counts"} <= set(reader.fieldnames):
-                raise DataFormatError(f"{path}: expected columns eps_mev, counts[, err]")
-            has_err = "err" in reader.fieldnames
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    eps = float(row["eps_mev"])
-                    counts = float(row["counts"])
-                    err = float(row["err"]) if has_err and row["err"] not in (None, "") else 0.0
-                    points.append(SpectrumPoint(eps, counts, err))
-                except (TypeError, ValueError) as exc:
-                    raise DataFormatError(f"{path}: bad row on line {lineno}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    if not points:
-        raise DataFormatError(f"{path}: no data rows")
-    return points
+
+    def convert(row):
+        err = float(row["err"]) if row.get("err") else 0.0
+        return SpectrumPoint(float(row["eps_mev"]), float(row["counts"]), err)
+
+    return read_csv(path, ("eps_mev", "counts"), convert, list, optional=("err",))
 
 
 def scale_spectrum(

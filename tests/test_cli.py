@@ -350,8 +350,9 @@ class TestBadInputExitsCleanly:
             (["--tol", "nan"], "tol must be finite"),
             (["--tol", "inf"], "tol must be finite"),
             (["--max-iter", "0"], "max_iter must be >= 1"),
+            (["--tol", "1e-17"], "tol must be"),
         ],
-        ids=["tol-nan", "tol-inf", "max-iter-0"],
+        ids=["tol-nan", "tol-inf", "max-iter-0", "tol-below-eps"],
     )
     def test_unusable_stopping_rule_is_usage_error(self, capsys, option, message):
         code, out, err = run(capsys, "fit", str(SAMPLE_ANGULAR), "--starts", "2", *option)
@@ -365,33 +366,50 @@ class TestBadInputExitsCleanly:
             ["spectrum", "{bad}", "-A", "208", "-Z", "82"],
             ["spectrum", "{good}", "-A", "208", "-Z", "82", "--sigma-inv-table", "{bad}"],
             ["model", "--config", "{bad}"],
+            ["spectrum", "{late}", "-A", "208", "-Z", "82"],
         ],
-        ids=["fit-data", "spectrum-data", "table", "config"],
+        ids=["fit-data", "spectrum-data", "table", "config", "spectrum-data-late"],
     )
     def test_undecodable_file_is_data_error(self, capsys, tmp_path, argv):
         bad = tmp_path / "latin1.csv"
         bad.write_bytes("eps_mev,counts\n3.0,120.0 \u00b5\n".encode("latin-1"))  # not UTF-8
+        # the bad byte lies beyond the first decoded chunk, so it fails in the row loop
+        late = tmp_path / "late.csv"
+        late.write_bytes(("eps_mev,counts\n" + "3.0,120.0\n" * 2000 + "4.0,80.0 \u00b5\n").encode("latin-1"))
         good = tmp_path / "spectrum.csv"
         good.write_text("eps_mev,counts\n3.0,120.0\n4.0,80.0\n5.0,40.0\n6.0,20.0\n")
-        code, out, err = run(capsys, *(token.format(bad=bad, good=good) for token in argv))
+        code, out, err = run(capsys, *(token.format(bad=bad, late=late, good=good) for token in argv))
         self.assert_clean(code, out, err, 2)
         assert err.startswith("photoevap: ") and err.count("\n") == 1
-        assert str(bad) in err  # with two input files, the message says which one
+        # with two input files, the message says which one
+        assert str(late if "{late}" in argv else bad) in err
 
     @pytest.mark.parametrize(
-        "text, message",
+        "name, text, message",
         [
-            ("eps_mev,counts\n3.0,120.0\n4.0\n5.0,40.0\n", "bad row on line 3"),
-            ("eps_mev,counts\n", "no data rows"),
+            ("spectrum.csv", "eps_mev,counts\n3.0,120.0\n4.0\n5.0,40.0\n", "bad row on line 3"),
+            ("spectrum.csv", "eps_mev,counts\n", "no data rows"),
+            ("spectrum.csv", "eps_mev,counts\n3.0,120.0\n\n4.0\n5.0,40.0\n", "bad row on line 4"),
+            ("spectrum.csv", "eps_mev,counts\n3.0," + "9" * 200_000 + "\n", "field limit"),
+            ("table.csv", "eps_mev,sigma_fm2\n10.0,100.0\n0.5,100.0\n", "strictly increasing"),
+            ("table.csv", "eps_mev,sigma_fm2\n0.5,100.0\n5.0,nan\n10.0,100.0\n", "finite"),
+            ("table.csv", "eps_mev,sigma_fm2\n", "no data rows"),
+            ("table.csv", "eps_mev,sigma_fm2\n0.5,100.0\n", "at least two"),
         ],
-        ids=["short-row", "header-only"],
+        ids=[
+            "short-row", "header-only", "blank-line", "oversized-field",
+            "decreasing-table", "non-finite-table", "header-only-table", "one-row-table",
+        ],
     )
-    def test_malformed_spectrum_is_data_error(self, capsys, tmp_path, text, message):
-        path = tmp_path / "spectrum.csv"
+    def test_malformed_spectrum_is_data_error(self, capsys, tmp_path, name, text, message):
+        path = tmp_path / name
         path.write_text(text)
-        code, out, err = run(capsys, "spectrum", str(path), "-A", "208", "-Z", "82")
+        data = SAMPLE_SPECTRUM if name == "table.csv" else path
+        table = ["--sigma-inv-table", str(path)] if name == "table.csv" else []
+        code, out, err = run(capsys, "spectrum", str(data), "-A", "208", "-Z", "82", *table)
         self.assert_clean(code, out, err, 2)
-        assert err.startswith("photoevap: data error: ") and message in err
+        # the path tells the table from the spectrum it scales
+        assert err.startswith(f"photoevap: data error: {path}: ") and message in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -672,6 +690,45 @@ class TestTopLevel:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "{data}", "--starts", "2"],
+            ["model", "--config", "{config}"],
+            ["spectrum", "{spectrum}", "-A", "208", "-Z", "82"],
+        ],
+        ids=["fit-data", "config", "spectrum-data-bom"],
+    )
+    def test_utf8_input_reads_in_an_ascii_locale(self, tmp_path, argv):
+        data = tmp_path / "angular.csv"
+        data.write_text(SAMPLE_ANGULAR.read_text().replace("E55,", "E\u03b355,"), encoding="utf-8")
+        # "utf-8-sig" writes the byte-order mark that spreadsheet exports put first
+        config = tmp_path / "model.cfg"
+        config.write_text("# \u03c3 model\nA = 0.082\nB = 0.47\nC = 0.37\nr = 0.11\n", encoding="utf-8-sig")
+        spectrum = tmp_path / "spectrum.csv"
+        spectrum.write_text(SAMPLE_SPECTRUM.read_text(), encoding="utf-8-sig")
+        import_root = Path(photoevap.__file__).resolve().parents[1]
+        # the C locale with its UTF-8 coercion and UTF-8 mode both off: ASCII by default
+        env = dict(
+            os.environ, PYTHONPATH=str(import_root), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0"
+        )
+        tokens = (token.format(data=data, config=config, spectrum=spectrum) for token in argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "photoevap.cli", *tokens],
+            capture_output=True,
+            cwd=tmp_path,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_package_lists_each_module_export_once(self):
+        from photoevap import angmom, errors, fitkit, thermo, xsection
+
+        names = [name for module in (angmom, errors, fitkit, thermo, xsection) for name in module.__all__]
+        assert len(set(names)) == len(names)
+        assert sorted(photoevap.__all__) == sorted([*names, "__version__"])
+        assert all(hasattr(photoevap, name) for name in photoevap.__all__)
 
     @pytest.mark.skipif(
         shutil.which("photoevap") is None,

@@ -350,6 +350,7 @@ class TestFitAngular:
             ({"tol": 0.0}, "tol must be finite and > 0"),
             ({"tol": -1e-8}, "tol must be finite and > 0"),
             ({"max_iter": 0}, "max_iter must be >= 1"),
+            ({"tol": 1e-17}, "tol must be >= machine epsilon"),
         ],
     )
     def test_rejects_unusable_stopping_rules(self, kwargs, message):

@@ -236,6 +236,23 @@ class TestSigmaInvTable:
         with pytest.raises(DataFormatError, match="line 3"):
             SigmaInvTable.from_csv(path)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("2.0,10.0\n1.0,20.0\n", "strictly increasing"),
+            ("1.0,10.0\n2.0,inf\n", "must be finite"),
+            ("", "no data rows"),
+            ("1.0,10.0\n", "at least two"),
+        ],
+        ids=["decreasing", "non-finite", "header-only", "one-row"],
+    )
+    def test_csv_rejected_table_names_its_file(self, tmp_path, rows, message):
+        path = tmp_path / "table.csv"
+        path.write_text("eps_mev,sigma_fm2\n" + rows)
+        with pytest.raises(DataFormatError, match=message) as info:
+            SigmaInvTable.from_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
+
 
 class TestReadSpectrumCsv:
     def test_reads_with_errors(self, tmp_path):
