@@ -6,7 +6,10 @@ spins stay exact.  Public functions accept plain numbers (``1``, ``0.5``),
 instances.
 
 Clebsch-Gordan and 6j coefficients are evaluated from the closed Racah
-sums with a precomputed log-factorial table and signed exponent summation.
+sums (G. Racah, Phys. Rev. 62, 438 (1942)) in exact integer arithmetic:
+the squared prefactor and every term are integer ratios, the terms are
+summed over the lcm of their denominators, and the exact square is
+rounded to float once before the one square root.
 Arguments are converted to doubled integers once, at the public boundary;
 the Clebsch-Gordan and 6j kernels are memoised on those integers with
 :func:`functools.cache`, and every composite coefficient calls the kernels
@@ -40,10 +43,6 @@ __all__ = [
 SpinLike = Union["AngularMomentum", int, float, str, Fraction]
 
 _MAX_TWO_J = 40
-
-# log(n!) for n = 0..200, ample for every factorial reached at 2j <= 40
-_LOG_FACT = tuple(math.lgamma(n + 1) for n in range(201))
-
 
 def _doubled(value: SpinLike) -> int:
     """Twice the numeric value, required to be integral."""
@@ -123,61 +122,42 @@ def triangle_ok(a: SpinLike, b: SpinLike, c: SpinLike) -> bool:
     return _triangle_two(two_j_of(a), two_j_of(b), two_j_of(c))
 
 
-def _signed_exp_sum(signs_logs: list[tuple[int, float]]) -> tuple[float, float]:
-    """(sum of sign * exp(log - top), top) with top the largest exponent."""
-    if not signs_logs:
-        return 0.0, 0.0
-    top = max(lt for _, lt in signs_logs)
-    acc = 0.0
-    for sign, lt in signs_logs:
-        acc += sign * math.exp(lt - top)
-    return acc, top
+def _signed_sqrt(pre_num: int, pre_den: int, terms: list[tuple[int, int]]) -> float:
+    """sign(S) sqrt(pre_num / pre_den * S^2) for the exact sum S of num / den over terms.
+
+    S is summed over the lcm of the denominators and the square is rounded
+    to float once, by integer true division, before the one sqrt.
+    """
+    common = math.lcm(*(den for _, den in terms))
+    total = sum(num * (common // den) for num, den in terms)
+    if total == 0:
+        return 0.0
+    square = pre_num * total * total / (pre_den * common * common)
+    return math.copysign(math.sqrt(square), total)
 
 
 @cache
 def _cg_two(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> float:
     """Clebsch-Gordan evaluation on doubled arguments."""
-    if tm != tm1 + tm2:
+    if tm != tm1 + tm2 or not _triangle_two(tj1, tj2, tj):
         return 0.0
-    if not _triangle_two(tj1, tj2, tj):
-        return 0.0
+    f = math.factorial
     p1 = (tj1 + tj2 - tj) // 2
-    p2 = (tj1 - tj2 + tj) // 2
-    p3 = (-tj1 + tj2 + tj) // 2
-    q = (tj1 + tj2 + tj) // 2 + 1
-    a1 = (tj1 + tm1) // 2
     b1 = (tj1 - tm1) // 2
     a2 = (tj2 + tm2) // 2
-    b2 = (tj2 - tm2) // 2
-    aj = (tj + tm) // 2
-    bj = (tj - tm) // 2
-    log_pre = 0.5 * (
-        math.log(tj + 1.0)
-        + _LOG_FACT[p1] + _LOG_FACT[p2] + _LOG_FACT[p3] - _LOG_FACT[q]
-        + _LOG_FACT[a1] + _LOG_FACT[b1]
-        + _LOG_FACT[a2] + _LOG_FACT[b2]
-        + _LOG_FACT[aj] + _LOG_FACT[bj]
-    )
+    c1 = (tj - tj2 + tm1) // 2
+    c2 = (tj - tj1 - tm2) // 2
+    # (2j+1) Delta(j1 j2 j)^2 (j1+m1)! (j1-m1)! (j2+m2)! (j2-m2)! (j+m)! (j-m)!
+    pre_num = (tj + 1) * f(p1) * f((tj1 - tj2 + tj) // 2) * f((tj2 - tj1 + tj) // 2)
+    for two_j, two_m in ((tj1, tm1), (tj2, tm2), (tj, tm)):
+        pre_num *= f((two_j + two_m) // 2) * f((two_j - two_m) // 2)
+    pre_den = f((tj1 + tj2 + tj) // 2 + 1)
     # k range keeps every factorial argument non-negative
-    k_lo = max(0, (tj2 - tj - tm1) // 2, (tj1 - tj + tm2) // 2)
-    k_hi = min(p1, b1, a2)
-    terms = []
-    for k in range(k_lo, k_hi + 1):
-        log_term = -(
-            _LOG_FACT[k]
-            + _LOG_FACT[p1 - k]
-            + _LOG_FACT[b1 - k]
-            + _LOG_FACT[a2 - k]
-            + _LOG_FACT[(tj - tj2 + tm1) // 2 + k]
-            + _LOG_FACT[(tj - tj1 - tm2) // 2 + k]
-        )
-        terms.append((-1 if k % 2 else 1, log_term))
-    if not terms:
-        return 0.0
-    acc, top = _signed_exp_sum(terms)
-    if acc == 0.0:
-        return 0.0
-    return acc * math.exp(top + log_pre)
+    terms = [
+        ((-1) ** k, f(k) * f(p1 - k) * f(b1 - k) * f(a2 - k) * f(c1 + k) * f(c2 + k))
+        for k in range(max(0, -c1, -c2), min(p1, b1, a2) + 1)
+    ]
+    return _signed_sqrt(pre_num, pre_den, terms)
 
 
 def clebsch_gordan(
@@ -201,37 +181,21 @@ def clebsch_gordan(
 def _6j_two(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> float:
     """6j evaluation {a b c; d e f} on doubled arguments."""
     triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
-    for x, y, z in triads:
-        if not _triangle_two(x, y, z):
-            return 0.0
-
-    def log_delta(x: int, y: int, z: int) -> float:
-        return (
-            _LOG_FACT[(x + y - z) // 2]
-            + _LOG_FACT[(x - y + z) // 2]
-            + _LOG_FACT[(-x + y + z) // 2]
-            - _LOG_FACT[(x + y + z) // 2 + 1]
-        )
-
-    log_pre = 0.5 * sum(log_delta(*t) for t in triads)
-    s1 = (ta + tb + tc) // 2
-    s2 = (ta + te + tf) // 2
-    s3 = (td + tb + tf) // 2
-    s4 = (td + te + tc) // 2
-    p1 = (ta + tb + td + te) // 2
-    p2 = (tb + tc + te + tf) // 2
-    p3 = (tc + ta + tf + td) // 2
-    terms = []
-    for t in range(max(s1, s2, s3, s4), min(p1, p2, p3) + 1):
-        log_term = _LOG_FACT[t + 1] - (
-            _LOG_FACT[t - s1] + _LOG_FACT[t - s2] + _LOG_FACT[t - s3] + _LOG_FACT[t - s4]
-            + _LOG_FACT[p1 - t] + _LOG_FACT[p2 - t] + _LOG_FACT[p3 - t]
-        )
-        terms.append((-1 if t % 2 else 1, log_term))
-    acc, top = _signed_exp_sum(terms)
-    if acc == 0.0:
+    if not all(_triangle_two(*t) for t in triads):
         return 0.0
-    return acc * math.exp(top + log_pre)
+    f = math.factorial
+    # product of the four Delta(x y z)^2 = (x+y-z)! (x-y+z)! (-x+y+z)! / (x+y+z+1)!
+    pre_num = pre_den = 1
+    for x, y, z in triads:
+        pre_num *= f((x + y - z) // 2) * f((x - y + z) // 2) * f((y + z - x) // 2)
+        pre_den *= f((x + y + z) // 2 + 1)
+    sums = [(x + y + z) // 2 for x, y, z in triads]
+    pairs = ((ta + tb + td + te) // 2, (tb + tc + te + tf) // 2, (tc + ta + tf + td) // 2)
+    terms = []
+    for t in range(max(sums), min(pairs) + 1):
+        den = math.prod(f(t - s) for s in sums) * math.prod(f(p - t) for p in pairs)
+        terms.append(((-1) ** t * f(t + 1), den))
+    return _signed_sqrt(pre_num, pre_den, terms)
 
 
 def wigner_6j(

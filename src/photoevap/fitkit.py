@@ -101,23 +101,22 @@ def read_angular_csv(path) -> list[AngularDataset]:
     """Load angular data grouped by bin_label (column order of appearance).
 
     Columns: bin_label, theta_deg, yield and optional err.  A missing err
-    column yields unit weights; callers should warn about that.
+    column yields unit weights; callers should warn about that.  With the
+    column, every row needs a number there: a blank cell is a bad row.
     """
 
     def convert(row):
-        err = float(row["err"]) if row.get("err") else None
-        return row["bin_label"], float(row["theta_deg"]), float(row["yield"]), err
+        point = [row["bin_label"], float(row["theta_deg"]), float(row["yield"])]
+        if "err" in row:
+            point.append(float(row["err"]))
+        return point
 
     def build(rows):
         groups: dict[str, list[list]] = {}
         for label, *point in rows:
             groups.setdefault(label, []).append(point)
-        datasets = []
-        for label, points in groups.items():
-            thetas, values, errs = zip(*points)
-            use_errs = None if None in errs else np.array(errs)
-            datasets.append(AngularDataset(label, np.array(thetas), np.array(values), use_errs))
-        return datasets
+        # (thetas, yields) or (thetas, yields, errors), per bin
+        return [AngularDataset(label, *zip(*points)) for label, points in groups.items()]
 
     return read_csv(path, ("bin_label", "theta_deg", "yield"), convert, build, optional=("err",))
 
@@ -276,16 +275,19 @@ def chi_square(
     datasets: list[AngularDataset],
     config: ChannelConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Sum over points of ((yield - norm_k * sigma(theta)) / err)^2."""
+    """Sum over points of ((yield - norm_k * sigma(theta)) / err)^2.
+
+    sigma comes from :func:`legendre_coefficients` on the fit's stacked
+    design rows, with linear norms, so every valid shape (A = 0 included)
+    and a zero norm are accepted.
+    """
     norms = list(norms)
     if len(norms) != len(datasets):
         raise ValueError(f"{len(norms)} norms for {len(datasets)} datasets")
     problem = _FitProblem(datasets, config)
-    x = np.array(
-        [math.log(params.A), math.log(params.B), math.log(params.C), math.log1p(params.r)]
-        + [math.log(n) for n in norms]
-    )
-    return problem.chi2(x)
+    coeff = np.array(legendre_coefficients(params, config).coefficients)
+    res = problem._targets - (np.array(norms) @ problem._membership) * (problem._design @ coeff)
+    return float(res @ res)
 
 
 def _lattice_starts(n_starts: int, seed) -> np.ndarray:

@@ -183,10 +183,14 @@ class SigmaInvTable:
 
 
 def read_spectrum_csv(path) -> list[SpectrumPoint]:
-    """Load a spectrum CSV with columns eps_mev, counts and optional err."""
+    """Load a spectrum CSV with columns eps_mev, counts and optional err.
+
+    A missing err column gives err = 0 on every point; with the column,
+    every row needs a number there, and a blank cell is a bad row.
+    """
 
     def convert(row):
-        err = float(row["err"]) if row.get("err") else 0.0
+        err = float(row["err"]) if "err" in row else 0.0
         return SpectrumPoint(float(row["eps_mev"]), float(row["counts"]), err)
 
     return read_csv(path, ("eps_mev", "counts"), convert, list, optional=("err",))
@@ -240,8 +244,11 @@ def fit_temperature(points: list[SpectrumPoint], eps_max: float) -> TemperatureF
     and the slope variance is estimated from the residual scatter.  The
     sums use weights relative to the heaviest point and offsets from it,
     centred on the weighted mean, so a dominant point neither cancels the
-    energy spread nor overflows.
+    energy spread nor overflows.  A NaN ``eps_max`` raises ``ValueError``;
+    an infinite one keeps every point.
     """
+    if math.isnan(eps_max):
+        raise ValueError(f"eps_max must be a number, got {eps_max!r}")
     usable = [p for p in points if p.eps <= eps_max]
     if len(usable) < 3:
         raise UnderdeterminedError(

@@ -1,10 +1,13 @@
 """Recoupling coefficients against an exact rational oracle.
 
 The oracle (tests/oracles.py) evaluates the same closed sums with
-fractions.Fraction big-integer arithmetic, so agreement here checks the
-log-factorial evaluation path end to end.  A sample of oracle values is
-itself cross-checked against sympy.physics.wigner in
-test_oracle_matches_sympy, keeping the two routes honest.
+fractions.Fraction big-integer arithmetic and shares no code with the
+package.  Both round one exact square to float and take one square root,
+so Clebsch-Gordan, 6j and Racah W values must equal the oracle bit for
+bit; only the Z coefficient, a product of floats, keeps a tolerance.  A
+sample of oracle values is itself cross-checked against
+sympy.physics.wigner in test_oracle_matches_sympy, keeping the two routes
+honest.
 """
 
 import math
@@ -42,6 +45,47 @@ def spins_up_to(two_j_max):
 def projections(j):
     two_j = int(2 * j)
     return [j - k for k in range(two_j + 1)]
+
+
+# couplings at 2j in 20..40 whose exact value is 0 although every selection
+# rule allows a nonzero one; doubled (j1, m1, j2, m2, j, m) and {a b c; d e f}
+CG_ACCIDENTAL_ZEROS = [
+    (39, 1, 40, -2, 39, -1),
+    (27, 5, 35, -19, 24, -14),
+    (36, -2, 37, 1, 37, -1),
+    (24, -2, 22, 4, 24, 2),
+    (20, 6, 25, -9, 21, -3),
+]
+SIX_J_ACCIDENTAL_ZEROS = [(20, 36, 20, 36, 22, 26), (37, 23, 36, 21, 21, 24)]
+
+
+def halves(doubled):
+    return [Fraction(t, 2) for t in doubled]
+
+
+def high_spin_cg_cases(count=200, seed=20):
+    """Seeded doubled (j1, m1, j2, m2, j, m), every 2j in 20..40, then the accidental zeros."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        tj1, tj2, tj = (int(t) for t in rng.integers(20, 41, 3))
+        tm1 = 2 * int(rng.integers(0, tj1 + 1)) - tj1
+        tm2 = 2 * int(rng.integers(0, tj2 + 1)) - tj2
+        if angmom._triangle_two(tj1, tj2, tj) and abs(tm1 + tm2) <= tj:
+            cases.append((tj1, tm1, tj2, tm2, tj, tm1 + tm2))
+    return cases + CG_ACCIDENTAL_ZEROS
+
+
+def high_spin_6j_cases(count=200, seed=40):
+    """Seeded doubled {a b c; d e f} with all four triads allowed, then the accidental zeros."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        ta, tb, tc, td, te, tf = (int(t) for t in rng.integers(20, 41, 6))
+        triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
+        if all(angmom._triangle_two(*t) for t in triads):
+            cases.append((ta, tb, tc, td, te, tf))
+    return cases + SIX_J_ACCIDENTAL_ZEROS
 
 
 class TestSpinParsing:
@@ -127,9 +171,17 @@ class TestClebschGordan:
                                 continue
                             got = clebsch_gordan(j1, m1, j2, m2, j, m)
                             want = cg_exact(j1, m1, j2, m2, j, m).value()
-                            assert got == pytest.approx(want, abs=ORACLE_TOL)
+                            assert got == want
                             checked += 1
         assert checked >= 500
+
+    def test_matches_exact_oracle_at_high_spin(self):
+        zeros = 0
+        for case in high_spin_cg_cases():
+            want = cg_exact(*halves(case)).value()
+            assert clebsch_gordan(*halves(case)) == want, case
+            zeros += want == 0.0
+        assert zeros >= len(CG_ACCIDENTAL_ZEROS)
 
     def test_orthogonality(self):
         # sum over m1, m2 of C(J M) C(J' M') = delta_JJ' delta_MM'
@@ -239,9 +291,17 @@ class TestWigner6j:
                             for f in grid:
                                 got = wigner_6j(a, b, c, d, e, f)
                                 want = six_j_exact(a, b, c, d, e, f).value()
-                                assert got == pytest.approx(want, abs=ORACLE_TOL)
+                                assert got == want
                                 checked += 1
         assert checked == 4**6
+
+    def test_matches_exact_oracle_at_high_spin(self):
+        zeros = 0
+        for case in high_spin_6j_cases():
+            want = six_j_exact(*halves(case)).value()
+            assert wigner_6j(*halves(case)) == want, case
+            zeros += want == 0.0
+        assert zeros >= len(SIX_J_ACCIDENTAL_ZEROS)
 
     def test_orthogonality(self):
         # sum_x (2x+1) {a b x; c d p} {a b x; c d q} = delta_pq / (2p+1),
@@ -275,7 +335,17 @@ class TestRacahW:
                             for f in grid:
                                 got = racah_w(a, b, c, d, e, f)
                                 want = racah_w_exact(a, b, c, d, e, f).value()
-                                assert got == pytest.approx(want, abs=ORACLE_TOL)
+                                assert got == want
+
+    def test_matches_exact_oracle_at_high_spin(self):
+        # W(a b c d; e f) reads the 6j {a b e; d c f}
+        zeros = 0
+        for ta, tb, te, td, tc, tf in high_spin_6j_cases():
+            args = halves((ta, tb, tc, td, te, tf))
+            want = racah_w_exact(*args).value()
+            assert racah_w(*args) == want, args
+            zeros += want == 0.0
+        assert zeros >= len(SIX_J_ACCIDENTAL_ZEROS)
 
     def test_pair_swap_symmetry(self):
         # W(a b c d; e f) = W(b a d c; e f) = W(c d a b; e f)

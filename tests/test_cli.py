@@ -49,13 +49,31 @@ def write_angular_csv(path, datasets, with_err=True):
 
 
 class TestCoeff:
-    def test_twelve_significant_digits(self, capsys):
-        code, out, _ = run(capsys, "coeff", "cg", "1", "-1", "1", "1", "2", "0")
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["cg", "1", "-1", "1", "1", "2", "0"], "0.408248290464"),
+            # the exact 6j is -0.005029406456867957...
+            (["w6j", "20", "20", "20", "20", "20", "20"], "-0.00502940645687"),
+        ],
+        ids=["cg", "w6j-high-spin"],
+    )
+    def test_twelve_significant_digits(self, capsys, argv, expected):
+        code, out, _ = run(capsys, "coeff", *argv)
         assert code == 0
-        assert out.strip() == "0.408248290464"
+        assert out.strip() == expected
 
-    def test_zero_prints_bare_zero(self, capsys):
-        code, out, _ = run(capsys, "coeff", "cg", "1", "-1", "1", "1", "2", "1")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cg", "1", "-1", "1", "1", "2", "1"],
+            # an accidental zero: every selection rule allows a nonzero value
+            ["cg", "19.5", "0.5", "20", "--", "-1", "19.5", "-0.5"],
+        ],
+        ids=["selection-rule", "accidental-high-spin"],
+    )
+    def test_zero_prints_bare_zero(self, capsys, argv):
+        code, out, _ = run(capsys, "coeff", *argv)
         assert code == 0
         assert out.strip() == "0"
 
@@ -479,11 +497,15 @@ class TestSpectrum:
         )
         assert code == 3
 
-    def test_bad_nucleus_is_usage_error(self, capsys, spectrum_csv):
-        code, _, _ = run(
-            capsys, "spectrum", str(spectrum_csv), "-A", "208", "-Z", "300"
-        )
+    @pytest.mark.parametrize(
+        "option, message",
+        [(["-Z", "300"], ""), (["-Z", "82", "--eps-max", "nan"], "eps_max")],
+        ids=["bad-nucleus", "eps-max-nan"],
+    )
+    def test_bad_option_is_usage_error(self, capsys, spectrum_csv, option, message):
+        code, _, err = run(capsys, "spectrum", str(spectrum_csv), "-A", "208", *option)
         assert code == 1
+        assert message in err
 
 
 class TestExciton:

@@ -1,6 +1,7 @@
 """Dataset handling, chi-square bookkeeping and multi-start fitting."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -102,12 +103,14 @@ class TestReadAngularCsv:
         datasets = read_angular_csv(self.write(tmp_path, "\n".join(rows) + "\n"))
         assert datasets[0].unit_weights
 
-    def test_partially_empty_err_gives_unit_weights(self, tmp_path):
+    def test_blank_err_cell_is_data_error(self, tmp_path):
+        # with the err column, one blank cell must not unweight its whole bin
         rows = ["bin_label,theta_deg,yield,err"]
         rows += [f"b,{t},5.0,0.5" for t in (30, 60, 90, 120)]
         rows += ["b,150,5.0,"]
-        datasets = read_angular_csv(self.write(tmp_path, "\n".join(rows) + "\n"))
-        assert datasets[0].unit_weights
+        path = self.write(tmp_path, "\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: bad row on line 6")):
+            read_angular_csv(path)
 
     def test_bad_header_raises(self, tmp_path):
         path = self.write(tmp_path, "angle,yield\n30,5\n")
@@ -137,14 +140,23 @@ class TestChiSquare:
         datasets = synth_dataset(TRUTH, NORMS, THETAS, 0.0, None)
         assert chi_square(TRUTH, NORMS, datasets) < 1e-18
 
-    def test_matches_direct_computation(self):
+    @pytest.mark.parametrize(
+        "params, norms",
+        [
+            (TRUTH, NORMS),
+            (ShapeParams(A=0.0, B=0.47, C=0.37, r=0.11), NORMS),  # pure dipole
+            (TRUTH, [1200.0, 0.0, 610.0]),
+        ],
+        ids=["truth", "pure-dipole", "zero-norm"],
+    )
+    def test_matches_direct_computation(self, params, norms):
         datasets = make_noisy(seed=2)
-        series = legendre_coefficients(TRUTH)
+        series = legendre_coefficients(params)
         expected = 0.0
-        for ds, norm in zip(datasets, NORMS):
+        for ds, norm in zip(datasets, norms):
             model = norm * series.evaluate(np.deg2rad(ds.theta_deg))
             expected += float(np.sum(((ds.yields - model) / ds.errors) ** 2))
-        assert chi_square(TRUTH, NORMS, datasets) == pytest.approx(expected, rel=1e-12)
+        assert chi_square(params, norms, datasets) == pytest.approx(expected, rel=1e-12)
 
     def test_norm_count_mismatch_raises(self):
         datasets = make_noisy()

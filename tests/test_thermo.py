@@ -7,6 +7,7 @@ routes share no code.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -266,6 +267,19 @@ class TestReadSpectrumCsv:
         path = tmp_path / "spec.csv"
         path.write_text("eps_mev,counts\n1.0,100.0\n")
         assert read_spectrum_csv(path)[0].err == 0.0
+
+    def test_explicit_zero_err_is_kept(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        path.write_text("eps_mev,counts,err\n1.0,100.0,0\n")
+        assert read_spectrum_csv(path)[0].err == 0.0
+
+    @pytest.mark.parametrize("row", ["2.0,50.0,", "2.0,50.0"], ids=["blank-cell", "short-row"])
+    def test_missing_err_value_is_data_error(self, tmp_path, row):
+        # with the err column, a missing value must not silently unweight the fit
+        path = tmp_path / "spec.csv"
+        path.write_text(f"eps_mev,counts,err\n1.0,100.0,10.0\n{row}\n3.0,25.0,5.0\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}: bad row on line 3")):
+            read_spectrum_csv(path)
 
     def test_bad_header_raises(self, tmp_path):
         path = tmp_path / "spec.csv"
