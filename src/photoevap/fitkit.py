@@ -10,10 +10,13 @@ log B, log C, log(1+r)) and profiles the norms out by variable projection
 shape every norm takes its closed-form weighted projection, and the
 projected residual has an analytic Jacobian in Kaufman's form (BIT 15, 49
 (1975)).  The log space keeps positivity structural.  Restarts come from
-a deterministic additive-recurrence lattice over the shape box.  The
-covariance is still taken over the full (shape, log norm_k) vector: the
-Hessian of chi^2/2 at the optimum is the central difference of the
-analytic gradient J^T r.  Both searches share one model evaluation.
+a deterministic additive-recurrence lattice over the shape box, and all
+of them step together through one projected Levenberg-Marquardt
+iteration whose every step is one model evaluation at a stack of shapes.
+The covariance is still taken over the full (shape, log norm_k) vector:
+the Hessian of chi^2/2 at the optimum is the central difference of the
+analytic gradient J^T r.  The search and the covariance share one model
+evaluation, and numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -49,10 +52,11 @@ _N_SHAPE = 4  # log A, log B, log C, log(1+r)
 # start box (log space) and the wider optimiser bounds
 _START_LO = np.array([math.log(1e-3)] * 3 + [math.log1p(1e-3)])
 _START_HI = np.array([math.log(10.0)] * 3 + [math.log1p(100.0)])
-_BOUND_LO = [math.log(1e-6)] * 3 + [0.0]
-_BOUND_HI = [math.log(1e4)] * 3 + [math.log1p(1e4)]
+_BOUND_LO = np.array([math.log(1e-6)] * 3 + [0.0])
+_BOUND_HI = np.array([math.log(1e4)] * 3 + [math.log1p(1e4)])
 _NORM_BOUND = 40.0
-_MACHINE_EPS = float(np.finfo(float).eps)  # scipy refuses tolerances below it
+_MACHINE_EPS = float(np.finfo(float).eps)  # no stopping test can resolve less
+_AGREE_REL = math.sqrt(_MACHINE_EPS)  # chi^2 rounding scale: starts this close agree
 
 
 @dataclass
@@ -130,6 +134,11 @@ class FitResult:
     exceeds 100 (a log-space sigma of 10), or when a row of c_1..c_4 is
     structurally zero for the configuration (c_4 under "2I+1"), so fewer
     than four coefficients carry the four shape parameters.
+    ``converged`` is False when the best start hit the iteration cap.
+    ``n_starts_agreeing`` counts the starts whose chi-square ends within
+    sqrt(eps) ~ 1.5e-8 of the best, relative to max(1, best chi-square):
+    far above where starts at one optimum scatter, and independent of
+    the stopping tolerance.
     """
 
     params: ShapeParams
@@ -169,10 +178,12 @@ class _FitProblem:
     All bins share one stacked system of N rows: the design row of point
     i is P_0..P_4 at its angle over its error, its target the yield over
     the error, and the (K, N) 0/1 membership matrix marks which bin holds
-    each row, so no step loops over bins.  :meth:`_evaluate` is the one
-    model evaluation; :meth:`residuals_and_jacobian` takes the full
-    (shape, log norm_k) vector and :meth:`profiled` the shape alone,
-    with the norms profiled out.
+    each row, so no step loops over bins.  Every method takes a stack of
+    S points, one per row, and loops over neither points nor bins; a
+    single point is a stack of one.  :meth:`_evaluate` is the one model
+    evaluation; :meth:`residuals_and_jacobian` takes full
+    (shape, log norm_k) vectors and :meth:`profiled` shapes alone, with
+    the norms profiled out.
     """
 
     def __init__(self, datasets: list[AngularDataset], config: ChannelConfig):
@@ -193,22 +204,21 @@ class _FitProblem:
         if not math.isfinite(float(self._targets @ self._targets)):
             raise DegenerateModelError("chi-square overflows: yields too large for their errors")
         self._membership = np.repeat(np.eye(len(datasets)), [len(ds) for ds in datasets], axis=1)
-        self._last_key = None
 
     def _evaluate(self, shape_x: np.ndarray):
-        """(coeff, model, d_model) at the log-space shape x.
+        """(coeff, model, d_model) at the (S, 4) log-space shapes.
 
-        coeff is the normalised c_0..c_4, model the weighted model rows
-        design @ coeff and d_model their (N, 4) derivative, from the
-        analytic dc/dx = (D - c D_0) / raw_0 with D = M diag(m) Q the
-        derivative of the raw coefficients.
+        coeff (S, 5) is the normalised c_0..c_4, model (S, N) the
+        weighted model rows design @ coeff and d_model (S, N, 4) their
+        derivative, from the analytic dc/dx = (D - c D_0) / raw_0 with
+        D = M diag(m) Q the derivative of the raw coefficients.
         """
-        magnitude = np.exp(self._log_powers @ shape_x)
-        raw = self._matrix @ magnitude
-        coeff = raw / raw[0]
-        d_raw = self._matrix @ (magnitude[:, None] * self._log_powers)
-        d_coeff = (d_raw - np.outer(coeff, d_raw[0])) / raw[0]
-        return coeff, self._design @ coeff, self._design @ d_coeff
+        magnitude = np.exp(shape_x @ self._log_powers.T)
+        raw = magnitude @ self._matrix.T
+        coeff = raw / raw[:, :1]
+        d_raw = np.einsum("lj,sj,jp->slp", self._matrix, magnitude, self._log_powers)
+        d_coeff = (d_raw - coeff[:, :, None] * d_raw[:, None, 0]) / raw[:, :1, None]
+        return coeff, coeff @ self._design.T, np.einsum("nl,slp->snp", self._design, d_coeff)
 
     def params_of(self, x: np.ndarray) -> ShapeParams:
         return ShapeParams(
@@ -219,23 +229,27 @@ class _FitProblem:
         )
 
     def residuals_and_jacobian(self, x: np.ndarray):
-        """Weighted residuals and their Jacobian at the full (shape, log norm_k) x.
+        """Weighted residuals (S, N) and their Jacobians (S, N, 4 + K) at
+        the (S, 4 + K) full (shape, log norm_k) vectors.
 
         The shape columns are -n d_model; the column of log n_k is
         -n_k model on bin k's rows and zero elsewhere.
         """
-        _, model, d_model = self._evaluate(x[:_N_SHAPE])
-        row_norms = np.exp(x[_N_SHAPE:]) @ self._membership
+        _, model, d_model = self._evaluate(x[:, :_N_SHAPE])
+        row_norms = np.exp(x[:, _N_SHAPE:]) @ self._membership
         scaled = row_norms * model
-        jacobian = np.hstack([-row_norms[:, None] * d_model, -scaled[:, None] * self._membership.T])
+        jacobian = np.concatenate(
+            [-row_norms[:, :, None] * d_model, -scaled[:, :, None] * self._membership.T], axis=2
+        )
         return self._targets - scaled, jacobian
 
-    def chi2(self, x: np.ndarray) -> float:
+    def chi2(self, x: np.ndarray) -> np.ndarray:
         res = self.residuals_and_jacobian(x)[0]
-        return float(res @ res)
+        return np.einsum("sn,sn->s", res, res)
 
     def profiled(self, shape_x: np.ndarray):
-        """(residuals, Jacobian, norms) with each bin's norm profiled out.
+        """(residuals, Jacobians, norms) at the (S, 4) shapes, with each
+        bin's norm profiled out: (S, N), (S, N, 4) and (S, K).
 
         For the weighted model a_k and data b_k of bin k, the best norm
         n_k = <a_k, b_k> / <a_k, a_k>, clipped to the log-norm bounds,
@@ -243,30 +257,19 @@ class _FitProblem:
         The residual is b_k - n_k a_k, and its Jacobian is the projected
         one in Kaufman's form, -a_k dn_k - n_k da_k with
         dn_k = <b_k - 2 n_k a_k, da_k> / <a_k, a_k> (zero on a clipped bin).
-        The last evaluation is cached, since the optimiser asks for the
-        Jacobian at the point whose residuals it has just taken.
         """
-        key = shape_x.tobytes()
-        if key == self._last_key:
-            return self._last
         _, model, d_model = self._evaluate(shape_x)
-        model_sq = self._membership @ (model * model)
-        unclipped = (self._membership @ (model * self._targets)) / model_sq
+        model_sq = (model * model) @ self._membership.T
+        unclipped = ((model * self._targets) @ self._membership.T) / model_sq
         norms = np.clip(unclipped, math.exp(-_NORM_BOUND), math.exp(_NORM_BOUND))
         row_norms = norms @ self._membership
-        d_norms = (
-            self._membership
-            @ ((self._targets - 2.0 * row_norms * model)[:, None] * d_model)
-            / model_sq[:, None]
-        )
+        d_norms = np.einsum(
+            "kn,sn,snp->skp", self._membership, self._targets - 2.0 * row_norms * model, d_model
+        ) / model_sq[:, :, None]
         d_norms[norms != unclipped] = 0.0
-        out = (
-            self._targets - row_norms * model,
-            -model[:, None] * (self._membership.T @ d_norms) - row_norms[:, None] * d_model,
-            norms,
-        )
-        self._last_key, self._last = key, out
-        return out
+        jacobian = -model[:, :, None] * (self._membership.T @ d_norms)
+        jacobian -= row_norms[:, :, None] * d_model
+        return self._targets - row_norms * model, jacobian, norms
 
 
 def chi_square(
@@ -303,25 +306,89 @@ def _covariance(problem: _FitProblem, x: np.ndarray) -> np.ndarray:
     """Covariance from the Hessian of chi^2/2, floor-regularised.
 
     Column i of the Hessian is the central difference of the analytic
-    gradient J^T r along x_i with step h_i = 1e-4 * max(1, |x_i|), 2n
-    evaluations for n parameters; it is symmetrised before inversion.
-    Directions with (near-)zero curvature get a huge variance instead of
-    a pseudo-inverse zero, so flat parameters show up as unidentifiable
-    rather than spuriously well determined.
+    gradient J^T r along x_i with step h_i = 1e-4 * max(1, |x_i|), from
+    one stacked evaluation at the 2n points x +- h_i e_i; it is
+    symmetrised before inversion.  Directions with (near-)zero curvature
+    get a huge variance instead of a pseudo-inverse zero, so flat
+    parameters show up as unidentifiable rather than spuriously well
+    determined.
     """
-
-    def gradient(z: np.ndarray) -> np.ndarray:
-        res, jac = problem.residuals_and_jacobian(z)
-        return jac.T @ res
-
-    h = 1e-4 * np.maximum(1.0, np.abs(x))
-    hess = np.column_stack(
-        [(gradient(x + s) - gradient(x - s)) / (2.0 * s[i]) for i, s in enumerate(np.diag(h))]
-    )
+    h = np.diag(1e-4 * np.maximum(1.0, np.abs(x)))
+    res, jac = problem.residuals_and_jacobian(np.concatenate([x + h, x - h]))
+    upper, lower = np.split(np.einsum("snp,sn->sp", jac, res), 2)
+    hess = ((upper - lower) / (2.0 * np.diag(h))[:, None]).T
     eigval, eigvec = np.linalg.eigh(0.5 * (hess + hess.T))
     floor = 1e-10
     inv = 1.0 / np.maximum(eigval, floor)
     return (eigvec * inv) @ eigvec.T
+
+
+def _solve(problem: _FitProblem, starts: np.ndarray, tol: float, max_iter: int):
+    """Projected Levenberg-Marquardt from every start at once.
+
+    Each iteration takes one stacked :meth:`_FitProblem.profiled`
+    evaluation at the trial shapes of the starts still running.  A start
+    forms g = J^T r and H = J^T J and holds each variable that sits on a
+    bound with its gradient pointing outward.  On the free variables it
+    solves (H + lam D) dx = -g, with D the running maximum of diag(H)
+    (Moré, LNM 630, 105 (1978)), and projects x + dx onto the box
+    (Kanzow, Yamashita and Fukushima, J. Comput. Appl. Math. 172, 375
+    (2004)).  The step is taken when chi^2 falls.  lam follows Nielsen's
+    rule: a taken step with gain ratio rho scales it by
+    max(1/3, 1 - (2 rho - 1)^3), and the k-th rejection in a row by 2^k.
+
+    A start stops on the tests of scipy's ``least_squares``, taken on
+    every trial step: ftol, dF <= tol F with the ratio of actual to
+    predicted reduction above 0.25; xtol, ||dx|| <= tol (tol + ||x||)
+    (all a rejected step can meet); and gtol, a projected gradient
+    ||x - P(x - g)||_inf <= tol at the current x.  Returns
+    (chi2, x, converged) per start; ``converged`` is False for a start
+    that ran ``max_iter`` iterations without stopping.
+    """
+    x = starts.copy()
+    res, jac, _ = problem.profiled(x)
+    chi2 = np.einsum("sn,sn->s", res, res)
+    grad = np.einsum("snp,sn->sp", jac, res)
+    hess = np.einsum("snp,snq->spq", jac, jac)
+    scale = np.diagonal(hess, axis1=1, axis2=2).copy()
+    lam = np.full(len(x), 1e-3)
+    growth = np.full(len(x), 2.0)
+    running = np.ones(len(x), dtype=bool)
+    eye = np.eye(_N_SHAPE, dtype=bool)
+    for _ in range(max_iter):
+        running &= np.max(np.abs(x - np.clip(x - grad, _BOUND_LO, _BOUND_HI)), axis=1) > tol
+        idx = np.flatnonzero(running)
+        if idx.size == 0:
+            break
+        xs, g, h = x[idx], grad[idx], hess[idx]
+        free = ~(((xs <= _BOUND_LO) & (g > 0.0)) | ((xs >= _BOUND_HI) & (g < 0.0)))
+        scale[idx] = d = np.maximum(scale[idx], np.diagonal(h, axis1=1, axis2=2))
+        d = np.maximum(d, _MACHINE_EPS * np.max(d, axis=1, keepdims=True))
+        damped = h + lam[idx, None, None] * d[:, :, None] * eye
+        system = np.where(free[:, :, None] & free[:, None, :], damped, eye)  # held: dx = 0
+        step = np.linalg.solve(system, np.where(free, -g, 0.0)[:, :, None])[:, :, 0]
+        trial = np.clip(xs + step, _BOUND_LO, _BOUND_HI)
+        step = trial - xs
+        t_res, t_jac, _ = problem.profiled(trial)
+        t_chi2 = np.einsum("sn,sn->s", t_res, t_res)
+        reduction = chi2[idx] - t_chi2
+        predicted = -np.einsum("sp,sp->s", 2.0 * g + np.einsum("spq,sq->sp", h, step), step)
+        # scipy's gain ratio: 0 where the model predicts no descent, 1 where nothing moves
+        descent = predicted > 0.0
+        ratio = np.where(descent, reduction / np.where(descent, predicted, 1.0), 0.0)
+        ratio[(predicted == 0.0) & (reduction == 0.0)] = 1.0
+        stop = (reduction <= tol * chi2[idx]) & (ratio > 0.25)
+        stop |= np.linalg.norm(step, axis=1) <= tol * (tol + np.linalg.norm(xs, axis=1))
+        taken = reduction > 0.0
+        shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(ratio, 1.0) - 1.0) ** 3)
+        lam[idx] *= np.where(taken, shrink, growth[idx])
+        growth[idx] = np.where(taken, 2.0, 2.0 * growth[idx])
+        moved = idx[taken]
+        x[moved], chi2[moved] = trial[taken], t_chi2[taken]
+        grad[moved] = np.einsum("snp,sn->sp", t_jac[taken], t_res[taken])
+        hess[moved] = np.einsum("snp,snq->spq", t_jac[taken], t_jac[taken])
+        running[idx[stop]] = False
+    return chi2, x, ~running
 
 
 def fit_angular(
@@ -336,9 +403,10 @@ def fit_angular(
     """Multi-start bounded least-squares fit of (A, B, C, r) plus norms.
 
     All datasets share the shape parameters, and each has its own norm.
-    Each start searches the four shape parameters with the norms profiled
-    out, within ``max_iter * 5`` evaluations; one that runs out of them
-    only leaves ``converged`` false when it is the best.  ``chi2`` is the
+    Every start searches the four shape parameters with the norms
+    profiled out, and all starts step together (:func:`_solve`) for at
+    most ``max_iter`` iterations each; one that runs out of them only
+    leaves ``converged`` false when it is the best.  ``chi2`` is the
     full problem's chi-square at the best shape and its profiled norms.
     A configuration whose c_0 vanishes at every shape raises
     :class:`DegenerateModelError`; no more points than parameters (four
@@ -366,36 +434,21 @@ def fit_angular(
             f" {_N_SHAPE + n_norms} parameters"
         )
 
-    from scipy.optimize import least_squares  # scipy loads only when a fit runs
-    results = []
-    for x0 in _lattice_starts(n_starts, seed):
-        sol = least_squares(
-            lambda shape_x: problem.profiled(shape_x)[0],
-            x0,
-            jac=lambda shape_x: problem.profiled(shape_x)[1],
-            bounds=(_BOUND_LO, _BOUND_HI),
-            method="trf",
-            xtol=tol,
-            ftol=tol,
-            gtol=tol,
-            max_nfev=max_iter * (_N_SHAPE + 1),
-        )
-        results.append((2.0 * sol.cost, sol.x, sol.status > 0))
-
-    best_cost, best_shape, best_ok = min(results, key=lambda item: item[0])
-    agree_tol = max(tol, 1e-12) * max(1.0, best_cost)
-    agreeing = sum(1 for c, _, _ in results if c - best_cost <= agree_tol)
-    best_x = np.concatenate([best_shape, np.log(problem.profiled(best_shape)[2])])
+    chi2s, shapes, converged = _solve(problem, _lattice_starts(n_starts, seed), tol, max_iter)
+    best = int(np.argmin(chi2s))
+    agreeing = int(np.sum(chi2s - chi2s[best] <= _AGREE_REL * max(1.0, chi2s[best])))
+    best_norms = problem.profiled(shapes[best : best + 1])[2][0]
+    best_x = np.concatenate([shapes[best], np.log(best_norms)])
 
     cov = _covariance(problem, best_x)
     identifiable = problem.shape_rows == _N_SHAPE and bool(np.all(np.diag(cov) <= 100.0))
     return FitResult(
         params=problem.params_of(best_x),
         norms=tuple(math.exp(v) for v in best_x[_N_SHAPE:]),
-        chi2=problem.chi2(best_x),
+        chi2=float(problem.chi2(best_x[None])[0]),
         dof=dof,
         covariance=cov,
-        converged=best_ok,
+        converged=bool(converged[best]),
         n_starts_agreeing=agreeing,
         identifiable=identifiable,
         bin_labels=tuple(ds.bin_label for ds in datasets),

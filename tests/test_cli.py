@@ -700,18 +700,27 @@ class TestTopLevel:
 
     def test_import_loads_no_scipy(self):
         import_root = Path(photoevap.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(import_root))
         code = (
             "import sys, photoevap.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(import_root)),
-        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+        # a whole fit process: -X importtime writes one stderr line per imported module
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "photoevap.cli", "fit", str(SAMPLE_ANGULAR)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["converged"]
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if "|" in line]
+        assert "photoevap.fitkit" in imported
+        assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
     @pytest.mark.parametrize(
         "argv",

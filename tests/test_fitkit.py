@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from photoevap import fitkit
 from photoevap.errors import DataFormatError, DegenerateModelError, UnderdeterminedError
 from photoevap.fitkit import (
     _START_HI,
@@ -168,20 +169,34 @@ class TestFastPathEquivalence:
     def test_coeff_vector_matches_reference_series(self):
         problem = _FitProblem(make_noisy(), DEFAULT_CONFIG)
         rng = np.random.default_rng(0)
-        for _ in range(25):
-            a, b, c = np.exp(rng.uniform(math.log(1e-3), math.log(10.0), 3))
-            r = float(np.expm1(rng.uniform(0.0, math.log1p(100.0))))
-            x = np.array([math.log(a), math.log(b), math.log(c), math.log1p(r)])
-            fast = problem._evaluate(x)[0]
-            reference = legendre_coefficients(ShapeParams(A=a, B=b, C=c, r=r))
-            assert fast == pytest.approx(reference.coefficients, rel=1e-12, abs=1e-14)
+        a, b, c = np.exp(rng.uniform(math.log(1e-3), math.log(10.0), (3, 25)))
+        r = np.expm1(rng.uniform(0.0, math.log1p(100.0), 25))
+        fast = problem._evaluate(np.column_stack([np.log(a), np.log(b), np.log(c), np.log1p(r)]))[0]
+        for row, shape in zip(fast, zip(a, b, c, r)):
+            reference = legendre_coefficients(ShapeParams(*map(float, shape)))
+            assert row == pytest.approx(reference.coefficients, rel=1e-12, abs=1e-14)
 
 
-def random_shape(rng):
-    """A log-space shape drawn from the optimiser's start box."""
-    return np.concatenate(
-        [rng.uniform(math.log(1e-3), math.log(10.0), 3), [rng.uniform(0.0, math.log1p(100.0))]]
+def random_shapes(rng, n=4):
+    """n log-space shapes drawn from the optimiser's start box, one per row."""
+    return np.column_stack(
+        [rng.uniform(math.log(1e-3), math.log(10.0), (n, 3)), rng.uniform(0.0, math.log1p(100.0), n)]
     )
+
+
+def central_difference(residuals, x, step=1e-6):
+    """(S, N, P) central-difference Jacobians of residuals at the (S, P) points x."""
+    columns = []
+    for i in range(x.shape[1]):
+        h = np.zeros_like(x)
+        h[:, i] = step * np.maximum(1.0, np.abs(x[:, i]))
+        columns.append((residuals(x + h) - residuals(x - h)) / (2.0 * h[:, i:i + 1]))
+    return np.stack(columns, axis=2)
+
+
+def assert_rows_match(jacobians, expected, rel):
+    for got, want in zip(jacobians, expected):
+        assert np.max(np.abs(got - want)) <= rel * float(np.max(np.abs(want)))
 
 
 def negate_bin(datasets, k):
@@ -194,17 +209,6 @@ def negate_bin(datasets, k):
 class TestProfiledProblem:
     """Variable projection: profiled norms and the analytic Jacobian."""
 
-    @staticmethod
-    def central_difference(problem, shape_x, step=1e-6):
-        columns = []
-        for i in range(shape_x.size):
-            h = np.zeros_like(shape_x)
-            h[i] = step * max(1.0, abs(shape_x[i]))
-            upper = problem.profiled(shape_x + h)[0]
-            lower = problem.profiled(shape_x - h)[0]
-            columns.append((upper - lower) / (2.0 * h[i]))
-        return np.column_stack(columns)
-
     @pytest.mark.parametrize("k", [1, 3, 6])
     @pytest.mark.parametrize("weighting", sorted(WEIGHTINGS))
     def test_jacobian_matches_central_difference(self, weighting, k):
@@ -214,26 +218,25 @@ class TestProfiledProblem:
             # one bin with all-negative yields profiles to the clipped norm
             datasets = negate_bin(datasets, k - 1)
         problem = _FitProblem(datasets, config)
-        rng = np.random.default_rng(k)
-        for _ in range(4):
-            shape_x = random_shape(rng)
-            _, jacobian, norms = problem.profiled(shape_x)
-            assert jacobian.shape == (10 * k, 4)
-            if k > 1:
-                assert norms[-1] == math.exp(-40.0)
-            expected = self.central_difference(problem, shape_x)
-            scale = float(np.max(np.abs(expected)))
-            assert np.max(np.abs(jacobian - expected)) <= 1e-6 * scale
+        shapes = random_shapes(np.random.default_rng(k))
+        _, jacobians, norms = problem.profiled(shapes)
+        assert jacobians.shape == (4, 10 * k, 4)
+        assert norms.shape == (4, k)
+        if k > 1:
+            assert np.all(norms[:, -1] == math.exp(-40.0))
+        expected = central_difference(lambda x: problem.profiled(x)[0], shapes)
+        assert_rows_match(jacobians, expected, 1e-6)
 
     @pytest.mark.parametrize("weighting", sorted(WEIGHTINGS))
     def test_norms_are_weighted_projections(self, weighting):
         config = WEIGHTINGS[weighting]
         datasets = negate_bin(synth_dataset(TRUTH, SIX_NORMS, THETAS, 0.05, 3, config=config), 2)
         problem = _FitProblem(datasets, config)
-        rng = np.random.default_rng(5)
-        for _ in range(4):
-            shape_x = random_shape(rng)
-            residuals, _, norms = problem.profiled(shape_x)
+        shapes = random_shapes(np.random.default_rng(5))
+        stacked_residuals, _, stacked_norms = problem.profiled(shapes)
+        full_x = np.column_stack([shapes, np.log(stacked_norms)])
+        chi2 = problem.chi2(full_x)
+        for shape_x, residuals, norms, full_chi2 in zip(shapes, stacked_residuals, stacked_norms, chi2):
             series = legendre_coefficients(problem.params_of(shape_x), config)
             expected_residuals = []
             for ds, norm in zip(datasets, norms):
@@ -244,8 +247,28 @@ class TestProfiledProblem:
                 assert norm == pytest.approx(expected, rel=1e-10)
                 expected_residuals.append(target - norm * model)
             assert residuals == pytest.approx(np.concatenate(expected_residuals), rel=1e-9, abs=1e-9)
-            full_x = np.concatenate([shape_x, np.log(norms)])
-            assert float(residuals @ residuals) == pytest.approx(problem.chi2(full_x), rel=1e-10)
+            assert float(residuals @ residuals) == pytest.approx(full_chi2, rel=1e-10)
+
+    @pytest.mark.parametrize("weighting", sorted(WEIGHTINGS))
+    def test_stacked_call_matches_single_rows(self, weighting):
+        # the optimiser evaluates every start in one call; each row must be
+        # what that shape gives alone
+        config = WEIGHTINGS[weighting]
+        problem = _FitProblem(synth_dataset(TRUTH, NORMS, THETAS, 0.05, 6, config=config), config)
+        rng = np.random.default_rng(9)
+        shapes = random_shapes(rng, 8)
+        full_x = np.column_stack([shapes, np.log(NORMS) + rng.normal(0.0, 1.0, (8, 3))])
+        for method, x in [
+            (problem._evaluate, shapes),
+            (problem.profiled, shapes),
+            (problem.residuals_and_jacobian, full_x),
+        ]:
+            stacked = method(x)
+            for i in range(len(x)):
+                for whole, single in zip(stacked, method(x[i:i + 1])):
+                    assert single.shape == (1,) + whole.shape[1:]
+                    scale = float(np.max(np.abs(single)))
+                    assert np.max(np.abs(whole[i] - single[0])) <= 1e-12 * scale
 
 
 class TestSynthDataset:
@@ -342,6 +365,38 @@ class TestFitAngular:
         assert result.chi2 < 1e-6
         assert not result.identifiable
 
+    def test_agreeing_count_ignores_rounding_of_one_start(self, monkeypatch):
+        # every start of this bin reaches one optimum, and they end up to
+        # ~1e-12 relative apart: a rounding-level change of the start
+        # nearest the threshold must not move the count
+        datasets = read_angular_csv(SAMPLE_ANGULAR)[:1]
+        config = ChannelConfig(residual_weighting="spin-cutoff")
+        baseline = fit_angular(datasets, config)
+        solve = fitkit._solve
+
+        def perturbed(*args):
+            chi2, shapes, converged = solve(*args)
+            agreeing = np.flatnonzero(chi2 - chi2.min() <= math.sqrt(np.finfo(float).eps) * chi2.min())
+            chi2[agreeing[np.argmax(chi2[agreeing])]] *= 1.0 + 1e-12
+            return chi2, shapes, converged
+
+        monkeypatch.setattr(fitkit, "_solve", perturbed)
+        assert fit_angular(datasets, config).n_starts_agreeing == baseline.n_starts_agreeing
+        assert baseline.n_starts_agreeing == 32
+
+    @pytest.mark.parametrize(
+        "option",
+        [{"n_starts": 3}, {"seed": 4}, {"tol": 1e-4}, {"max_iter": 3}],
+        ids=["n_starts", "seed", "tol", "max_iter"],
+    )
+    def test_every_search_option_changes_the_result(self, option):
+        reference = fit_angular(make_noisy(), n_starts=6, tol=1e-10)
+        result = fit_angular(make_noisy(), **{"n_starts": 6, "tol": 1e-10, **option})
+        assert result.chi2 != reference.chi2
+
+    def test_iteration_cap_leaves_best_start_unconverged(self):
+        assert not fit_angular(make_noisy(), n_starts=6, tol=1e-10, max_iter=3).converged
+
     def test_underdetermined_raises(self):
         datasets = synth_dataset(TRUTH, [100.0], np.linspace(30, 150, 5), 0.0, None)
         with pytest.raises(UnderdeterminedError):
@@ -434,6 +489,26 @@ class TestFitRegression:
         result = fit_angular(read_angular_csv(SAMPLE_ANGULAR), WEIGHTINGS[weighting])
         assert result.chi2 == pytest.approx(chi2, rel=1e-8)
 
+    def test_sample_spin_cutoff_chi2(self):
+        # the command line's spin-cutoff weighting, sigma = 2; the value is
+        # the best chi2 of scipy's trust-region-reflective least_squares
+        result = fit_angular(read_angular_csv(SAMPLE_ANGULAR), ChannelConfig(residual_weighting="spin-cutoff"))
+        assert result.chi2 <= 17.657184244344784 * (1.0 + 1e-10)
+        assert result.chi2 == pytest.approx(17.657184244344784, rel=1e-8)
+
+    # best chi2 of scipy's trust-region-reflective least_squares on three
+    # criterion-5 data sets whose fits end on the r = 0 face, where a
+    # stopping rule without the gain-ratio condition stopped early
+    @pytest.mark.parametrize(
+        "seed, chi2",
+        [(30, 20.040756093074027), (39, 20.58450888578618), (99, 17.863922128161427)],
+    )
+    def test_no_worse_than_trust_region_reflective_on_r_zero_face(self, seed, chi2):
+        result = fit_angular(synth_dataset(TRUTH, NORMS, THETAS, 0.05, seed), n_starts=6, tol=1e-10)
+        assert result.params.r == 0.0
+        assert result.converged
+        assert chi2 * (1.0 - 1e-8) <= result.chi2 <= chi2 * (1.0 + 1e-10)
+
     def test_reported_chi2_is_chi_square_at_result(self):
         datasets = synth_dataset(TRUTH, SIX_NORMS, THETAS, 0.05, 4)
         result = fit_angular(datasets, n_starts=6, tol=1e-10)
@@ -491,20 +566,11 @@ class TestFullProblem:
         datasets = synth_dataset(TRUTH, SIX_NORMS[:k], THETAS, 0.05, 20 + k, config=config)
         problem = _FitProblem(datasets, config)
         rng = np.random.default_rng(30 + k)
-        for _ in range(4):
-            x = np.concatenate([random_shape(rng), np.log(SIX_NORMS[:k]) + rng.normal(0.0, 1.0, k)])
-            _, jacobian = problem.residuals_and_jacobian(x)
-            assert jacobian.shape == (10 * k, 4 + k)
-            columns = []
-            for i in range(x.size):
-                h = np.zeros_like(x)
-                h[i] = 1e-6 * max(1.0, abs(x[i]))
-                upper = problem.residuals_and_jacobian(x + h)[0]
-                lower = problem.residuals_and_jacobian(x - h)[0]
-                columns.append((upper - lower) / (2.0 * h[i]))
-            expected = np.column_stack(columns)
-            scale = float(np.max(np.abs(expected)))
-            assert np.max(np.abs(jacobian - expected)) <= 1e-6 * scale
+        x = np.column_stack([random_shapes(rng), np.log(SIX_NORMS[:k]) + rng.normal(0.0, 1.0, (4, k))])
+        _, jacobians = problem.residuals_and_jacobian(x)
+        assert jacobians.shape == (4, 10 * k, 4 + k)
+        expected = central_difference(lambda z: problem.residuals_and_jacobian(z)[0], x)
+        assert_rows_match(jacobians, expected, 1e-6)
 
     # under 2I+1, J^T J has a null direction here (smallest eigenvalue
     # 4e-11, next 3e2), which the covariance floors by design
@@ -515,7 +581,7 @@ class TestFullProblem:
         datasets = synth_dataset(TRUTH, NORMS, THETAS, 0.0, None, config=config)
         problem = _FitProblem(datasets, config)
         x = np.log([TRUTH.A, TRUTH.B, TRUTH.C, 1.0 + TRUTH.r] + NORMS)
-        residuals, jacobian = problem.residuals_and_jacobian(x)
+        (residuals,), (jacobian,) = problem.residuals_and_jacobian(x[None])
         assert np.max(np.abs(residuals)) < 1e-9
         expected = np.diag(np.linalg.inv(jacobian.T @ jacobian))
         got = np.diag(_covariance(problem, x))
