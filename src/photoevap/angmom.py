@@ -22,10 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from numbers import Integral
 from typing import Union
-
-import numpy as np
-from numpy.polynomial.legendre import legvander
 
 __all__ = [
     "AngularMomentum",
@@ -253,9 +251,14 @@ def legendre_p(order: int, x):
     """P_order(x) from :func:`numpy.polynomial.legendre.legvander`.
 
     ``x`` may be a scalar or an ndarray; every entry must lie in [-1, 1].
+    This is the one numpy user in angmom, so numpy is imported here, on
+    the first call, and the coupling coefficients load without it.
     """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool) or order < 0:
+    if isinstance(order, bool) or not isinstance(order, (int, Integral)) or order < 0:
         raise ValueError(f"order must be a non-negative integer, got {order!r}")
+    import numpy as np
+    from numpy.polynomial.legendre import legvander
+
     arr = np.asarray(x, dtype=float)
     if np.any(np.abs(arr) > 1.0):
         raise ValueError("argument outside [-1, 1]")

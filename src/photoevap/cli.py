@@ -17,6 +17,10 @@ degenerate or underdetermined computation, or unscalable points).
 
 Every subcommand accepts ``--config FILE`` with flat ``key = value``
 lines naming long options; explicit command-line flags override the file.
+
+A subcommand imports the library module it needs when it runs.  Only
+``model`` and ``fit`` (through ``xsection`` and ``fitkit``) import numpy;
+``coeff``, ``exciton``, ``times`` and ``spectrum`` run without it.
 """
 
 from __future__ import annotations
@@ -27,20 +31,20 @@ import re
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
-from . import angmom, fitkit, thermo, xsection
 from .errors import DataFormatError, PhotoevapError
 
 SCHEMA_VERSION = 1
 
-# kind -> (function, argument signature); spin tokens go to angmom as typed
+# kind -> (angmom function, argument signature); spin tokens go to angmom as typed
 _COEFF_KINDS = {
-    "cg": (angmom.clebsch_gordan, "j1 m1 j2 m2 j m"),
-    "w6j": (angmom.wigner_6j, "j1 j2 j3 j4 j5 j6"),
-    "racah": (angmom.racah_w, "a b c d e f"),
-    "z": (angmom.z_coeff, "l1 j1 l2 j2 s L"),
+    "cg": ("clebsch_gordan", "j1 m1 j2 m2 j m"),
+    "w6j": ("wigner_6j", "j1 j2 j3 j4 j5 j6"),
+    "racah": ("racah_w", "a b c d e f"),
+    "z": ("z_coeff", "l1 j1 l2 j2 s L"),
 }
+
+# the subcommands that import numpy, which main runs with its warnings off
+_NUMPY_COMMANDS = ("model", "fit")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,8 +73,8 @@ def _parse_width(token: str, scale: dict) -> float:
     return value * scale[match.group(2).lower()]
 
 
-def _parse_grid(token: str) -> np.ndarray:
-    """Angle grid 'start:stop:count' in degrees."""
+def _parse_grid(token: str) -> tuple[float, float, int]:
+    """Angle grid 'start:stop:count' in degrees, as numpy.linspace arguments."""
     parts = token.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:count, got {token!r}")
@@ -81,10 +85,12 @@ def _parse_grid(token: str) -> np.ndarray:
         raise ValueError(f"bad grid {token!r}") from exc
     if not (0.0 <= start < stop <= 180.0) or count < 2:
         raise ValueError(f"grid must satisfy 0 <= start < stop <= 180, count >= 2, got {token!r}")
-    return np.linspace(start, stop, count)
+    return start, stop, count
 
 
 def _channel_config(args) -> xsection.ChannelConfig:
+    from . import xsection
+
     return xsection.ChannelConfig(
         residual_weighting=args.weighting,
         spin_cutoff_sigma=args.spin_cutoff_sigma,
@@ -100,16 +106,22 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_coeff(args) -> str:
-    function, _ = _COEFF_KINDS[args.kind]
+    from . import angmom
+
+    function = getattr(angmom, _COEFF_KINDS[args.kind][0])
     value = function(*args.values)
     return f"{value:#.12g}\n" if value != 0.0 else "0\n"
 
 
 def _cmd_model(args) -> dict | str:
+    import numpy as np
+
+    from . import xsection
+
     params = xsection.ShapeParams(A=args.A, B=args.B, C=args.C, r=args.r)
     config = _channel_config(args)
     series = xsection.legendre_coefficients(params, config, huby_phase=args.huby_phase)
-    grid = _parse_grid(args.grid)
+    grid = np.linspace(*_parse_grid(args.grid))
     sigma = series.evaluate(np.deg2rad(grid))
     ratio = xsection.forward_backward_ratio(series)
     if args.format == "csv":
@@ -129,6 +141,10 @@ def _cmd_model(args) -> dict | str:
 
 def _fit_result_dict(result: fitkit.FitResult, datasets, config) -> dict:
     """Report of one fit, its residual table built from the datasets it fitted."""
+    import numpy as np
+
+    from . import xsection
+
     series = xsection.legendre_coefficients(result.params, config)
     payload = {
         "converged": result.converged,
@@ -159,6 +175,8 @@ def _fit_result_dict(result: fitkit.FitResult, datasets, config) -> dict:
 
 
 def _cmd_fit(args) -> dict:
+    from . import fitkit
+
     datasets = fitkit.read_angular_csv(args.data)
     if any(ds.unit_weights for ds in datasets):
         print("warning: no err column; using unit weights", file=sys.stderr)
@@ -180,6 +198,8 @@ def _cmd_fit(args) -> dict:
 
 
 def _cmd_spectrum(args) -> dict:
+    from . import thermo
+
     points = thermo.read_spectrum_csv(args.data)
     nucleus = thermo.NucleusSpec(args.mass_number, args.charge)
     table = thermo.SigmaInvTable.from_csv(args.sigma_inv_table) if args.sigma_inv_table else None
@@ -198,6 +218,8 @@ def _cmd_spectrum(args) -> dict:
 
 
 def _cmd_exciton(args) -> dict:
+    from . import thermo
+
     report = thermo.exciton_report(args.mass_number, args.excitation)
     return {
         "mass_number": args.mass_number,
@@ -211,6 +233,8 @@ def _cmd_exciton(args) -> dict:
 
 
 def _cmd_times(args) -> dict:
+    from . import thermo
+
     report = thermo.timescales(
         args.r,
         _parse_width(args.gcn, _WIDTH_SCALE_EV),
@@ -390,9 +414,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        # every site that can overflow checks its result and raises a typed
-        # error, so numpy's warnings would only be noise before that message
-        with np.errstate(all="ignore"):
+        if args.command in _NUMPY_COMMANDS:
+            import numpy as np
+
+            # every site that can overflow checks its result and raises a typed
+            # error, so numpy's warnings would only be noise before that message
+            with np.errstate(all="ignore"):
+                result = args.func(args)
+        else:
             result = args.func(args)
         if isinstance(result, dict):
             envelope = {"schema_version": SCHEMA_VERSION, "command": args.command}

@@ -11,15 +11,19 @@ of the Coulomb + centrifugal barrier, in closed form for every l.
 The exciton estimate relates the same temperature to the equilibrium
 exciton number n = sqrt(2 g E*) with g = A/13 MeV^-1, and the timescale
 report converts widths to lifetimes via tau = hbar / Gamma.
+
+Everything here is scalar arithmetic on a few dozen numbers, in pure
+Python: numpy's per-call overhead would cost more than it saves.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Integral
+from operator import mul
 
 from ._csvfile import read_csv
 from .constants import AMU_MEV, E2_MEV_FM, HBAR_EV_S, HBARC_MEV_FM, R0_FM
@@ -120,7 +124,8 @@ def inverse_capture_xsec(
     A user-supplied (eps, sigma) table overrides the model entirely;
     ``l`` is validated either way.
     """
-    if not isinstance(l, (int, np.integer)) or l < 0:
+    # int first: the Integral check alone costs about 0.5 us, once per point
+    if isinstance(l, bool) or not isinstance(l, (int, Integral)) or l < 0:
         raise ValueError(f"l must be a non-negative integer, got {l!r}")
     if table is not None:
         return table(eps)
@@ -175,11 +180,16 @@ class SigmaInvTable:
         return read_csv(path, ("eps_mev", "sigma_fm2"), convert, lambda rows: cls(*zip(*rows)))
 
     def __call__(self, eps: float) -> float:
-        if eps < self.eps[0] or eps > self.eps[-1]:
+        """sigma at eps, interpolated as :func:`numpy.interp` does: exact at a node."""
+        if not self.eps[0] <= eps <= self.eps[-1]:
             raise DataFormatError(
                 f"eps = {eps:g} MeV outside table range [{self.eps[0]:g}, {self.eps[-1]:g}]"
             )
-        return float(np.interp(eps, self.eps, self.sigma))
+        j = bisect.bisect_right(self.eps, eps) - 1
+        if self.eps[j] == eps:
+            return float(self.sigma[j])
+        slope = (self.sigma[j + 1] - self.sigma[j]) / (self.eps[j + 1] - self.eps[j])
+        return float(slope * (eps - self.eps[j]) + self.sigma[j])
 
 
 def read_spectrum_csv(path) -> list[SpectrumPoint]:
@@ -261,35 +271,38 @@ def fit_temperature(points: list[SpectrumPoint], eps_max: float) -> TemperatureF
         raise InvalidPointError(
             "non-positive scaled value at eps = " + ", ".join(f"{e:g}" for e in bad) + " MeV"
         )
-    eps = np.array([p.eps for p in usable])
-    counts = np.array([p.counts for p in usable])
-    logy = np.log(counts)
-    errs = np.array([p.err for p in usable])
-    weighted = bool(np.all(errs > 0))
+    eps = [float(p.eps) for p in usable]
+    logy = [math.log(p.counts) for p in usable]
+    weighted = all(p.err > 0 for p in usable)
     # weights relative to the heaviest point, so that no sum overflows
-    inv_rel = counts / errs if weighted else np.ones_like(eps)
-    ref = int(np.argmax(inv_rel))
-    scale = float(inv_rel[ref])
+    inv_rel = [float(p.counts / p.err) for p in usable] if weighted else [1.0] * len(usable)
+    scale = max(inv_rel)
+    ref = inv_rel.index(scale)
     if not math.isfinite(scale):
         raise InvalidPointError(f"error too small to weight the point at eps = {eps[ref]:g} MeV")
-    w = (inv_rel / scale) ** 2
-    s0 = float(np.sum(w))
+    if scale == 0.0:
+        raise UnderdeterminedError(
+            f"every error below eps_max = {eps_max:g} is too large to weight its point"
+        )
+    rel = [v / scale for v in inv_rel]
+    w = list(map(mul, rel, rel))
+    s0 = sum(w)
     # offsets from the heaviest point: exact zeros there, and on a flat spectrum
-    x = eps - eps[ref]
-    y = logy - logy[ref]
-    mean_x = float(np.dot(w, x)) / s0
-    d_x = x - mean_x
-    w_dx = w * d_x
-    sxx = float(np.dot(w_dx, d_x))
+    x = [e - eps[ref] for e in eps]
+    y = [v - logy[ref] for v in logy]
+    mean_x = sum(map(mul, w, x)) / s0
+    d_x = [v - mean_x for v in x]
+    w_dx = list(map(mul, w, d_x))
+    sxx = sum(map(mul, w_dx, d_x))
     if not sxx > 0.0:
         raise UnderdeterminedError("the weights leave no spread in energy below eps_max")
-    slope = float(np.dot(w_dx, y)) / sxx
-    intercept = logy[ref] + float(np.dot(w, y)) / s0 - slope * (eps[ref] + mean_x)
+    slope = sum(map(mul, w_dx, y)) / sxx
+    intercept = logy[ref] + sum(map(mul, w, y)) / s0 - slope * (eps[ref] + mean_x)
     var_slope = 1.0 / sxx / scale / scale
     if not weighted:
-        resid = logy - (intercept + slope * eps)
+        resid = [v - (intercept + slope * e) for e, v in zip(eps, logy)]
         dof = len(usable) - 2
-        var_slope *= float(np.sum(resid * resid)) / dof if dof > 0 else 0.0
+        var_slope *= sum(map(mul, resid, resid)) / dof if dof > 0 else 0.0
     if not all(map(math.isfinite, (sxx, intercept, var_slope))):
         raise DegenerateModelError("temperature fit leaves the floating-point range")
     if slope == 0.0:

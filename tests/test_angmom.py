@@ -481,6 +481,14 @@ class TestLegendre:
         with pytest.raises(ValueError):
             legendre_p(2.5, 0.5)
 
+    @pytest.mark.parametrize("order", [True, False])
+    def test_bool_order_is_rejected(self, order):
+        with pytest.raises(ValueError, match="order must be a non-negative integer"):
+            legendre_p(order, 0.5)
+
+    def test_numpy_integer_order_is_accepted(self):
+        assert legendre_p(np.int64(2), 0.5) == legendre_p(2, 0.5)
+
     @given(
         order=st.integers(1, 20),
         x=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),

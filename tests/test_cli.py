@@ -722,6 +722,44 @@ class TestTopLevel:
         assert "photoevap.fitkit" in imported
         assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
+    def test_light_commands_load_no_numpy(self, tmp_path):
+        table = tmp_path / "table.csv"
+        table.write_text("eps_mev,sigma_fm2\n0.5,1.0\n3.0,40.0\n6.0,150.0\n12.0,300.0\n")
+        config = tmp_path / "spectrum.cfg"
+        config.write_text("mass_number = 208\ncharge = 82\neps_max = 6.5\n")
+        spectrum = [str(SAMPLE_SPECTRUM), "-A", "208", "-Z", "82"]
+        commands = [
+            list(CG_ONE_ARGS),
+            ["exciton", "-A", "208", "-E", "6.3"],
+            ["times", "-r", "0.11", "--gcn", "0.1eV", "--gspr", "2MeV", "--D", "1e-16MeV"],
+            ["spectrum", *spectrum, "--l", "0"],
+            ["spectrum", *spectrum, "--l", "2"],
+            ["spectrum", *spectrum, "--sigma-inv-table", str(table)],
+            ["spectrum", str(SAMPLE_SPECTRUM), "--config", str(config), "--l", "2"],
+        ]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "def loaded(*roots):\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] in roots and m != 'photoevap')\n"
+            "import photoevap\n"
+            "report = {'import': loaded('numpy', 'photoevap')}\n"
+            "from photoevap.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        status = main(argv)\n"
+            "    report[' '.join(argv)] = [status, loaded('numpy')]\n"
+            "print(json.dumps(report))\n"
+        )
+        import_root = Path(photoevap.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(import_root))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report.pop("import") == []
+        assert report == {" ".join(argv): [0, []] for argv in commands}
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -760,6 +798,15 @@ class TestTopLevel:
         assert len(set(names)) == len(names)
         assert sorted(photoevap.__all__) == sorted([*names, "__version__"])
         assert all(hasattr(photoevap, name) for name in photoevap.__all__)
+
+    def test_package_keeps_each_name_it_resolves(self):
+        from photoevap import thermo
+
+        assert photoevap.fit_temperature is thermo.fit_temperature
+        assert vars(photoevap)["fit_temperature"] is thermo.fit_temperature
+        assert set(photoevap.__all__) <= set(dir(photoevap))
+        with pytest.raises(AttributeError):
+            photoevap.no_such_name
 
     @pytest.mark.skipif(
         shutil.which("photoevap") is None,

@@ -6,8 +6,10 @@ scipy.quad, for the s-wave and for higher partial waves, so the two
 routes share no code.
 """
 
+import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from photoevap.thermo import (
 )
 
 PB208 = NucleusSpec(208, 82)
+SAMPLE_SPECTRUM = Path(__file__).resolve().parents[1] / "sample_data" / "spectrum_bi_gp.csv"
 
 
 class TestNucleusSpec:
@@ -183,6 +186,14 @@ class TestInverseCapture:
         with pytest.raises(ValueError):
             inverse_capture_xsec(PB208, 1.5, 4.0)
 
+    @pytest.mark.parametrize("l", [True, False])
+    def test_bool_l_is_rejected(self, l):
+        with pytest.raises(ValueError, match="l must be a non-negative integer"):
+            inverse_capture_xsec(PB208, l, 4.0)
+
+    def test_numpy_integer_l_is_accepted(self):
+        assert inverse_capture_xsec(PB208, np.int64(2), 4.0) == inverse_capture_xsec(PB208, 2, 4.0)
+
     def test_table_does_not_bypass_l_validation(self):
         table = SigmaInvTable((1.0, 3.0, 5.0), (10.0, 30.0, 50.0))
         with pytest.raises(ValueError, match="l must be a non-negative integer"):
@@ -204,6 +215,19 @@ class TestSigmaInvTable:
             table(0.99)
         with pytest.raises(DataFormatError):
             table(2.01)
+        with pytest.raises(DataFormatError):
+            table(math.nan)
+
+    def test_matches_numpy_interp_bitwise(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            eps = np.cumsum(rng.uniform(0.01, 3.0, rng.integers(2, 12)))
+            sigma = rng.uniform(0.0, 200.0, len(eps))
+            table = SigmaInvTable(tuple(map(float, eps)), tuple(map(float, sigma)))
+            for e in [*eps, *rng.uniform(eps[0], eps[-1], 20)]:
+                got = table(float(e))
+                assert type(got) is float
+                assert got == np.interp(e, eps, sigma)
 
     @pytest.mark.parametrize(
         "eps,sigma",
@@ -332,6 +356,31 @@ class TestScaleSpectrum:
             assert p.err == pytest.approx(0.1 * p.counts, rel=1e-12)
 
 
+def numpy_fit_temperature(points, eps_max):
+    """(temperature, log_intercept, temperature_err) by the numpy sums fit_temperature replaced."""
+    usable = [p for p in points if p.eps <= eps_max]
+    eps = np.array([p.eps for p in usable])
+    counts = np.array([p.counts for p in usable])
+    errs = np.array([p.err for p in usable])
+    logy = np.log(counts)
+    weighted = bool(np.all(errs > 0))
+    inv_rel = counts / errs if weighted else np.ones_like(eps)
+    ref = int(np.argmax(inv_rel))
+    scale = inv_rel[ref]
+    w = (inv_rel / scale) ** 2
+    x, y = eps - eps[ref], logy - logy[ref]
+    mean_x = np.dot(w, x) / np.sum(w)
+    d_x = x - mean_x
+    sxx = np.dot(w * d_x, d_x)
+    slope = np.dot(w * d_x, y) / sxx
+    intercept = logy[ref] + np.dot(w, y) / np.sum(w) - slope * (eps[ref] + mean_x)
+    var_slope = 1.0 / sxx / scale / scale
+    if not weighted:
+        resid = logy - (intercept + slope * eps)
+        var_slope *= np.sum(resid * resid) / (len(usable) - 2)
+    return -1.0 / slope, intercept, np.sqrt(var_slope) / slope / slope
+
+
 class TestFitTemperature:
     @staticmethod
     def exponential_points(temperature, intercept=2.0, errs=None, n=12):
@@ -391,6 +440,49 @@ class TestFitTemperature:
         fit = fit_temperature(points, eps_max=8.0)
         assert fit.temperature == pytest.approx(0.55, rel=1e-12)
         assert fit.log_intercept == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("l", [0, 2])
+    def test_sample_fit_is_unchanged(self, l):
+        # (temperature, temperature_err, log_intercept) of the numpy implementation
+        frozen = {
+            0: (0.5500386795747131, 0.00023697028368364865, 22.51937225583391),
+            2: (0.5254569986064659, 0.000216262783482993, 24.26044388513838),
+        }[l]
+        points = scale_spectrum(read_spectrum_csv(SAMPLE_SPECTRUM), PB208, l=l)
+        fit = fit_temperature(points, eps_max=8.0)
+        got = (fit.temperature, fit.temperature_err, fit.log_intercept)
+        assert got == pytest.approx(frozen, rel=1e-12)
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_matches_numpy_sums(self, weighted):
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            n = int(rng.integers(3, 40))
+            eps = np.sort(rng.uniform(0.5, 12.0, n))
+            counts = np.exp(rng.uniform(-5, 5) - eps / rng.uniform(0.2, 3.0))
+            counts *= rng.lognormal(0.0, 0.1, n)
+            errs = counts * rng.uniform(0.01, 0.3, n) if weighted else np.zeros(n)
+            points = [SpectrumPoint(*map(float, row)) for row in zip(eps, counts, errs)]
+            fit = fit_temperature(points, eps_max=math.inf)
+            want = numpy_fit_temperature(points, eps_max=math.inf)
+            got = (fit.temperature, fit.log_intercept, fit.temperature_err)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("source", ["sample", "numpy-scalars"])
+    def test_fields_are_builtin_numbers(self, source):
+        if source == "sample":
+            points = scale_spectrum(read_spectrum_csv(SAMPLE_SPECTRUM), PB208)
+        else:
+            points = self.exponential_points(0.55)
+            points = [SpectrumPoint(p.eps, p.counts, 0.05 * p.counts) for p in points]
+        fit = fit_temperature(points, eps_max=8.0)
+        for field in dataclasses.fields(fit):
+            assert type(getattr(fit, field.name)).__name__ == field.type, field.name
+
+    def test_weights_that_all_underflow_are_underdetermined(self):
+        points = [SpectrumPoint(eps, 1e-300, 1e30) for eps in (1.0, 2.0, 3.0)]
+        with pytest.raises(UnderdeterminedError, match="too large to weight"):
+            fit_temperature(points, eps_max=8.0)
 
     def test_error_too_small_to_weight_raises(self):
         points = [
