@@ -16,7 +16,9 @@ malformed input), 3 numerical error (every other ``PhotoevapError``: a
 degenerate or underdetermined computation, or unscalable points).
 
 Every subcommand accepts ``--config FILE`` with flat ``key = value``
-lines naming long options; explicit command-line flags override the file.
+lines, each the option ``-key`` where the subcommand defines it, else
+``--key`` with underscores as hyphens (``l = 2`` is ``--l 2``); explicit
+command-line flags override the file.
 
 A subcommand imports the library module it needs when it runs.  Only
 ``model`` and ``fit`` (through ``xsection`` and ``fitkit``) import numpy;
@@ -272,11 +274,8 @@ def _add_weighting_options(parser) -> None:
     )
 
 
-def _add_output_option(parser) -> None:
-    parser.add_argument("--output", default=None, help="output file (default: stdout)")
-
-
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="photoevap", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
@@ -292,7 +291,6 @@ def _build_parser() -> _Parser:
     )
     coeff.add_argument("kind", choices=_COEFF_KINDS)
     coeff.add_argument("values", nargs=6, metavar="SPIN")
-    coeff.add_argument("--config", default=None, help=argparse.SUPPRESS)
     coeff.set_defaults(func=_cmd_coeff)
 
     model = sub.add_parser("model", help="evaluate the angular-distribution model")
@@ -308,8 +306,6 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="sign-audit variant: apply the i-power phase revision to each Z",
     )
-    model.add_argument("--config", default=None, help="flat key=value config file")
-    _add_output_option(model)
     model.set_defaults(func=_cmd_model)
 
     fit = sub.add_parser("fit", help="fit shape parameters to angular data")
@@ -320,8 +316,6 @@ def _build_parser() -> _Parser:
     fit.add_argument("--tol", type=float, default=1e-12)
     fit.add_argument("--max-iter", type=int, default=400)
     _add_weighting_options(fit)
-    fit.add_argument("--config", default=None, help="flat key=value config file")
-    _add_output_option(fit)
     fit.set_defaults(func=_cmd_fit)
 
     spectrum = sub.add_parser("spectrum", help="extract a temperature from a spectrum")
@@ -335,15 +329,11 @@ def _build_parser() -> _Parser:
         default=None,
         help="CSV table eps_mev, sigma_fm2 overriding the barrier model",
     )
-    spectrum.add_argument("--config", default=None, help="flat key=value config file")
-    _add_output_option(spectrum)
     spectrum.set_defaults(func=_cmd_spectrum)
 
     exciton = sub.add_parser("exciton", help="exciton-model temperature window")
     exciton.add_argument("-A", "--mass-number", type=int, required=True)
     exciton.add_argument("-E", "--excitation", type=float, required=True, help="excitation [MeV]")
-    exciton.add_argument("--config", default=None, help=argparse.SUPPRESS)
-    _add_output_option(exciton)
     exciton.set_defaults(func=_cmd_exciton)
 
     times = sub.add_parser("times", help="widths to lifetimes")
@@ -351,14 +341,19 @@ def _build_parser() -> _Parser:
     times.add_argument("--gcn", required=True, help="compound decay width, e.g. 0.1eV")
     times.add_argument("--gspr", required=True, help="spreading width, e.g. 2MeV")
     times.add_argument("--D", required=True, help="compound level spacing, e.g. 1e-16MeV")
-    times.add_argument("--config", default=None, help=argparse.SUPPRESS)
-    _add_output_option(times)
     times.set_defaults(func=_cmd_times)
-    return parser
+    for name, subparser in sub.choices.items():
+        # coeff writes no file and has no option a config could set, so --config stays hidden
+        if name == "coeff":
+            subparser.add_argument("--config", default=None, help=argparse.SUPPRESS)
+        else:
+            subparser.add_argument("--config", default=None, help="flat key=value config file")
+            subparser.add_argument("--output", default=None, help="output file (default: stdout)")
+    return parser, sub.choices
 
 
-def _load_config_tokens(path: str) -> list[str]:
-    """Flat key = value lines -> option tokens, inserted before user flags."""
+def _load_config_tokens(path: str, parser: _Parser | None) -> list[str]:
+    """Flat key = value lines -> ``parser``'s option tokens, inserted before user flags."""
     tokens = []
     try:
         with open(path, encoding="utf-8-sig") as handle:
@@ -371,16 +366,16 @@ def _load_config_tokens(path: str) -> list[str]:
                 key, value = (part.strip() for part in text.split("=", 1))
                 if not key or not value:
                     raise DataFormatError(f"{path}:{lineno}: expected key = value")
-                # single-letter keys name short options (-A), longer keys long ones
-                prefix = "-" if len(key) == 1 else "--"
-                tokens.append(prefix + key.replace("_", "-"))
-                tokens.append(value)
+                option = "-" + key
+                if parser is None or option not in parser._option_string_actions:
+                    option = "--" + key.replace("_", "-")
+                tokens += [option, value]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read config file {path}: {exc}") from exc
     return tokens
 
 
-def _apply_config(argv: list[str]) -> list[str]:
+def _apply_config(argv: list[str], subparsers: dict[str, _Parser]) -> list[str]:
     """Strip --config from argv and splice its tokens after the subcommand."""
     remaining: list[str] = []
     config_path = None
@@ -398,17 +393,18 @@ def _apply_config(argv: list[str]) -> list[str]:
             remaining.append(token)
     if config_path is None:
         return remaining
-    return [*remaining[:1], *_load_config_tokens(config_path), *remaining[1:]]
+    parser = subparsers.get(remaining[0]) if remaining else None
+    return [*remaining[:1], *_load_config_tokens(config_path, parser), *remaining[1:]]
 
 
 def main(argv=None) -> int:
     raw_argv = list(sys.argv[1:] if argv is None else argv)
+    parser, subparsers = _build_parser()
     try:
-        argv_with_config = _apply_config(raw_argv)
+        argv_with_config = _apply_config(raw_argv, subparsers)
     except DataFormatError as exc:
         print(f"photoevap: {exc}", file=sys.stderr)
         return 2
-    parser = _build_parser()
     try:
         args = parser.parse_args(argv_with_config)
     except SystemExit as exc:

@@ -106,20 +106,21 @@ def inverse_capture_xsec(
     """Inverse (capture) cross section sigma_inv(eps) in fm^2.
 
     Default model: pi R^2 times the transmission of partial wave l
-    through the Coulomb + centrifugal barrier.  At and above the barrier
-    the transmission is taken as 1, which joins the sub-barrier branch
-    continuously and keeps sigma_inv non-decreasing in eps.  Below it is
-    the WKB penetrability exp(-G), in closed form for every l: with
-    a = e^2 Z, b = l(l+1) (hbar c)^2 / 2 mu, Q(r) = -eps r^2 + a r + b,
-    D = sqrt(a^2 + 4 eps b) and the outer turning point r_out = (a + D) / 2 eps,
-    the Gamow exponent G is 2 sqrt(2 mu) / hbar c times
+    through the Coulomb + centrifugal barrier.  With a = e^2 Z,
+    b = l(l+1) (hbar c)^2 / 2 mu and Q(r) = -eps r^2 + a r + b, eps is at or
+    above the barrier where Q(R) <= 0; there the transmission is taken as 1,
+    which joins the sub-barrier branch continuously and keeps sigma_inv
+    non-decreasing in eps.  Below it is the WKB penetrability exp(-G), in
+    closed form for every l: with D = sqrt(a^2 + 4 eps b) and the outer
+    turning point r_out = (a + D) / 2 eps, the Gamow exponent G is
+    2 sqrt(2 mu) / hbar c times
 
         int_R^r_out sqrt(Q) / r dr = -sqrt(Q(R)) + a / (2 sqrt(eps)) arccos((2 eps R - a) / D)
             + sqrt(b) ln[(2b + a R + 2 sqrt(b Q(R))) r_out / ((2b + a r_out) R)],
 
-    which for b = 0 is the pure-Coulomb s-wave form.  Q(R), the arccos
-    argument and the integral are clamped to their ranges, since rounding
-    just below the barrier top can push each past it.
+    which for b = 0 is the pure-Coulomb s-wave form.  The arccos argument
+    and the integral are clamped to their ranges, since rounding just
+    below the barrier top can push each past it.
 
     A user-supplied (eps, sigma) table overrides the model entirely;
     ``l`` is validated either way.
@@ -133,16 +134,13 @@ def inverse_capture_xsec(
         raise ValueError(f"eps must be positive, got {eps!r}")
     radius = nuclear_radius(nucleus)
     mu = AMU_MEV * nucleus.mass_number / (1.0 + nucleus.mass_number)  # reduced mass [MeV]
-    barrier = coulomb_barrier(nucleus) + l * (l + 1) * HBARC_MEV_FM ** 2 / (
-        2.0 * mu * radius * radius
-    )
-    if eps >= barrier:
-        return math.pi * radius * radius
     a = E2_MEV_FM * nucleus.charge
     b = l * (l + 1) * HBARC_MEV_FM ** 2 / (2.0 * mu)
+    q_surface = a * radius + b - eps * radius * radius
+    if q_surface <= 0.0:  # at or above the barrier
+        return math.pi * radius * radius
     d = math.sqrt(a * a + 4.0 * eps * b)
     r_out = (a + d) / (2.0 * eps)
-    q_surface = max(a * radius + b - eps * radius * radius, 0.0)
     integral = (
         -math.sqrt(q_surface)
         + a / (2.0 * math.sqrt(eps)) * math.acos(min((2.0 * eps * radius - a) / d, 1.0))

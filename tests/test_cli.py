@@ -564,13 +564,16 @@ class TestTimes:
         assert out == ""
         assert "gamma_spreading_mev" in err
 
-    def test_missing_unit_suffix_is_usage_error(self, capsys):
+    @pytest.mark.parametrize(
+        "gcn, message", [("0.1", "suffix"), ("1e.eV", "bad width value")], ids=["no-unit", "bad-number"]
+    )
+    def test_missing_unit_suffix_is_usage_error(self, capsys, gcn, message):
         code, _, err = run(
-            capsys, "times", "-r", "0.11", "--gcn", "0.1", "--gspr", "2MeV",
+            capsys, "times", "-r", "0.11", "--gcn", gcn, "--gspr", "2MeV",
             "--D", "1e-16MeV",
         )
         assert code == 1
-        assert "suffix" in err
+        assert message in err
 
 
 class TestEnvelope:
@@ -626,9 +629,10 @@ class TestConfigFile:
         code, _, _ = run(capsys, "model", "--config", "/nonexistent.cfg")
         assert code == 2
 
-    def test_malformed_config_line_is_data_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("line", ["A 0.082", "A =", "= 0.1"], ids=["no-equals", "no-value", "no-key"])
+    def test_malformed_config_line_is_data_error(self, capsys, tmp_path, line):
         cfg = tmp_path / "model.cfg"
-        cfg.write_text("A 0.082\n")
+        cfg.write_text(line + "\n")
         code, _, err = run(capsys, "model", "--config", str(cfg))
         assert code == 2
         assert "key = value" in err
@@ -638,6 +642,39 @@ class TestConfigFile:
         cfg.write_text("A = 0.082\nB = 0.47\nC = 0.37\nr = 0.11\n")
         payload, _ = run_json(capsys, "model", f"--config={cfg}")
         assert payload["params"]["A"] == 0.082
+
+    @pytest.mark.parametrize(
+        "positional, options",
+        [
+            (
+                ["model"],
+                ["-A", "0.082", "-B", "0.47", "-C", "0.37", "-r", "0.11", "--grid", "0:180:7",
+                 "--weighting", "spin-cutoff", "--spin-cutoff-sigma", "1.5", "--format", "csv"],
+            ),
+            (
+                ["fit", str(SAMPLE_ANGULAR)],
+                ["--mode", "per-bin", "--starts", "2", "--seed", "1", "--tol", "1e-10",
+                 "--max-iter", "300", "--weighting", "2I+1"],
+            ),
+            (
+                ["spectrum", str(SAMPLE_SPECTRUM)],
+                ["-A", "208", "--charge", "82", "--l", "2", "--eps-max", "6.5"],
+            ),
+            (["exciton"], ["--mass-number", "208", "-E", "6.3"]),
+            (["times"], ["-r", "0.11", "--gcn", "0.1eV", "--gspr", "2MeV", "--D", "1e-16MeV"]),
+        ],
+        ids=["model", "fit", "spectrum", "exciton", "times"],
+    )
+    def test_every_option_can_come_from_the_config(self, capsys, tmp_path, positional, options):
+        # each flag as its key: -A -> A, --l -> l, --mass-number -> mass_number
+        pairs = zip(options[::2], options[1::2])
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text("".join(f"{flag.lstrip('-').replace('-', '_')} = {value}\n" for flag, value in pairs))
+        code, from_flags, err = run(capsys, *positional, *options)
+        assert code == 0, err
+        code, from_config, err = run(capsys, *positional, "--config", str(cfg))
+        assert code == 0, err
+        assert from_config == from_flags
 
 
 CG_ONE_ARGS = ("coeff", "cg", "0", "0", "0", "0", "0", "0")

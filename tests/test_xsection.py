@@ -296,15 +296,36 @@ class TestLegendreCoefficients:
 
 
     @pytest.mark.parametrize(
-        "params",
-        [ShapeParams(A=1e308, B=1.0, C=1.0, r=0.0), ShapeParams(A=1.0, B=1e200, C=0.0, r=1.0)],
+        "params, config, message",
+        [
+            # A**2 or B**2 overflows; the NaN residue would pass the realness check
+            (ShapeParams(A=1e308, B=1.0, C=1.0, r=0.0), ChannelConfig(), "overflow"),
+            (ShapeParams(A=1.0, B=1e200, C=0.0, r=1.0), ChannelConfig(), "overflow"),
+            # c_0 = 0: E1 with s-wave exit reaches only I' = 1, which a 0.01 spin cutoff
+            # weights to zero; with p-wave exit alone, B = 0 switches off every channel
+            (
+                BASE,
+                ChannelConfig(
+                    multipoles=(1,),
+                    exit_orbitals=(0,),
+                    residual_weighting="spin-cutoff",
+                    spin_cutoff_sigma=0.01,
+                ),
+                "non-positive isotropic",
+            ),
+            (
+                dataclasses.replace(BASE, B=0.0),
+                ChannelConfig(multipoles=(1,), exit_orbitals=(1,)),
+                "non-positive isotropic",
+            ),
+        ],
+        ids=["A-overflow", "B-overflow", "spin-zero-s-wave", "p-wave-off"],
     )
-    def test_overflowing_coefficients_raise(self, params):
-        # A**2 or B**2 overflows; the NaN residue would pass the realness check
-        with pytest.raises(DegenerateModelError, match="overflow"):
-            legendre_coefficients(params)
-        with pytest.raises(DegenerateModelError):
-            asymmetry(params)
+    def test_degenerate_coefficients_raise(self, params, config, message):
+        with pytest.raises(DegenerateModelError, match=message):
+            legendre_coefficients(params, config)
+        with pytest.raises(DegenerateModelError, match=message):
+            asymmetry(params, config)
 
     def test_largest_finite_products_still_evaluate(self):
         series = legendre_coefficients(ShapeParams(A=1e150, B=1.0, C=1.0, r=0.0))
