@@ -1,9 +1,8 @@
-"""Angular-momentum recoupling coefficients and Legendre polynomials.
+"""Angular-momentum recoupling coefficients.
 
 Quantum numbers are carried internally as doubled integers so half-integer
 spins stay exact.  Public functions accept plain numbers (``1``, ``0.5``),
-``fractions.Fraction``, strings such as ``"3/2"`` or ``AngularMomentum``
-instances.
+``fractions.Fraction`` or strings such as ``"3/2"``.
 
 Clebsch-Gordan and 6j coefficients are evaluated from the closed Racah
 sums (G. Racah, Phys. Rev. 62, 438 (1942)) in exact integer arithmetic:
@@ -19,33 +18,26 @@ directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from numbers import Integral
 from typing import Union
 
 __all__ = [
-    "AngularMomentum",
     "SpinLike",
     "clear_caches",
     "clebsch_gordan",
-    "legendre_p",
     "racah_w",
-    "triangle_ok",
     "two_j_of",
     "wigner_6j",
     "z_coeff",
 ]
 
-SpinLike = Union["AngularMomentum", int, float, str, Fraction]
+SpinLike = Union[int, float, str, Fraction]
 
 _MAX_TWO_J = 40
 
 def _doubled(value: SpinLike) -> int:
     """Twice the numeric value, required to be integral."""
-    if isinstance(value, AngularMomentum):
-        return value.two_j
     if isinstance(value, bool):
         raise ValueError(f"not a spin value: {value!r}")
     if isinstance(value, int):
@@ -69,32 +61,6 @@ def two_j_of(value: SpinLike) -> int:
     return two
 
 
-@dataclass(frozen=True)
-class AngularMomentum:
-    """A spin or orbital angular momentum, stored as twice its value."""
-
-    two_j: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.two_j, int) or isinstance(self.two_j, bool):
-            raise ValueError(f"two_j must be an integer, got {self.two_j!r}")
-        if self.two_j < 0:
-            raise ValueError(f"two_j must be non-negative, got {self.two_j}")
-        if self.two_j > _MAX_TWO_J:
-            raise ValueError(f"spins above j = {_MAX_TWO_J // 2} are not supported")
-
-    @classmethod
-    def from_value(cls, value: SpinLike) -> "AngularMomentum":
-        return cls(two_j_of(value))
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.two_j, 2)
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
 def clear_caches() -> None:
     _cg_two.cache_clear()
     _6j_two.cache_clear()
@@ -113,11 +79,6 @@ def _check_projection(two_j: int, two_m: int, label: str) -> None:
 
 def _triangle_two(ta: int, tb: int, tc: int) -> bool:
     return abs(ta - tb) <= tc <= ta + tb and (ta + tb + tc) % 2 == 0
-
-
-def triangle_ok(a: SpinLike, b: SpinLike, c: SpinLike) -> bool:
-    """True when (a, b, c) can couple: |a-b| <= c <= a+b with integral sum."""
-    return _triangle_two(two_j_of(a), two_j_of(b), two_j_of(c))
 
 
 def _signed_sqrt(pre_num: int, pre_den: int, terms: list[tuple[int, int]]) -> float:
@@ -246,21 +207,3 @@ def z_coeff(
     norm = math.sqrt((tl1 + 1.0) * (tl2 + 1.0) * (tj1 + 1.0) * (tj2 + 1.0))
     return norm * cg0 * w
 
-
-def legendre_p(order: int, x):
-    """P_order(x) from :func:`numpy.polynomial.legendre.legvander`.
-
-    ``x`` may be a scalar or an ndarray; every entry must lie in [-1, 1].
-    This is the one numpy user in angmom, so numpy is imported here, on
-    the first call, and the coupling coefficients load without it.
-    """
-    if isinstance(order, bool) or not isinstance(order, (int, Integral)) or order < 0:
-        raise ValueError(f"order must be a non-negative integer, got {order!r}")
-    import numpy as np
-    from numpy.polynomial.legendre import legvander
-
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0):
-        raise ValueError("argument outside [-1, 1]")
-    values = legvander(arr, order)[..., order].reshape(arr.shape)
-    return float(values) if arr.ndim == 0 else values

@@ -17,8 +17,9 @@ degenerate or underdetermined computation, or unscalable points).
 
 Every subcommand accepts ``--config FILE`` with flat ``key = value``
 lines, each the option ``-key`` where the subcommand defines it, else
-``--key`` with underscores as hyphens (``l = 2`` is ``--l 2``); explicit
-command-line flags override the file.
+``--key`` with underscores as hyphens (``l = 2`` is ``--l 2``); a flag
+takes ``true`` or ``false``, a key that names no option is a usage error,
+and explicit command-line flags override the file.
 
 A subcommand imports the library module it needs when it runs.  Only
 ``model`` and ``fit`` (through ``xsection`` and ``fitkit``) import numpy;
@@ -352,7 +353,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, sub.choices
 
 
-def _load_config_tokens(path: str, parser: _Parser | None) -> list[str]:
+def _load_config_tokens(path: str, parser: _Parser) -> list[str]:
     """Flat key = value lines -> ``parser``'s option tokens, inserted before user flags."""
     tokens = []
     try:
@@ -366,17 +367,26 @@ def _load_config_tokens(path: str, parser: _Parser | None) -> list[str]:
                 key, value = (part.strip() for part in text.split("=", 1))
                 if not key or not value:
                     raise DataFormatError(f"{path}:{lineno}: expected key = value")
-                option = "-" + key
-                if parser is None or option not in parser._option_string_actions:
-                    option = "--" + key.replace("_", "-")
-                tokens += [option, value]
+                actions = parser._option_string_actions
+                option = "-" + key if "-" + key in actions else "--" + key.replace("_", "-")
+                if option not in actions:
+                    parser.error(f"config key {key!r} is not an option of {parser.prog}")
+                if actions[option].nargs != 0:
+                    tokens += [option, value]
+                elif value.lower() == "true":  # a flag such as --huby-phase
+                    tokens.append(option)
+                elif value.lower() != "false":
+                    parser.error(f"config key {key!r} is a flag and takes true or false, got {value!r}")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read config file {path}: {exc}") from exc
     return tokens
 
 
-def _apply_config(argv: list[str], subparsers: dict[str, _Parser]) -> list[str]:
-    """Strip --config from argv and splice its tokens after the subcommand."""
+def _apply_config(argv: list[str], parser: _Parser, subparsers: dict[str, _Parser]) -> list[str]:
+    """Strip --config from argv and splice its tokens after the subcommand.
+
+    Keys resolve through the subcommand's parser, else through ``parser``.
+    """
     remaining: list[str] = []
     config_path = None
     tokens = iter(argv)
@@ -393,20 +403,18 @@ def _apply_config(argv: list[str], subparsers: dict[str, _Parser]) -> list[str]:
             remaining.append(token)
     if config_path is None:
         return remaining
-    parser = subparsers.get(remaining[0]) if remaining else None
-    return [*remaining[:1], *_load_config_tokens(config_path, parser), *remaining[1:]]
+    target = subparsers.get(remaining[0], parser) if remaining else parser
+    return [*remaining[:1], *_load_config_tokens(config_path, target), *remaining[1:]]
 
 
 def main(argv=None) -> int:
     raw_argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = _build_parser()
     try:
-        argv_with_config = _apply_config(raw_argv, subparsers)
+        args = parser.parse_args(_apply_config(raw_argv, parser, subparsers))
     except DataFormatError as exc:
         print(f"photoevap: {exc}", file=sys.stderr)
         return 2
-    try:
-        args = parser.parse_args(argv_with_config)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

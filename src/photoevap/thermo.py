@@ -118,9 +118,15 @@ def inverse_capture_xsec(
         int_R^r_out sqrt(Q) / r dr = -sqrt(Q(R)) + a / (2 sqrt(eps)) arccos((2 eps R - a) / D)
             + sqrt(b) ln[(2b + a R + 2 sqrt(b Q(R))) r_out / ((2b + a r_out) R)],
 
-    which for b = 0 is the pure-Coulomb s-wave form.  The arccos argument
-    and the integral are clamped to their ranges, since rounding just
-    below the barrier top can push each past it.
+    which for b = 0 is the pure-Coulomb s-wave form.  Its terms cancel as
+    Q(R) -> 0.  So for Q(R) < 5e-4 (a R + b), where the two forms agree to
+    rounding, the integral is instead the series sqrt(D) h^(3/2) / R times
+
+        int_0^1 sqrt(x (1 - alpha x)) / (1 + beta (1 - x)) dx
+            = 2/3 - alpha/5 - 4 beta/15 - alpha^2/28 + 2 alpha beta/35 + 16 beta^2/105 + ...
+
+    in h = r_out - R = 2 Q(R) / (2 eps R - a + D), alpha = eps h / D and
+    beta = h / R, which has no cancellation.
 
     A user-supplied (eps, sigma) table overrides the model entirely;
     ``l`` is validated either way.
@@ -136,20 +142,30 @@ def inverse_capture_xsec(
     mu = AMU_MEV * nucleus.mass_number / (1.0 + nucleus.mass_number)  # reduced mass [MeV]
     a = E2_MEV_FM * nucleus.charge
     b = l * (l + 1) * HBARC_MEV_FM ** 2 / (2.0 * mu)
-    q_surface = a * radius + b - eps * radius * radius
+    top = a * radius + b
+    q_surface = top - eps * radius * radius
     if q_surface <= 0.0:  # at or above the barrier
         return math.pi * radius * radius
     d = math.sqrt(a * a + 4.0 * eps * b)
-    r_out = (a + d) / (2.0 * eps)
-    integral = (
-        -math.sqrt(q_surface)
-        + a / (2.0 * math.sqrt(eps)) * math.acos(min((2.0 * eps * radius - a) / d, 1.0))
-        + math.sqrt(b) * math.log(
-            (2.0 * b + a * radius + 2.0 * math.sqrt(b * q_surface)) * r_out
-            / ((2.0 * b + a * r_out) * radius)
+    if q_surface < 5e-4 * top:
+        h = 2.0 * q_surface / (2.0 * eps * radius - a + d)
+        alpha, beta = eps * h / d, h / radius
+        series = (
+            2.0 / 3.0 - alpha / 5.0 - 4.0 * beta / 15.0
+            - alpha * alpha / 28.0 + 2.0 * alpha * beta / 35.0 + 16.0 * beta * beta / 105.0
         )
-    )
-    gamow = 2.0 * math.sqrt(2.0 * mu) / HBARC_MEV_FM * max(integral, 0.0)
+        integral = math.sqrt(d) / radius * h * math.sqrt(h) * series
+    else:
+        r_out = (a + d) / (2.0 * eps)
+        integral = (
+            -math.sqrt(q_surface)
+            + a / (2.0 * math.sqrt(eps)) * math.acos((2.0 * eps * radius - a) / d)
+            + math.sqrt(b) * math.log(
+                (2.0 * b + a * radius + 2.0 * math.sqrt(b * q_surface)) * r_out
+                / ((2.0 * b + a * r_out) * radius)
+            )
+        )
+    gamow = 2.0 * math.sqrt(2.0 * mu) / HBARC_MEV_FM * integral
     return math.pi * radius * radius * math.exp(-gamow)
 
 

@@ -44,12 +44,9 @@ __all__ = [
     "ShapeParams",
     "TermAmplitude",
     "asymmetry",
-    "correlation_factor",
-    "cross_section",
     "enumerate_terms",
     "forward_backward_ratio",
     "legendre_coefficients",
-    "magnitude_factor",
     "raw_coefficients",
 ]
 
@@ -213,17 +210,6 @@ def _geometry(
     return geom
 
 
-def correlation_factor(L1: int, L2: int, r: float) -> float:
-    """Energy-averaged correlation between two multipole amplitudes.
-
-    Amplitudes of equal total spin stay fully correlated; dipole and
-    quadrupole amplitudes decorrelate by 1/(1 + r).
-    """
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r!r}")
-    return 1.0 if L1 == L2 else 1.0 / (1.0 + r)
-
-
 def _powers(term: TermAmplitude) -> tuple[int, int, int]:
     """Powers (a, b, c) of the term's magnitude factor sqrt(A^a B^b C^c)."""
     return (
@@ -233,19 +219,14 @@ def _powers(term: TermAmplitude) -> tuple[int, int, int]:
     )
 
 
-def magnitude_factor(term: TermAmplitude, params: ShapeParams) -> float:
-    """sqrt of the transmission-coefficient product for one term, in ratio form."""
-    a, b, c = _powers(term)
-    return math.sqrt(params.A ** a * params.B ** b * params.C ** c)
-
-
 @cache
 def _spin_geometry(multipoles: tuple[int, ...], exit_orbitals: tuple[int, ...], huby_phase: bool):
     """Read-only (G, spins, P, cross): the unweighted term sum per residual spin.
 
     G[s, L, j] sums the geometries of the terms with residual spin spins[s],
     Legendre order L and magnitude powers (a, b, c) = P[j]; ``cross`` marks
-    the a == 1 (dipole-quadrupole) columns, whose m_j carries 1/(1+r).
+    the a == 1 columns, whose m_j carries 1/(1+r): equal-multipole amplitudes
+    stay fully correlated, while dipole and quadrupole ones decorrelate by it.
     Conjugate partners cancel the imaginary parts; a residue above 1e-12
     of the largest real entry means a broken term table and raises.
     """
@@ -335,15 +316,6 @@ def legendre_coefficients(
     if not all(map(math.isfinite, (raw[0], *coefficients))):
         raise DegenerateModelError(f"raw coefficients overflow at {params}")
     return LegendreSeries(coefficients, scale=float(raw[0]))
-
-
-def cross_section(
-    params: ShapeParams,
-    config: ChannelConfig = DEFAULT_CONFIG,
-    theta=0.0,
-):
-    """Relative differential cross section at polar angle theta (radians)."""
-    return legendre_coefficients(params, config).evaluate(theta)
 
 
 # forward row int_0^1 P_L dx = (P_{L-1}(0) - P_{L+1}(0)) / (2L + 1), 1 for L = 0;

@@ -1,6 +1,7 @@
 """Command line behavior: output formats, config files, exit codes."""
 
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -644,6 +645,39 @@ class TestConfigFile:
         assert payload["params"]["A"] == 0.082
 
     @pytest.mark.parametrize(
+        "value, flags",
+        [("true", ["--huby-phase"]), ("TRUE", ["--huby-phase"]), ("False", []), ("false", [])],
+    )
+    def test_flag_key_takes_true_or_false(self, capsys, tmp_path, value, flags):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(f"A = 0.082\nB = 0.47\nC = 0.37\nr = 0.11\nhuby_phase = {value}\n")
+        code, from_config, err = run(capsys, "model", "--config", str(cfg))
+        assert code == 0, err
+        shape = ["-A", "0.082", "-B", "0.47", "-C", "0.37", "-r", "0.11"]
+        code, from_flags, err = run(capsys, "model", *shape, *flags)
+        assert code == 0, err
+        assert from_config == from_flags
+
+    @pytest.mark.parametrize(
+        "argv, text, key",
+        [
+            (["model"], "A = 0.082\nB = 0.47\nC = 0.37\nr = 0.11\nhuby_phase = yes\n", "huby_phase"),
+            (["model"], "A = 0.082\nB = 0.47\nC = 0.37\nr = 0.11\nhuby_phase = 1\n", "huby_phase"),
+            (["model"], "A = 0.082\nB = 0.47\nC = 0.37\nr = 0.11\ncolour = red\n", "colour"),
+            (["fit", str(SAMPLE_ANGULAR)], "huby_phase = true\n", "huby_phase"),
+            ([], "A = 0.082\n", "A"),
+        ],
+        ids=["flag-yes", "flag-1", "model-unknown", "fit-huby-phase", "no-command"],
+    )
+    def test_bad_key_is_usage_error_naming_it(self, capsys, tmp_path, argv, text, key):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert f"config key {key!r}" in err.splitlines()[-1]
+        assert "unrecognized" not in err
+
+    @pytest.mark.parametrize(
         "positional, options",
         [
             (
@@ -767,6 +801,8 @@ class TestTopLevel:
         spectrum = [str(SAMPLE_SPECTRUM), "-A", "208", "-Z", "82"]
         commands = [
             list(CG_ONE_ARGS),
+            ["coeff", "w6j", "1", "2", "3", "2", "1", "2"],
+            ["coeff", "racah", "1", "2", "3", "2", "1", "2"],
             ["exciton", "-A", "208", "-E", "6.3"],
             ["times", "-r", "0.11", "--gcn", "0.1eV", "--gspr", "2MeV", "--D", "1e-16MeV"],
             ["spectrum", *spectrum, "--l", "0"],
@@ -835,6 +871,24 @@ class TestTopLevel:
         assert len(set(names)) == len(names)
         assert sorted(photoevap.__all__) == sorted([*names, "__version__"])
         assert all(hasattr(photoevap, name) for name in photoevap.__all__)
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("angmom", "AngularMomentum"),
+            ("angmom", "triangle_ok"),
+            ("angmom", "legendre_p"),
+            ("xsection", "cross_section"),
+            ("xsection", "correlation_factor"),
+            ("xsection", "magnitude_factor"),
+        ],
+    )
+    def test_pruned_name_is_gone(self, module, name):
+        with pytest.raises(AttributeError):
+            getattr(photoevap, name)
+        with pytest.raises(AttributeError):
+            getattr(importlib.import_module(f"photoevap.{module}"), name)
+        assert name not in photoevap.__all__
 
     def test_package_keeps_each_name_it_resolves(self):
         from photoevap import thermo
@@ -920,6 +974,16 @@ def _coeff_argv(draw):
     return ["coeff", kind, "--", *draw(st.lists(_SPIN, min_size=6, max_size=6))]
 
 
+# --huby-phase as a flag or as a config key: `yes` is a usage error, a blank value a data error
+_HUBY_PHASE = st.one_of(
+    st.just([]),
+    st.just(["--huby-phase"]),
+    st.sampled_from(["true", "false", "TRUE", "False", "yes", ""]).map(
+        lambda value: [_File("--config=", f"huby_phase = {value}\n", malformed=not value)]
+    ),
+)
+
+
 @st.composite
 def _model_argv(draw):
     grid = draw(st.tuples(_NUMBER, _NUMBER, st.integers(-1, 40)))
@@ -932,7 +996,7 @@ def _model_argv(draw):
             ("--grid", st.just(":".join(map(str, grid)))),
             ("--format", st.sampled_from(["json", "csv"])),
         ),
-        *draw(st.lists(st.just("--huby-phase"), max_size=1)),
+        *draw(_HUBY_PHASE),
     ]
 
 
@@ -1033,6 +1097,7 @@ class TestContract:
     @example(["times", "-r1", "--gcn=0.1eV", "--gspr=1e308MeV", "--D=1MeV"])
     @example(["spectrum", _File("", "eps_mev,counts\n3.0,1\n4.0\n5.0,2\n", True), "-Z82", "-A208"])
     @example(["spectrum", _File("", "eps_mev,counts\n", True), "-Z82", "-A208"])
+    @example(["model", "-A0.1", "-B1", "-C1", "-r0", _File("--config=", "huby_phase = true\n")])
     @settings(max_examples=300)
     def test_exit_code_and_json_output(self, argv):
         malformed = any(getattr(token, "malformed", False) for token in argv)

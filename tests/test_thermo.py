@@ -3,7 +3,10 @@
 The closed-form barrier penetrability is checked against a direct
 numerical integral of the same turning-point problem written here with
 scipy.quad, for the s-wave and for higher partial waves, so the two
-routes share no code.
+routes share no code.  Within a fraction 5e-4 of the barrier top, where
+the package switches to a series, the reference is the closed form itself
+in 40-digit mpmath arithmetic (mpmath comes with sympy), whose
+cancellation costs nothing at that precision.
 """
 
 import dataclasses
@@ -11,6 +14,7 @@ import math
 import re
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -173,6 +177,53 @@ class TestInverseCapture:
                 eps = float(np.nextafter(eps, 0.0))
                 sigma = inverse_capture_xsec(nucleus, l, eps)
                 assert 0.0 < sigma <= area
+
+    @pytest.mark.parametrize("mass, charge", [(208, 82), (90, 40), (40, 20), (12, 6), (238, 92)])
+    def test_non_decreasing_over_ulps_of_the_barrier_top(self, mass, charge):
+        nucleus = NucleusSpec(mass, charge)
+        radius = nuclear_radius(nucleus)
+        mu = AMU_MEV * mass / (mass + 1.0)
+        for l in range(7):
+            eps = coulomb_barrier(nucleus) + l * (l + 1) * HBARC_MEV_FM**2 / (2.0 * mu * radius * radius)
+            for _ in range(2000):
+                eps = math.nextafter(eps, 0.0)
+            sigma = []
+            for _ in range(4000):
+                sigma.append(inverse_capture_xsec(nucleus, l, eps))
+                eps = math.nextafter(eps, math.inf)
+            falls = [i for i in range(1, len(sigma)) if sigma[i] < sigma[i - 1]]
+            assert falls == [], f"l={l}: {len(falls)} falls, first after {falls[:1]} ulps"
+
+    @pytest.mark.parametrize("l", [0, 1, 3, 6])
+    @pytest.mark.parametrize("mass, charge", [(208, 82), (90, 40), (12, 6), (238, 92)])
+    def test_near_the_barrier_top_matches_high_precision(self, mass, charge, l):
+        nucleus = NucleusSpec(mass, charge)
+        radius = nuclear_radius(nucleus)
+        mu = AMU_MEV * mass / (mass + 1.0)
+        a_coul = E2_MEV_FM * charge
+        b_cent = l * (l + 1) * HBARC_MEV_FM**2 / (2.0 * mu)
+        top = a_coul * radius + b_cent
+        with mpmath.workdps(40):
+            r, a, b, m = map(mpmath.mpf, (radius, a_coul, b_cent, mu))
+            # below the switch at 5e-4 of the top the series is exact to rounding;
+            # above it the closed form keeps the cancellation error it always had
+            cases = [(below, 1e-14) for below in (1e-12, 1e-9, 1e-6, 1e-4, 4.9e-4)]
+            for below, rel in cases + [(5.1e-4, 1e-12), (2e-3, 1e-12)]:
+                eps = top * (1.0 - below) / radius / radius
+                e = mpmath.mpf(eps)
+                q = a * r + b - e * r * r
+                d = mpmath.sqrt(a * a + 4 * e * b)
+                r_out = (a + d) / (2 * e)
+                integral = (
+                    -mpmath.sqrt(q)
+                    + a / (2 * mpmath.sqrt(e)) * mpmath.acos((2 * e * r - a) / d)
+                    + mpmath.sqrt(b) * mpmath.log(
+                        (2 * b + a * r + 2 * mpmath.sqrt(b * q)) * r_out / ((2 * b + a * r_out) * r)
+                    )
+                )
+                gamow = 2 * mpmath.sqrt(2 * m) / mpmath.mpf(HBARC_MEV_FM) * integral
+                expected = float(mpmath.pi * r * r * mpmath.exp(-gamow))
+                assert inverse_capture_xsec(nucleus, l, eps) == pytest.approx(expected, rel=rel)
 
     def test_table_override(self):
         table = SigmaInvTable((1.0, 3.0, 5.0), (10.0, 30.0, 50.0))

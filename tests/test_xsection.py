@@ -25,14 +25,10 @@ from photoevap.xsection import (
     ChannelConfig,
     LegendreSeries,
     ShapeParams,
-    TermAmplitude,
     asymmetry,
-    correlation_factor,
-    cross_section,
     enumerate_terms,
     forward_backward_ratio,
     legendre_coefficients,
-    magnitude_factor,
     raw_coefficients,
 )
 from photoevap import xsection
@@ -168,36 +164,6 @@ class TestEnumerateTerms:
             assert (p.L1, p.L2, p.l1, p.l2, p.l1p, p.l2p, p.Ip, p.L) == (
                 a.L1, a.L2, a.l1, a.l2, a.l1p, a.l2p, a.Ip, a.L,
             )
-
-
-class TestCorrelationFactor:
-    def test_same_multipole_is_fully_correlated(self):
-        for r in (0.0, 0.5, 1e6):
-            assert correlation_factor(1, 1, r) == 1.0
-            assert correlation_factor(2, 2, r) == 1.0
-
-    def test_cross_terms_decorrelate(self):
-        assert correlation_factor(1, 2, 0.0) == 1.0
-        assert correlation_factor(1, 2, 1.0) == pytest.approx(0.5, abs=1e-15)
-        assert correlation_factor(2, 1, 9.0) == pytest.approx(0.1, abs=1e-15)
-
-    def test_negative_r_raises(self):
-        with pytest.raises(ValueError):
-            correlation_factor(1, 2, -0.1)
-
-
-class TestMagnitudeFactor:
-    @staticmethod
-    def term(L1, L2, l1p, l2p):
-        return TermAmplitude(L1=L1, L2=L2, l1=0, l2=0, l1p=l1p, l2p=l2p, Ip=1, L=0, geometry=1.0)
-
-    def test_compositions(self):
-        p = ShapeParams(A=0.25, B=4.0, C=9.0, r=0.0)
-        assert magnitude_factor(self.term(1, 1, 0, 0), p) == pytest.approx(1.0)
-        assert magnitude_factor(self.term(1, 1, 1, 1), p) == pytest.approx(4.0)
-        assert magnitude_factor(self.term(1, 2, 0, 2), p) == pytest.approx(math.sqrt(0.25 * 9.0))
-        assert magnitude_factor(self.term(2, 2, 2, 2), p) == pytest.approx(0.25 * 9.0)
-        assert magnitude_factor(self.term(1, 2, 0, 1), p) == pytest.approx(math.sqrt(0.25 * 4.0))
 
 
 class TestRawCoefficients:
@@ -364,10 +330,6 @@ class TestSeriesEvaluation:
         with pytest.raises(ValueError):
             series.evaluate(math.pi + 0.01)
 
-    def test_cross_section_wrapper(self):
-        series = legendre_coefficients(BASE)
-        assert cross_section(BASE, theta=1.0) == pytest.approx(series.evaluate(1.0), abs=1e-15)
-
 
 PROJECTION_CASES = [
     BASE,
@@ -494,9 +456,14 @@ class TestCoefficientMatrix:
         for params in audit_points():
             expected = np.zeros(5, dtype=complex)
             for t in terms:
-                expected[t.L] += (
-                    t.geometry * magnitude_factor(t, params) * correlation_factor(t.L1, t.L2, params.r)
-                )
+                # sqrt(A^a B^b C^c), counted from the term's own fields, over (1+r) for cross terms
+                a = [t.L1, t.L2].count(2)
+                b = [t.l1p, t.l2p].count(1)
+                c = [t.l1p, t.l2p].count(2)
+                factor = math.sqrt(params.A ** a * params.B ** b * params.C ** c)
+                if t.L1 != t.L2:
+                    factor /= 1.0 + params.r
+                expected[t.L] += t.geometry * factor
             got = raw_coefficients(params, config, huby_phase=huby_phase)
             # relative to the largest coefficient: some orders cancel to rounding
             scale = float(np.max(np.abs(expected)))
