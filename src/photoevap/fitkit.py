@@ -170,10 +170,10 @@ class _FitProblem:
 
     Every isotropic geometry group is positive and every weight is >= 0,
     so M[0] >= 0, and with m > 0 the raw c_0 is positive at every
-    shape as soon as M[0] has one positive entry.  A configuration
-    without one has c_0 = 0 everywhere and is rejected at construction.
-    ``shape_rows`` counts the rows c_1..c_4 of M that are not
-    structurally zero (largest entry above 1e-12 of the largest in M).
+    shape as soon as M[0] has one positive entry, which the fixed
+    channel set has under every weighting.  ``shape_rows`` counts the
+    rows c_1..c_4 of M that are not structurally zero (largest entry
+    above 1e-12 of the largest in M).
 
     All bins share one stacked system of N rows: the design row of point
     i is P_0..P_4 at its angle over its error, its target the yield over
@@ -188,10 +188,6 @@ class _FitProblem:
 
     def __init__(self, datasets: list[AngularDataset], config: ChannelConfig):
         matrix, powers, cross_columns = _coefficient_matrix(config, False)
-        if not np.any(matrix[0] > 0.0):
-            raise DegenerateModelError(
-                "normalisation c_0 vanishes at every shape for this channel configuration"
-            )
         self._matrix = matrix
         row_size = np.max(np.abs(matrix[1:]), axis=1)
         self.shape_rows = int(np.sum(row_size > 1e-12 * np.max(np.abs(matrix))))
@@ -408,10 +404,8 @@ def fit_angular(
     most ``max_iter`` iterations each; one that runs out of them only
     leaves ``converged`` false when it is the best.  ``chi2`` is the
     full problem's chi-square at the best shape and its profiled norms.
-    A configuration whose c_0 vanishes at every shape raises
-    :class:`DegenerateModelError`; no more points than parameters (four
-    plus one norm per dataset) raises :class:`UnderdeterminedError`
-    naming the bin labels.
+    No more points than parameters (four plus one norm per dataset)
+    raises :class:`UnderdeterminedError` naming the bin labels.
     """
     if not datasets:
         raise ValueError("no datasets to fit")

@@ -2,7 +2,7 @@
 
 The differential cross section is a Legendre series sum over interference
 terms between the electric dipole and quadrupole entrance channels of a
-spin-0 target.  Each term carries
+spin-0 target, with exit proton orbitals l' <= 2.  Each term carries
 
 * a geometric weight built from Clebsch-Gordan and Blatt-Biedenharn Z
   coefficients (photon coupling, entrance orbital l = L -+ 1, exit proton
@@ -16,13 +16,15 @@ spin-0 target.  Each term carries
 Cross terms feed only odd Legendre orders, so the forward-backward
 asymmetry of the distribution decays as 1/(1+r) while the even shape is
 r-independent.  The series is normalised to c_0 = 1; absolute scale is a
-per-dataset fit parameter elsewhere.
+per-dataset fit parameter elsewhere.  The channel set is fixed: a reduced
+model is a face of the full one (A = 0 is E1 only, B = 0 or C = 0 drops
+l' = 1 or l' = 2).
 
-The default 195 terms share 10 power triples (a, b, c), so the sum is
+The 195 terms share 10 power triples (a, b, c), so the sum is
 c = M m with m_j = sqrt(A^a B^b C^c), over (1+r) for cross terms.  The
 residual-spin weight w(I') multiplies a geometry free of it, so the real
 5 x 10 matrix is M = sum_I' w(I') G[I'], where G[I'] groups the terms of
-spin I' by triple; G is built and checked real once per channel set.
+spin I' by triple; G is built and checked real once per audit phase.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ __all__ = [
 _PHOTON_SPIN = 1
 _WEIGHTING_MODES = ("equal", "2I+1", "spin-cutoff")
 _IPOW = (1 + 0j, 1j, -1 + 0j, -1j)  # i**n via n mod 4
+_MULTIPOLES = (1, 2)  # E1 and E2 photon absorption
+# exit proton orbitals; l' >= 3 is left out because its centrifugal
+# barrier suppresses evaporation protons too strongly to matter
+_EXIT_ORBITALS = (0, 1, 2)
 
 MAX_ORDER = 4  # dipole+quadrupole entrance caps the series at P_4
 
@@ -79,36 +85,21 @@ class ShapeParams:
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Channel content of the interference sum.
+    """How the terms of the fixed channel set are summed over residual spins.
 
-    multipoles: electric multipole orders of the absorbed photon (1 =
-        dipole, 2 = quadrupole).
-    exit_orbitals: proton orbital momenta kept in the exit channel.
-        Values >= 3 are rejected: the corresponding centrifugal barrier
-        suppresses evaporation protons too strongly to matter.
     residual_weighting: weight per allowed residual spin I' when summing
         microstates ("equal", "2I+1" or "spin-cutoff").
     spin_cutoff_sigma: cutoff parameter for the "spin-cutoff" mode.
     """
 
-    multipoles: tuple[int, ...] = (1, 2)
-    exit_orbitals: tuple[int, ...] = (0, 1, 2)
     residual_weighting: str = "equal"
     spin_cutoff_sigma: float = 2.0
 
     def __post_init__(self) -> None:
-        multis = tuple(sorted(set(int(m) for m in self.multipoles)))
-        exits = tuple(sorted(set(int(l) for l in self.exit_orbitals)))
-        if not multis or any(m not in (1, 2) for m in multis):
-            raise ValueError(f"multipoles must be a non-empty subset of (1, 2), got {self.multipoles!r}")
-        if not exits or any(l < 0 or l > 2 for l in exits):
-            raise ValueError(f"exit orbitals must be a non-empty subset of (0, 1, 2), got {self.exit_orbitals!r}")
         if self.residual_weighting not in _WEIGHTING_MODES:
             raise ValueError(f"residual_weighting must be one of {_WEIGHTING_MODES}, got {self.residual_weighting!r}")
         if not (self.spin_cutoff_sigma > 0 and math.isfinite(self.spin_cutoff_sigma)):
             raise ValueError(f"spin_cutoff_sigma must be positive, got {self.spin_cutoff_sigma!r}")
-        object.__setattr__(self, "multipoles", multis)
-        object.__setattr__(self, "exit_orbitals", exits)
 
 
 DEFAULT_CONFIG = ChannelConfig()
@@ -165,12 +156,12 @@ def enumerate_terms(
     audit aid and is never applied implicitly.
     """
     terms = []
-    for L1 in config.multipoles:
-        for L2 in config.multipoles:
+    for L1 in _MULTIPOLES:
+        for L2 in _MULTIPOLES:
             for l1 in _entrance_orbitals(L1):
                 for l2 in _entrance_orbitals(L2):
-                    for l1p in config.exit_orbitals:
-                        for l2p in config.exit_orbitals:
+                    for l1p in _EXIT_ORBITALS:
+                        for l2p in _EXIT_ORBITALS:
                             # parity: exit parities must match the E(L) photon parities
                             if (l1p + l2p + L1 + L2) % 2:
                                 continue
@@ -220,7 +211,7 @@ def _powers(term: TermAmplitude) -> tuple[int, int, int]:
 
 
 @cache
-def _spin_geometry(multipoles: tuple[int, ...], exit_orbitals: tuple[int, ...], huby_phase: bool):
+def _spin_geometry(huby_phase: bool):
     """Read-only (G, spins, P, cross): the unweighted term sum per residual spin.
 
     G[s, L, j] sums the geometries of the terms with residual spin spins[s],
@@ -230,7 +221,7 @@ def _spin_geometry(multipoles: tuple[int, ...], exit_orbitals: tuple[int, ...], 
     Conjugate partners cancel the imaginary parts; a residue above 1e-12
     of the largest real entry means a broken term table and raises.
     """
-    terms = enumerate_terms(ChannelConfig(multipoles, exit_orbitals), huby_phase=huby_phase)
+    terms = enumerate_terms(huby_phase=huby_phase)
     spins = sorted({term.Ip for term in terms})
     powers = sorted({_powers(term) for term in terms})
     geometry = np.zeros((len(spins), MAX_ORDER + 1, len(powers)), dtype=complex)
@@ -251,7 +242,7 @@ def _coefficient_matrix(config: ChannelConfig, huby_phase: bool):
 
     Column j holds the terms whose magnitude factor has the powers P[j].
     """
-    geometry, spins, powers, cross = _spin_geometry(config.multipoles, config.exit_orbitals, huby_phase)
+    geometry, spins, powers, cross = _spin_geometry(huby_phase)
     weights = np.array([_residual_weight(config, spin) for spin in spins])
     matrix = np.einsum("s,slj->lj", weights, geometry)
     matrix.flags.writeable = False

@@ -890,6 +890,19 @@ class TestTopLevel:
             getattr(importlib.import_module(f"photoevap.{module}"), name)
         assert name not in photoevap.__all__
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: photoevap.ChannelConfig(multipoles=(1,)),
+            lambda: photoevap.ChannelConfig(exit_orbitals=(0, 1)),
+            lambda: photoevap.NucleusSpec(208, 82, excitation=6.3),
+        ],
+        ids=["multipoles", "exit_orbitals", "excitation"],
+    )
+    def test_pruned_field_is_gone(self, make):
+        with pytest.raises(TypeError):
+            make()
+
     def test_package_keeps_each_name_it_resolves(self):
         from photoevap import thermo
 

@@ -529,23 +529,25 @@ class TestFitRegression:
         )
 
 
-# both terms of this channel have residual spin 1, whose
-# spin-cutoff weight underflows to 0 at sigma = 0.01: c_0 is 0 at every shape
-DEGENERATE = ChannelConfig(
-    multipoles=(1,), exit_orbitals=(0,), residual_weighting="spin-cutoff", spin_cutoff_sigma=0.01
-)
-
-
-class TestDegenerateConfiguration:
-    def test_fit_angular_raises(self):
+class TestSpinCutoffExtremes:
+    def test_chi_square_raises_where_c0_vanishes(self):
+        # A = B = C = 0 leaves E1 with s-wave exit, whose only residual spin 1
+        # gets spin-cutoff weight 0 at sigma = 0.01: c_0 = 0
+        config = ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=0.01)
         datasets = synth_dataset(TRUTH, [1200.0], THETAS, 0.05, 1)
-        with pytest.raises(DegenerateModelError):
-            fit_angular(datasets, DEGENERATE, n_starts=2)
+        with pytest.raises(DegenerateModelError, match="non-positive isotropic"):
+            chi_square(ShapeParams(A=0.0, B=0.0, C=0.0, r=0.11), [1200.0], datasets, config)
 
-    def test_chi_square_raises(self):
-        datasets = synth_dataset(TRUTH, [1200.0], THETAS, 0.05, 1)
-        with pytest.raises(DegenerateModelError):
-            chi_square(TRUTH, [1200.0], datasets, DEGENERATE)
+    def test_fit_converges_at_the_smallest_sigma(self):
+        # only residual spin 0 keeps a weight, and its isotropic row is still positive
+        config = ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=5e-324)
+        datasets = synth_dataset(TRUTH, [1200.0], THETAS, 0.05, 1, config=config)
+        result = fit_angular(datasets, config, n_starts=4)
+        assert result.converged
+        assert math.isfinite(result.chi2)
+        assert chi_square(result.params, result.norms, datasets, config) == pytest.approx(
+            result.chi2, rel=1e-10
+        )
 
 
 def test_chi_square_overflow_raises():

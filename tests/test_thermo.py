@@ -49,8 +49,8 @@ SAMPLE_SPECTRUM = Path(__file__).resolve().parents[1] / "sample_data" / "spectru
 
 class TestNucleusSpec:
     def test_holds_values(self):
-        n = NucleusSpec(208, 82, excitation=6.3)
-        assert (n.mass_number, n.charge, n.excitation) == (208, 82, 6.3)
+        n = NucleusSpec(208, 82)
+        assert (n.mass_number, n.charge) == (208, 82)
 
     @pytest.mark.parametrize(
         "args",
@@ -59,10 +59,6 @@ class TestNucleusSpec:
     def test_rejects_bad_composition(self, args):
         with pytest.raises(ValueError):
             NucleusSpec(*args)
-
-    def test_rejects_negative_excitation(self):
-        with pytest.raises(ValueError):
-            NucleusSpec(208, 82, excitation=-1.0)
 
 
 class TestSpectrumPoint:
@@ -193,6 +189,26 @@ class TestInverseCapture:
                 eps = math.nextafter(eps, math.inf)
             falls = [i for i in range(1, len(sigma)) if sigma[i] < sigma[i - 1]]
             assert falls == [], f"l={l}: {len(falls)} falls, first after {falls[:1]} ulps"
+
+    @pytest.mark.parametrize("below", [5e-4, 1e-2])
+    def test_closed_form_is_non_decreasing_within_its_documented_tolerance(self, below):
+        # the documented monotonicity tolerance of the closed form, over
+        # +-2000 ulps at the series switch and further below the top
+        for mass, charge in [(208, 82), (90, 40), (40, 20), (12, 6), (238, 92), (58, 28)]:
+            nucleus = NucleusSpec(mass, charge)
+            radius = nuclear_radius(nucleus)
+            mu = AMU_MEV * mass / (mass + 1.0)
+            for l in range(7):
+                top = E2_MEV_FM * charge * radius + l * (l + 1) * HBARC_MEV_FM**2 / (2.0 * mu)
+                eps = top * (1.0 - below) / radius / radius
+                for _ in range(2000):
+                    eps = math.nextafter(eps, 0.0)
+                sigma = []
+                for _ in range(4000):
+                    sigma.append(inverse_capture_xsec(nucleus, l, eps))
+                    eps = math.nextafter(eps, math.inf)
+                worst = max((p - s) / p for p, s in zip(sigma, sigma[1:]))
+                assert worst <= 1e-13, f"A={mass}, l={l}: falls by {worst:.3g} relative"
 
     @pytest.mark.parametrize("l", [0, 1, 3, 6])
     @pytest.mark.parametrize("mass, charge", [(208, 82), (90, 40), (12, 6), (238, 92)])
