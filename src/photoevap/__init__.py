@@ -17,7 +17,7 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# searched in this order, so that a name outside xsection and fitkit loads no numpy
+# searched in this order, so that a name outside fitkit loads no numpy
 _MODULES = ("errors", "angmom", "thermo", "xsection", "fitkit")
 _SUBMODULES = (*_MODULES, "cli", "constants")
 

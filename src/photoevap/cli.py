@@ -22,14 +22,15 @@ takes ``true`` or ``false``, a key that names no option is a usage error,
 and explicit command-line flags override the file.
 
 A subcommand imports the library module it needs when it runs.  Only
-``model`` and ``fit`` (through ``xsection`` and ``fitkit``) import numpy;
-``coeff``, ``exciton``, ``times`` and ``spectrum`` run without it.
+``fit`` (through ``fitkit``) imports numpy; ``coeff``, ``model``,
+``exciton``, ``times`` and ``spectrum`` run without it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import asdict
@@ -47,7 +48,7 @@ _COEFF_KINDS = {
 }
 
 # the subcommands that import numpy, which main runs with its warnings off
-_NUMPY_COMMANDS = ("model", "fit")
+_NUMPY_COMMANDS = ("fit",)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,8 +77,9 @@ def _parse_width(token: str, scale: dict) -> float:
     return value * scale[match.group(2).lower()]
 
 
-def _parse_grid(token: str) -> tuple[float, float, int]:
-    """Angle grid 'start:stop:count' in degrees, as numpy.linspace arguments."""
+def _parse_grid(token: str) -> list[float]:
+    """Angle grid 'start:stop:count' in degrees: count evenly spaced angles,
+    i * step + start as numpy.linspace places them, the last exactly stop."""
     parts = token.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:count, got {token!r}")
@@ -88,7 +90,12 @@ def _parse_grid(token: str) -> tuple[float, float, int]:
         raise ValueError(f"bad grid {token!r}") from exc
     if not (0.0 <= start < stop <= 180.0) or count < 2:
         raise ValueError(f"grid must satisfy 0 <= start < stop <= 180, count >= 2, got {token!r}")
-    return start, stop, count
+    grid = [0.0] * count  # allocated whole, so a count too large for memory fails here
+    step = (stop - start) / (count - 1)
+    for i in range(count - 1):
+        grid[i] = i * step + start
+    grid[-1] = stop
+    return grid
 
 
 def _channel_config(args) -> xsection.ChannelConfig:
@@ -117,15 +124,13 @@ def _cmd_coeff(args) -> str:
 
 
 def _cmd_model(args) -> dict | str:
-    import numpy as np
-
     from . import xsection
 
     params = xsection.ShapeParams(A=args.A, B=args.B, C=args.C, r=args.r)
     config = _channel_config(args)
     series = xsection.legendre_coefficients(params, config, huby_phase=args.huby_phase)
-    grid = np.linspace(*_parse_grid(args.grid))
-    sigma = series.evaluate(np.deg2rad(grid))
+    grid = _parse_grid(args.grid)
+    sigma = series.evaluate(map(math.radians, grid))
     ratio = xsection.forward_backward_ratio(series)
     if args.format == "csv":
         lines = [f"# c_{order} = {c!r}" for order, c in enumerate(series.coefficients)]
@@ -138,7 +143,7 @@ def _cmd_model(args) -> dict | str:
         "weighting": config.residual_weighting,
         "coefficients": {f"c_{order}": c for order, c in enumerate(series.coefficients)},
         "asymmetry_U": ratio,
-        "curve": [{"theta_deg": float(t), "sigma": float(s)} for t, s in zip(grid, sigma)],
+        "curve": [{"theta_deg": t, "sigma": s} for t, s in zip(grid, sigma)],
     }
 
 
@@ -162,7 +167,7 @@ def _fit_result_dict(result: fitkit.FitResult, datasets, config) -> dict:
     }
     residuals = []
     for ds, norm in zip(datasets, result.norms):
-        model = norm * series.evaluate(np.deg2rad(ds.theta_deg))
+        model = norm * np.asarray(series.evaluate(np.deg2rad(ds.theta_deg)))
         for theta, value, err, m in zip(ds.theta_deg, ds.yields, ds.errors, model):
             residuals.append(
                 {

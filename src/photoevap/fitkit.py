@@ -187,7 +187,7 @@ class _FitProblem:
     """
 
     def __init__(self, datasets: list[AngularDataset], config: ChannelConfig):
-        matrix, powers, cross_columns = _coefficient_matrix(config, False)
+        matrix, powers, cross_columns = map(np.asarray, _coefficient_matrix(config, False))
         self._matrix = matrix
         row_size = np.max(np.abs(matrix[1:]), axis=1)
         self.shape_rows = int(np.sum(row_size > 1e-12 * np.max(np.abs(matrix))))
@@ -471,7 +471,7 @@ def synth_dataset(
         raise ValueError(f"noise_frac must be >= 0, got {noise_frac!r}")
     thetas = np.asarray(thetas_deg, dtype=float)
     series: LegendreSeries = legendre_coefficients(params, config)
-    sigma = series.evaluate(np.deg2rad(thetas))
+    sigma = np.asarray(series.evaluate(np.deg2rad(thetas)))
     rng = np.random.default_rng(seed)
     norms = list(norms)
     if bin_labels is None:

@@ -25,6 +25,10 @@ c = M m with m_j = sqrt(A^a B^b C^c), over (1+r) for cross terms.  The
 residual-spin weight w(I') multiplies a geometry free of it, so the real
 5 x 10 matrix is M = sum_I' w(I') G[I'], where G[I'] groups the terms of
 spin I' by triple; G is built and checked real once per audit phase.
+
+The module is pure Python, with no numpy: one model point is a few dozen
+multiply-adds, which numpy's per-call overhead would cost more than it
+saves.  M is a tuple of row tuples, the coefficients a tuple of floats.
 """
 
 from __future__ import annotations
@@ -32,9 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-
-import numpy as np
-from numpy.polynomial.legendre import legval
+from operator import mul
 
 from .angmom import clebsch_gordan, z_coeff
 from .errors import DegenerateModelError
@@ -212,41 +214,47 @@ def _powers(term: TermAmplitude) -> tuple[int, int, int]:
 
 @cache
 def _spin_geometry(huby_phase: bool):
-    """Read-only (G, spins, P, cross): the unweighted term sum per residual spin.
+    """(G, spins, P, cross): the unweighted term sum per residual spin, as tuples.
 
-    G[s, L, j] sums the geometries of the terms with residual spin spins[s],
-    Legendre order L and magnitude powers (a, b, c) = P[j]; ``cross`` marks
-    the a == 1 columns, whose m_j carries 1/(1+r): equal-multipole amplitudes
-    stay fully correlated, while dipole and quadrupole ones decorrelate by it.
+    G[s] holds the nonzero entries (L, j, g) of that sum for residual spin
+    spins[s]: g sums the geometries of the terms with Legendre order L and
+    magnitude powers (a, b, c) = P[j].  ``cross`` marks the a == 1 columns,
+    whose m_j carries 1/(1+r): equal-multipole amplitudes stay fully
+    correlated, while dipole and quadrupole ones decorrelate by it.
     Conjugate partners cancel the imaginary parts; a residue above 1e-12
     of the largest real entry means a broken term table and raises.
     """
     terms = enumerate_terms(huby_phase=huby_phase)
     spins = sorted({term.Ip for term in terms})
     powers = sorted({_powers(term) for term in terms})
-    geometry = np.zeros((len(spins), MAX_ORDER + 1, len(powers)), dtype=complex)
+    sums: dict[tuple[int, int, int], complex] = {}
     for term in terms:
-        geometry[spins.index(term.Ip), term.L, powers.index(_powers(term))] += term.geometry
-    residue = float(np.max(np.abs(geometry.imag)))
-    if residue > 1e-12 * float(np.max(np.abs(geometry.real))):
+        key = (term.Ip, term.L, powers.index(_powers(term)))
+        sums[key] = sums.get(key, 0.0) + term.geometry
+    residue = max(abs(g.imag) for g in sums.values())
+    if residue > 1e-12 * max(abs(g.real) for g in sums.values()):
         raise RuntimeError(f"imaginary residue {residue:g} exceeds realisation bound")
-    powers = np.array(powers, dtype=float)
-    real, cross = geometry.real.copy(), powers[:, 0] == 1
-    for array in (real, powers, cross):
-        array.flags.writeable = False
-    return real, tuple(spins), powers, cross
+    geometry = tuple(
+        tuple((order, j, g.real) for (ip, order, j), g in sorted(sums.items()) if ip == spin and g.real)
+        for spin in spins
+    )
+    cross = tuple(a == 1 for a, _, _ in powers)
+    return geometry, tuple(spins), tuple(powers), cross
 
 
 def _coefficient_matrix(config: ChannelConfig, huby_phase: bool):
-    """Read-only (M, P, cross) with c = M @ m: the real (5, n) M = sum_I' w(I') G[I'].
+    """(M, P, cross) with c = M m: M = sum_I' w(I') G[I'] as 5 row tuples of n.
 
     Column j holds the terms whose magnitude factor has the powers P[j].
+    Only the nonzero entries of G are summed.
     """
     geometry, spins, powers, cross = _spin_geometry(huby_phase)
-    weights = np.array([_residual_weight(config, spin) for spin in spins])
-    matrix = np.einsum("s,slj->lj", weights, geometry)
-    matrix.flags.writeable = False
-    return matrix, powers, cross
+    rows = [[0.0] * len(powers) for _ in range(MAX_ORDER + 1)]
+    for spin, entries in zip(spins, geometry):
+        weight = _residual_weight(config, spin)
+        for order, j, value in entries:
+            rows[order][j] += weight * value
+    return tuple(map(tuple, rows)), powers, cross
 
 
 def raw_coefficients(
@@ -254,37 +262,78 @@ def raw_coefficients(
     config: ChannelConfig = DEFAULT_CONFIG,
     *,
     huby_phase: bool = False,
-) -> np.ndarray:
+) -> tuple[float, ...]:
     """Unnormalised real Legendre coefficients c_0..c_4 of the term sum.
 
     Even orders collect only same-multipole terms and are independent of
     r; odd orders collect only cross terms and scale as sqrt(A)/(1+r).
+    A square A^2, B^2 or C^2 beyond the float range raises
+    ``DegenerateModelError``; a product of powers beyond it leaves inf or
+    NaN, which :func:`legendre_coefficients` reports the same way.
     """
     matrix, powers, cross = _coefficient_matrix(config, huby_phase)
-    a, b, c = powers.T
-    magnitude = np.sqrt(params.A ** a * params.B ** b * params.C ** c)
-    magnitude[cross] *= 1.0 / (1.0 + params.r)
-    return matrix @ magnitude
+    try:
+        # every power is 0, 1 or 2
+        A, B, C = ((1.0, x, x ** 2) for x in (params.A, params.B, params.C))
+    except OverflowError:
+        raise DegenerateModelError(f"raw coefficients overflow at {params}") from None
+    damping = 1.0 / (1.0 + params.r)
+    magnitude = [
+        math.sqrt(A[a] * B[b] * C[c]) * (damping if is_cross else 1.0)
+        for (a, b, c), is_cross in zip(powers, cross)
+    ]
+    return tuple(sum(map(mul, row, magnitude)) for row in matrix)
 
 
 @dataclass(frozen=True)
 class LegendreSeries:
     """sigma(theta) = sum_L c_L P_L(cos theta) with c_0 normalised to 1.
 
-    ``scale`` records the raw c_0 that was divided out (diagnostic only;
-    absolute normalisation is carried by per-dataset fit norms).
+    ``coefficients`` holds 1 to 5 finite values c_0..c_4; missing orders
+    are zero.  ``scale`` records the raw c_0 that was divided out
+    (diagnostic only; absolute normalisation is carried by per-dataset fit
+    norms).
     """
 
     coefficients: tuple[float, ...]
     scale: float = 1.0
 
+    def __post_init__(self) -> None:
+        n = len(self.coefficients)
+        if n > MAX_ORDER + 1:
+            raise ValueError(f"series has orders above P_{MAX_ORDER}")
+        if n == 0:
+            raise ValueError("series needs at least c_0")
+        if not all(map(math.isfinite, self.coefficients)):
+            raise ValueError(f"coefficients must be finite, got {self.coefficients!r}")
+
+    def _orders(self) -> tuple[float, ...]:
+        """c_0..c_4, padded with zeros."""
+        return (*self.coefficients, 0.0, 0.0, 0.0, 0.0)[: MAX_ORDER + 1]
+
     def evaluate(self, theta):
-        """Series value at polar angle theta (radians), scalar or array."""
-        arr = np.asarray(theta, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > math.pi):
-            raise ValueError("theta must lie in [0, pi]")
-        total = legval(np.cos(arr), self.coefficients)
-        return float(total) if arr.ndim == 0 else total
+        """Series value at polar angle theta (radians).
+
+        A number gives a float and an iterable of angles a list.  An angle
+        outside [0, pi], NaN included, raises ``ValueError``.
+        """
+        c0, c1, c2, c3, c4 = self._orders()
+        try:
+            angles = iter(theta)
+        except TypeError:
+            angles = None
+        values = []
+        for t in (theta,) if angles is None else angles:
+            if not 0.0 <= t <= math.pi:
+                raise ValueError("theta must lie in [0, pi]")
+            x = math.cos(t)
+            x2 = x * x
+            # P_2 = (3x^2 - 1)/2, P_3 = (5x^2 - 3)x/2, P_4 = ((35x^2 - 30)x^2 + 3)/8
+            values.append(
+                c0 + c1 * x + c2 * (1.5 * x2 - 0.5) + c3 * ((2.5 * x2 - 1.5) * x)
+                + c4 * ((4.375 * x2 - 3.75) * x2 + 0.375)
+            )
+        return values[0] if angles is None else values
 
 
 def legendre_coefficients(
@@ -300,30 +349,28 @@ def legendre_coefficients(
     overflow) raises ``DegenerateModelError``.
     """
     raw = raw_coefficients(params, config, huby_phase=huby_phase)
-    if raw[0] <= 0.0:
-        raise DegenerateModelError(f"non-positive isotropic coefficient c_0 = {raw[0]:g}")
-    coefficients = tuple(float(c) for c in raw / raw[0])
-    # an overflowing product leaves inf or NaN here
-    if not all(map(math.isfinite, (raw[0], *coefficients))):
-        raise DegenerateModelError(f"raw coefficients overflow at {params}")
-    return LegendreSeries(coefficients, scale=float(raw[0]))
-
-
-# forward row int_0^1 P_L dx = (P_{L-1}(0) - P_{L+1}(0)) / (2L + 1), 1 for L = 0;
-# backward row int_-1^0 P_L dx = (-1)^L times it
-_HALF_INTEGRALS = np.array([[1.0, 0.5, 0.0, -0.125, 0.0], [1.0, -0.5, 0.0, 0.125, 0.0]])
+    scale = raw[0]
+    if scale <= 0.0:
+        raise DegenerateModelError(f"non-positive isotropic coefficient c_0 = {scale:g}")
+    try:
+        return LegendreSeries(tuple(c / scale for c in raw), scale=scale)
+    except ValueError:
+        # an overflowing product leaves inf or NaN in raw, and so in the
+        # normalised coefficients (inf / inf is NaN)
+        raise DegenerateModelError(f"raw coefficients overflow at {params}") from None
 
 
 def forward_backward_ratio(series: LegendreSeries) -> float:
     """U = forward / backward hemisphere yields of sigma(theta) sin(theta).
 
     Closed form from half-range Legendre integrals; the backward integral
-    must be positive or the series is unphysical.  Orders above P_4 raise.
+    must be positive or the series is unphysical.
     """
-    n = len(series.coefficients)
-    if n > MAX_ORDER + 1:
-        raise ValueError(f"series has orders above P_{MAX_ORDER}")
-    forward, backward = np.dot(_HALF_INTEGRALS[:, :n], series.coefficients).tolist()
+    c0, c1, _, c3, _ = series._orders()
+    # forward row int_0^1 P_L dx = (P_{L-1}(0) - P_{L+1}(0)) / (2L + 1), 1 for L = 0,
+    # that is (1, 1/2, 0, -1/8, 0); backward row int_-1^0 P_L dx = (-1)^L times it
+    forward = c0 + 0.5 * c1 - 0.125 * c3
+    backward = c0 - 0.5 * c1 + 0.125 * c3
     if backward <= 0.0:
         raise DegenerateModelError(f"non-positive backward yield {backward:g}")
     return forward / backward

@@ -144,14 +144,14 @@ def test_criterion_2_model_structure():
     worst_high = 0.0
     for _ in range(50):
         params = random_params(rng)
-        raw = raw_coefficients(params)
+        raw = np.asarray(raw_coefficients(params))
         worst_imag = max(worst_imag, float(np.max(np.abs(raw.imag))) / abs(raw[0].real))
 
         # odd orders times (1+r) must not depend on r
         damped = []
         for r in (0.0, 0.4, 2.0, 9.0):
             varied = ShapeParams(A=params.A, B=params.B, C=params.C, r=r)
-            vec = raw_coefficients(varied).real
+            vec = np.asarray(raw_coefficients(varied)).real
             damped.append((1.0 + r) * vec[[1, 3]])
         ref = np.abs(damped[0])
         scale = np.maximum(ref, 1e-30)
@@ -161,9 +161,9 @@ def test_criterion_2_model_structure():
         # even orders must be affine in A
         a_values = (0.0, 1.0, 2.0, 3.5)
         vecs = [
-            raw_coefficients(
+            np.asarray(raw_coefficients(
                 ShapeParams(A=a, B=params.B, C=params.C, r=params.r)
-            ).real[[0, 2, 4]]
+            )).real[[0, 2, 4]]
             for a in a_values
         ]
         slope = vecs[2] - vecs[1]
@@ -197,7 +197,9 @@ def test_criterion_3_bohr_limit_symmetry():
     params = ShapeParams(A=REFERENCE.A, B=REFERENCE.B, C=REFERENCE.C, r=1e12)
     series = legendre_coefficients(params)
     theta = np.linspace(0.0, math.pi / 2, 200)
-    asymmetric_part = np.abs(series.evaluate(theta) - series.evaluate(math.pi - theta))
+    asymmetric_part = np.abs(
+        np.asarray(series.evaluate(theta)) - np.asarray(series.evaluate(math.pi - theta))
+    )
     rel = float(np.max(asymmetric_part)) / series.evaluate(math.pi / 2)
     ok = rel < 1e-10
     verdict(3, ok, f"max |sigma(theta)-sigma(pi-theta)|/sigma(90deg) = {rel:.2e}")

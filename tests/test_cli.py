@@ -434,9 +434,11 @@ class TestBadInputExitsCleanly:
         "argv",
         [
             ["model", "-A", "1e200", "-B", "1", "-C", "1", "-r", "0"],
+            # A^2 and C^2 are finite, their product is not
+            ["model", "-A", "1e150", "-B", "1", "-C", "1e150", "-r", "0"],
             ["spectrum", "spectrum.csv", "-A", "208", "-Z", "82"],
         ],
-        ids=["model-overflow", "spectrum-tiny-error"],
+        ids=["model-overflow", "model-product-overflow", "spectrum-tiny-error"],
     )
     def test_numerical_error_prints_no_numpy_warning(self, tmp_path, argv):
         # a fresh process, since pytest captures warnings that a user would see
@@ -803,6 +805,9 @@ class TestTopLevel:
             list(CG_ONE_ARGS),
             ["coeff", "w6j", "1", "2", "3", "2", "1", "2"],
             ["coeff", "racah", "1", "2", "3", "2", "1", "2"],
+            list(TestModel.ARGS),
+            [*TestModel.ARGS, "--format", "csv", "--grid", "0:180:19"],
+            [*TestModel.ARGS, "--huby-phase"],
             ["exciton", "-A", "208", "-E", "6.3"],
             ["times", "-r", "0.11", "--gcn", "0.1eV", "--gspr", "2MeV", "--D", "1e-16MeV"],
             ["spectrum", *spectrum, "--l", "0"],

@@ -155,7 +155,7 @@ class TestChiSquare:
         series = legendre_coefficients(params)
         expected = 0.0
         for ds, norm in zip(datasets, norms):
-            model = norm * series.evaluate(np.deg2rad(ds.theta_deg))
+            model = norm * np.asarray(series.evaluate(np.deg2rad(ds.theta_deg)))
             expected += float(np.sum(((ds.yields - model) / ds.errors) ** 2))
         assert chi_square(params, norms, datasets) == pytest.approx(expected, rel=1e-12)
 
@@ -240,7 +240,7 @@ class TestProfiledProblem:
             series = legendre_coefficients(problem.params_of(shape_x), config)
             expected_residuals = []
             for ds, norm in zip(datasets, norms):
-                model = series.evaluate(np.deg2rad(ds.theta_deg)) / ds.errors
+                model = np.asarray(series.evaluate(np.deg2rad(ds.theta_deg))) / ds.errors
                 target = ds.yields / ds.errors
                 projection = float(model @ target) / float(model @ model)
                 expected = min(max(projection, math.exp(-40.0)), math.exp(40.0))
@@ -289,13 +289,13 @@ class TestSynthDataset:
         series = legendre_coefficients(TRUTH)
         for ds, norm in zip(datasets, NORMS):
             assert ds.unit_weights
-            expected = norm * series.evaluate(np.deg2rad(ds.theta_deg))
+            expected = norm * np.asarray(series.evaluate(np.deg2rad(ds.theta_deg)))
             assert ds.yields == pytest.approx(expected, rel=1e-13)
 
     def test_errors_scale_with_clean_model_not_noise(self):
         ds = make_noisy(seed=9, noise=0.1)[0]
         series = legendre_coefficients(TRUTH)
-        clean = NORMS[0] * series.evaluate(np.deg2rad(ds.theta_deg))
+        clean = NORMS[0] * np.asarray(series.evaluate(np.deg2rad(ds.theta_deg)))
         assert ds.errors == pytest.approx(0.1 * clean, rel=1e-12)
 
     def test_labels(self):

@@ -147,26 +147,26 @@ class TestEnumerateTerms:
 
 class TestRawCoefficients:
     def test_shape_and_realness(self):
-        raw = raw_coefficients(BASE)
+        raw = np.asarray(raw_coefficients(BASE))
         assert raw.shape == (5,)
         assert np.max(np.abs(raw.imag)) <= 1e-13 * abs(raw[0])
 
     def test_even_orders_independent_of_correlation(self):
-        raws = [raw_coefficients(params_with(r)) for r in (0.0, 0.3, 2.0, 7.0)]
+        raws = [np.asarray(raw_coefficients(params_with(r))) for r in (0.0, 0.3, 2.0, 7.0)]
         for raw in raws[1:]:
             assert np.array_equal(raw.real[[0, 2, 4]], raws[0].real[[0, 2, 4]])
 
     def test_odd_orders_scale_as_inverse_one_plus_r(self):
         rs = (0.0, 0.3, 2.0, 7.0, 40.0)
         scaled = [
-            (1.0 + r) * raw_coefficients(params_with(r)).real[[1, 3]] for r in rs
+            (1.0 + r) * np.asarray(raw_coefficients(params_with(r))).real[[1, 3]] for r in rs
         ]
         for vec in scaled[1:]:
             assert vec == pytest.approx(scaled[0], rel=1e-12)
 
     def test_even_orders_affine_in_quadrupole_strength(self):
         a_values = (0.0, 0.5, 1.0, 2.0)
-        raws = {a: raw_coefficients(params_with(0.11, A=a)).real for a in a_values}
+        raws = {a: np.asarray(raw_coefficients(params_with(0.11, A=a))).real for a in a_values}
         for order in (0, 2, 4):
             f0, f05, f1, f2 = (raws[a][order] for a in a_values)
             # equally spaced second difference vanishes for an affine map
@@ -177,7 +177,7 @@ class TestRawCoefficients:
     def test_odd_orders_scale_as_sqrt_quadrupole_strength(self):
         a_values = (0.04, 0.25, 1.0, 4.0)
         ratios = [
-            raw_coefficients(params_with(0.11, A=a)).real[[1, 3]] / math.sqrt(a)
+            np.asarray(raw_coefficients(params_with(0.11, A=a))).real[[1, 3]] / math.sqrt(a)
             for a in a_values
         ]
         for vec in ratios[1:]:
@@ -188,7 +188,7 @@ class TestRawCoefficients:
         # each coefficient is alpha + beta sqrt(x) + gamma x in either
         # exit ratio; fit on three values, predict a fourth
         xs = (0.25, 1.0, 2.25, 4.0)
-        raws = [raw_coefficients(params_with(0.11, **{field: x})).real for x in xs]
+        raws = [np.asarray(raw_coefficients(params_with(0.11, **{field: x}))).real for x in xs]
         roots = np.sqrt(xs)
         for order in range(5):
             coeffs = np.polyfit(roots[:3], [raws[i][order] for i in range(3)], 2)
@@ -200,8 +200,8 @@ class TestRawCoefficients:
         r2=st.floats(min_value=0.0, max_value=1e3),
     )
     def test_correlation_invariants_hold_for_random_r(self, r1, r2):
-        raw1 = raw_coefficients(params_with(r1)).real
-        raw2 = raw_coefficients(params_with(r2)).real
+        raw1 = np.asarray(raw_coefficients(params_with(r1))).real
+        raw2 = np.asarray(raw_coefficients(params_with(r2))).real
         assert np.array_equal(raw1[[0, 2, 4]], raw2[[0, 2, 4]])
         assert (1.0 + r1) * raw1[[1, 3]] == pytest.approx(
             (1.0 + r2) * raw2[[1, 3]], rel=1e-12
@@ -237,6 +237,8 @@ class TestLegendreCoefficients:
             # A**2 or B**2 overflows; the NaN residue would pass the realness check
             (ShapeParams(A=1e308, B=1.0, C=1.0, r=0.0), ChannelConfig(), "overflow"),
             (ShapeParams(A=1.0, B=1e200, C=0.0, r=1.0), ChannelConfig(), "overflow"),
+            # A**2 and C**2 are finite; only their product A**2 C**2 overflows
+            (ShapeParams(A=1e150, B=1.0, C=1e150, r=0.0), ChannelConfig(), "overflow"),
             # c_0 = 0: A = B = C = 0 leaves E1 with s-wave exit, which reaches only
             # I' = 1, and a 0.01 spin cutoff weights that to zero
             (
@@ -245,7 +247,7 @@ class TestLegendreCoefficients:
                 "non-positive isotropic",
             ),
         ],
-        ids=["A-overflow", "B-overflow", "spin-zero-s-wave"],
+        ids=["A-overflow", "B-overflow", "AC-product-overflow", "spin-zero-s-wave"],
     )
     def test_degenerate_coefficients_raise(self, params, config, message):
         with pytest.raises(DegenerateModelError, match=message):
@@ -283,12 +285,31 @@ class TestSeriesEvaluation:
         assert isinstance(value, float)
         assert value == pytest.approx(series.evaluate(np.array([0.5]))[0], abs=1e-15)
 
+    def test_sequence_form_is_a_list(self):
+        series = legendre_coefficients(BASE)
+        values = series.evaluate([0.0, 0.5, math.pi])
+        assert type(values) is list and all(type(v) is float for v in values)
+        assert values == [series.evaluate(t) for t in (0.0, 0.5, math.pi)]
+
     def test_domain_validation(self):
         series = legendre_coefficients(BASE)
         with pytest.raises(ValueError):
             series.evaluate(-0.01)
         with pytest.raises(ValueError):
             series.evaluate(math.pi + 0.01)
+        # NaN compares false with both ends of the range
+        with pytest.raises(ValueError):
+            LegendreSeries((1.0, 0.1, 0.2, 0.0, 0.0)).evaluate(math.nan)
+        with pytest.raises(ValueError):
+            series.evaluate([0.1, math.nan, 0.2])
+        with pytest.raises(ValueError):
+            series.evaluate(np.array([0.1, math.nan, 0.2]))
+
+    def test_short_series_pads_with_zeros(self):
+        short = LegendreSeries((1.0, 0.3))
+        full = LegendreSeries((1.0, 0.3, 0.0, 0.0, 0.0))
+        assert short.evaluate([0.0, 1.0, 2.0]) == full.evaluate([0.0, 1.0, 2.0])
+        assert forward_backward_ratio(short) == forward_backward_ratio(full)
 
 
 PROJECTION_CASES = [
@@ -403,10 +424,18 @@ class TestCoefficientMatrix:
 
     def test_default_matrix_is_five_by_ten_and_read_only(self):
         matrix, powers, cross = _coefficient_matrix(DEFAULT_CONFIG, False)
-        assert matrix.shape == (5, 10)
-        assert powers.shape == (10, 3)
-        assert list(cross) == [a == 1 for a in powers[:, 0]]
-        assert not matrix.flags.writeable
+        assert np.asarray(matrix).shape == (5, 10)
+        assert np.asarray(powers).shape == (10, 3)
+        assert list(cross) == [a == 1 for a, _, _ in powers]
+        # tuples all the way down: no caller can write into M
+        assert isinstance(matrix, tuple) and all(type(row) is tuple for row in matrix)
+
+    def test_geometry_keeps_only_nonzero_entries(self):
+        geometry, spins, powers, _ = _spin_geometry(False)
+        entries = [entry for per_spin in geometry for entry in per_spin]
+        assert len(entries) == 47
+        assert all(value != 0.0 for _, _, value in entries)
+        assert all(0 <= order <= 4 and 0 <= j < len(powers) for order, j, _ in entries)
 
     @pytest.mark.parametrize("huby_phase", [False, True])
     @pytest.mark.parametrize("name", sorted(AUDIT_CONFIGS))
@@ -472,6 +501,17 @@ def test_forward_backward_ratio_rejects_orders_above_four():
         forward_backward_ratio(LegendreSeries((1.0, 0.1, 0.0, 0.0, 0.0, 0.01)))
 
 
+@pytest.mark.parametrize(
+    "coefficients",
+    [(), (1.0, math.nan, 0.0, 0.0, 0.0), (math.inf,), (1.0, 0.0, -math.inf)],
+    ids=["empty", "nan", "inf", "minus-inf"],
+)
+def test_series_rejects_bad_coefficients(coefficients):
+    # a NaN coefficient used to give U = NaN: NaN passes "backward <= 0" unnoticed
+    with pytest.raises(ValueError):
+        forward_backward_ratio(LegendreSeries(coefficients))
+
+
 @pytest.mark.parametrize("huby_phase", [False, True])
 @pytest.mark.parametrize(
     "weighting, sigma",
@@ -484,6 +524,6 @@ def test_isotropic_row_is_non_negative_with_a_positive_entry(weighting, sigma, h
     The fit never checks c_0, so this sign is what keeps its
     normalisation away from zero.
     """
-    isotropic = _coefficient_matrix(ChannelConfig(weighting, sigma), huby_phase)[0][0]
+    isotropic = np.asarray(_coefficient_matrix(ChannelConfig(weighting, sigma), huby_phase)[0][0])
     assert np.all(isotropic >= 0.0)
     assert np.any(isotropic > 0.0)
