@@ -9,10 +9,15 @@ log B, log C, log(1+r)) and profiles the norms out by variable projection
 (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): for each trial
 shape every norm takes its closed-form weighted projection, and the
 projected residual has an analytic Jacobian in Kaufman's form (BIT 15, 49
-(1975)).  The log space keeps positivity structural.  Restarts come from
-a deterministic additive-recurrence lattice over the shape box, and all
-of them step together through one projected Levenberg-Marquardt
-iteration whose every step is one model evaluation at a stack of shapes.
+(1975)).  The log space keeps positivity structural.  The model is linear
+in each bin's Legendre amplitudes, so the thin QR factor R_k of the bin's
+weighted design compresses it exactly to 5 rows, whatever its number of
+points, plus a constant chi2_free that no shape can reduce (Lawson and
+Hanson, Solving Least Squares Problems (1974), ch. 1); the data rows are
+not kept past construction.  Restarts come from a deterministic
+additive-recurrence lattice over the shape box, and all of them step
+together through one projected Levenberg-Marquardt iteration whose every
+step is one evaluation of (chi^2, J^T r, J^T J) at a stack of shapes.
 The covariance is still taken over the full (shape, log norm_k) vector:
 the Hessian of chi^2/2 at the optimum is the central difference of the
 analytic gradient J^T r.  The search and the covariance share one model
@@ -54,7 +59,8 @@ _START_LO = np.array([math.log(1e-3)] * 3 + [math.log1p(1e-3)])
 _START_HI = np.array([math.log(10.0)] * 3 + [math.log1p(100.0)])
 _BOUND_LO = np.array([math.log(1e-6)] * 3 + [0.0])
 _BOUND_HI = np.array([math.log(1e4)] * 3 + [math.log1p(1e4)])
-_NORM_BOUND = 40.0
+_NORM_LO, _NORM_HI = math.exp(-40.0), math.exp(40.0)  # profiled norms, e^-40..e^40
+_SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)  # largest ||b|| whose square is finite
 _MACHINE_EPS = float(np.finfo(float).eps)  # no stopping test can resolve less
 _AGREE_REL = math.sqrt(_MACHINE_EPS)  # chi^2 rounding scale: starts this close agree
 
@@ -159,7 +165,8 @@ class FitResult:
 
 
 class _FitProblem:
-    """Stacked weighted design rows and the coefficient matrix of one fit.
+    """Per-bin compressed least-squares statistics and the coefficient
+    matrix of one fit.
 
     The coefficient vector reads the same real matrix M as
     :func:`raw_coefficients`, in log space: c = M m with
@@ -175,14 +182,25 @@ class _FitProblem:
     rows c_1..c_4 of M that are not structurally zero (largest entry
     above 1e-12 of the largest in M).
 
-    All bins share one stacked system of N rows: the design row of point
-    i is P_0..P_4 at its angle over its error, its target the yield over
-    the error, and the (K, N) 0/1 membership matrix marks which bin holds
-    each row, so no step loops over bins.  Every method takes a stack of
-    S points, one per row, and loops over neither points nor bins; a
-    single point is a stack of one.  :meth:`_evaluate` is the one model
-    evaluation; :meth:`residuals_and_jacobian` takes full
-    (shape, log norm_k) vectors and :meth:`profiled` shapes alone, with
+    Bin k's weighted rows are D_k n_k c, where D_k holds P_0..P_4 at the
+    bin's angles over their errors, against the data b_k, the yields
+    over the errors.  The thin QR factorisation D_k = Q_k R_k, with
+    z_k = Q_k^T b_k, gives for every c and n_k
+
+        ||b_k - n_k D_k c||^2 = ||b_k - Q_k z_k||^2 + ||z_k - n_k R_k c||^2,
+
+    also where fewer than 5 distinct angles make R_k singular (Lawson
+    and Hanson, Solving Least Squares Problems (1974), ch. 1).  So the
+    problem keeps only the (K, 5, 5) R, the (K, 5) z and the constant
+    ``chi2_free``, the first sum over bins, taken as a sum of squares.
+    Every residual has 5 rows per bin, z_k - n_k R_k c, whatever the
+    bin's point count, and its J^T r and J^T J equal the full rows' ones.
+
+    Every method takes a stack of S points, one per row, and loops over
+    neither points nor bins; a single point is a stack of one.
+    :meth:`_evaluate` is the one model evaluation;
+    :meth:`residuals_and_jacobian` takes full (shape, log norm_k) vectors,
+    and :meth:`profiled` and :meth:`normal_equations` shapes alone, with
     the norms profiled out.
     """
 
@@ -193,28 +211,36 @@ class _FitProblem:
         self.shape_rows = int(np.sum(row_size > 1e-12 * np.max(np.abs(matrix))))
         self._log_powers = np.column_stack([0.5 * powers, -cross_columns.astype(float)])
         self.n_points = sum(len(ds) for ds in datasets)
-        inv_errors = np.concatenate([1.0 / ds.errors for ds in datasets])
-        cosines = np.cos(np.deg2rad(np.concatenate([ds.theta_deg for ds in datasets])))
-        self._design = inv_errors[:, None] * legvander(cosines, 4)
-        self._targets = inv_errors * np.concatenate([ds.yields for ds in datasets])
-        if not math.isfinite(float(self._targets @ self._targets)):
+        with np.errstate(over="ignore"):
+            targets = [ds.yields / ds.errors for ds in datasets]
+        if not math.hypot(*np.concatenate(targets)) <= _SQRT_FLOAT_MAX:
             raise DegenerateModelError("chi-square overflows: yields too large for their errors")
-        self._membership = np.repeat(np.eye(len(datasets)), [len(ds) for ds in datasets], axis=1)
+        factors = [
+            np.linalg.qr(legvander(np.cos(np.deg2rad(ds.theta_deg)), 4) / ds.errors[:, None])
+            for ds in datasets
+        ]
+        self._r = np.stack([r for _, r in factors])
+        self._z = np.stack([q.T @ b for (q, _), b in zip(factors, targets)])
+        free = [b - q @ z for (q, _), b, z in zip(factors, targets, self._z)]
+        self.chi2_free = sum(float(f @ f) for f in free)
 
     def _evaluate(self, shape_x: np.ndarray):
         """(coeff, model, d_model) at the (S, 4) log-space shapes.
 
-        coeff (S, 5) is the normalised c_0..c_4, model (S, N) the
-        weighted model rows design @ coeff and d_model (S, N, 4) their
-        derivative, from the analytic dc/dx = (D - c D_0) / raw_0 with
-        D = M diag(m) Q the derivative of the raw coefficients.
+        coeff (S, 5) is the normalised c_0..c_4, model (S, K, 5) the
+        compressed model rows R_k c of every bin and d_model (S, K, 5, 4)
+        their derivative, from the analytic dc/dx = (D - c D_0) / raw_0
+        with D = M diag(m) Q the derivative of the raw coefficients.
         """
+        n = len(shape_x)
         magnitude = np.exp(shape_x @ self._log_powers.T)
         raw = magnitude @ self._matrix.T
         coeff = raw / raw[:, :1]
-        d_raw = np.einsum("lj,sj,jp->slp", self._matrix, magnitude, self._log_powers)
+        d_raw = (self._matrix * magnitude[:, None, :]) @ self._log_powers
         d_coeff = (d_raw - coeff[:, :, None] * d_raw[:, None, 0]) / raw[:, :1, None]
-        return coeff, coeff @ self._design.T, np.einsum("nl,slp->snp", self._design, d_coeff)
+        r_rows = self._r.reshape(-1, 5)  # R_1 .. R_K stacked
+        model = (coeff @ r_rows.T).reshape(n, -1, 5)
+        return coeff, model, (r_rows @ d_coeff).reshape(n, -1, 5, _N_SHAPE)
 
     def params_of(self, x: np.ndarray) -> ShapeParams:
         return ShapeParams(
@@ -225,47 +251,56 @@ class _FitProblem:
         )
 
     def residuals_and_jacobian(self, x: np.ndarray):
-        """Weighted residuals (S, N) and their Jacobians (S, N, 4 + K) at
-        the (S, 4 + K) full (shape, log norm_k) vectors.
+        """Compressed residuals (S, 5K) and their Jacobians (S, 5K, 4 + K)
+        at the (S, 4 + K) full (shape, log norm_k) vectors.
 
-        The shape columns are -n d_model; the column of log n_k is
-        -n_k model on bin k's rows and zero elsewhere.
+        The shape columns are -n_k R_k dc; the column of log n_k is
+        -n_k R_k c on bin k's rows and zero elsewhere.
         """
+        n, n_bins = len(x), len(self._z)
         _, model, d_model = self._evaluate(x[:, :_N_SHAPE])
-        row_norms = np.exp(x[:, _N_SHAPE:]) @ self._membership
-        scaled = row_norms * model
+        norms = np.exp(x[:, _N_SHAPE:])
+        scaled = norms[:, :, None] * model
         jacobian = np.concatenate(
-            [-row_norms[:, :, None] * d_model, -scaled[:, :, None] * self._membership.T], axis=2
+            [-norms[:, :, None, None] * d_model, -scaled[..., None] * np.eye(n_bins)[:, None]], axis=3
         )
-        return self._targets - scaled, jacobian
+        return (self._z - scaled).reshape(n, -1), jacobian.reshape(n, 5 * n_bins, -1)
 
     def chi2(self, x: np.ndarray) -> np.ndarray:
         res = self.residuals_and_jacobian(x)[0]
-        return np.einsum("sn,sn->s", res, res)
+        return self.chi2_free + np.einsum("sn,sn->s", res, res)
 
     def profiled(self, shape_x: np.ndarray):
         """(residuals, Jacobians, norms) at the (S, 4) shapes, with each
-        bin's norm profiled out: (S, N), (S, N, 4) and (S, K).
+        bin's norm profiled out: (S, 5K), (S, 5K, 4) and (S, K).
 
-        For the weighted model a_k and data b_k of bin k, the best norm
-        n_k = <a_k, b_k> / <a_k, a_k>, clipped to the log-norm bounds,
-        is the exact minimiser of the bounded problem in that coordinate.
-        The residual is b_k - n_k a_k, and its Jacobian is the projected
-        one in Kaufman's form, -a_k dn_k - n_k da_k with
-        dn_k = <b_k - 2 n_k a_k, da_k> / <a_k, a_k> (zero on a clipped bin).
+        For the compressed model a_k = R_k c and data z_k of bin k, the
+        best norm n_k = <a_k, z_k> / <a_k, a_k>, clipped to the log-norm
+        bounds, is the exact minimiser of the bounded problem in that
+        coordinate.  The residual is z_k - n_k a_k, and its Jacobian is
+        the projected one in Kaufman's form, -a_k dn_k - n_k da_k with
+        dn_k = <z_k - 2 n_k a_k, da_k> / <a_k, a_k> (zero on a clipped bin).
         """
+        n = len(shape_x)
         _, model, d_model = self._evaluate(shape_x)
-        model_sq = (model * model) @ self._membership.T
-        unclipped = ((model * self._targets) @ self._membership.T) / model_sq
-        norms = np.clip(unclipped, math.exp(-_NORM_BOUND), math.exp(_NORM_BOUND))
-        row_norms = norms @ self._membership
-        d_norms = np.einsum(
-            "kn,sn,snp->skp", self._membership, self._targets - 2.0 * row_norms * model, d_model
-        ) / model_sq[:, :, None]
+        model_sq = (model * model).sum(axis=2)
+        unclipped = (model * self._z).sum(axis=2) / model_sq
+        norms = np.minimum(np.maximum(unclipped, _NORM_LO), _NORM_HI)
+        scaled = norms[:, :, None] * model
+        residuals = self._z - scaled
+        d_norms = ((residuals - scaled)[:, :, None, :] @ d_model)[:, :, 0] / model_sq[:, :, None]
         d_norms[norms != unclipped] = 0.0
-        jacobian = -model[:, :, None] * (self._membership.T @ d_norms)
-        jacobian -= row_norms[:, :, None] * d_model
-        return self._targets - row_norms * model, jacobian, norms
+        jacobian = -model[..., None] * d_norms[:, :, None, :] - norms[:, :, None, None] * d_model
+        return residuals.reshape(n, -1), jacobian.reshape(n, -1, _N_SHAPE), norms
+
+    def normal_equations(self, shape_x: np.ndarray):
+        """(chi2, g, H) at the (S, 4) shapes, norms profiled out: the full
+        chi-square (S,), g = J^T r (S, 4) and H = J^T J (S, 4, 4) of
+        :meth:`profiled`'s residuals r and Jacobians J."""
+        res, jac, _ = self.profiled(shape_x)
+        jac_t = jac.transpose(0, 2, 1)
+        chi2 = self.chi2_free + (res[:, None, :] @ res[:, :, None])[:, 0, 0]
+        return chi2, (jac_t @ res[:, :, None])[:, :, 0], jac_t @ jac
 
 
 def chi_square(
@@ -276,17 +311,24 @@ def chi_square(
 ) -> float:
     """Sum over points of ((yield - norm_k * sigma(theta)) / err)^2.
 
-    sigma comes from :func:`legendre_coefficients` on the fit's stacked
-    design rows, with linear norms, so every valid shape (A = 0 included)
-    and a zero norm are accepted.
+    sigma is :func:`legendre_coefficients` evaluated at each dataset's
+    angles, with linear norms, so every valid shape (A = 0 included) and
+    a zero norm are accepted.  A sum beyond the float range raises
+    :class:`DegenerateModelError`.
     """
     norms = list(norms)
     if len(norms) != len(datasets):
         raise ValueError(f"{len(norms)} norms for {len(datasets)} datasets")
-    problem = _FitProblem(datasets, config)
-    coeff = np.array(legendre_coefficients(params, config).coefficients)
-    res = problem._targets - (np.array(norms) @ problem._membership) * (problem._design @ coeff)
-    return float(res @ res)
+    series = legendre_coefficients(params, config)
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ds, norm in zip(datasets, norms):
+            model = norm * np.asarray(series.evaluate(np.deg2rad(ds.theta_deg)))
+            res = (ds.yields - model) / ds.errors
+            total += float(res @ res)
+    if not math.isfinite(total):
+        raise DegenerateModelError("chi-square overflows: residuals too large for their errors")
+    return total
 
 
 def _lattice_starts(n_starts: int, seed) -> np.ndarray:
@@ -311,7 +353,7 @@ def _covariance(problem: _FitProblem, x: np.ndarray) -> np.ndarray:
     """
     h = np.diag(1e-4 * np.maximum(1.0, np.abs(x)))
     res, jac = problem.residuals_and_jacobian(np.concatenate([x + h, x - h]))
-    upper, lower = np.split(np.einsum("snp,sn->sp", jac, res), 2)
+    upper, lower = np.split((res[:, None, :] @ jac)[:, 0], 2)
     hess = ((upper - lower) / (2.0 * np.diag(h))[:, None]).T
     eigval, eigvec = np.linalg.eigh(0.5 * (hess + hess.T))
     floor = 1e-10
@@ -322,9 +364,9 @@ def _covariance(problem: _FitProblem, x: np.ndarray) -> np.ndarray:
 def _solve(problem: _FitProblem, starts: np.ndarray, tol: float, max_iter: int):
     """Projected Levenberg-Marquardt from every start at once.
 
-    Each iteration takes one stacked :meth:`_FitProblem.profiled`
-    evaluation at the trial shapes of the starts still running.  A start
-    forms g = J^T r and H = J^T J and holds each variable that sits on a
+    Each iteration takes one stacked :meth:`_FitProblem.normal_equations`
+    call, (chi^2, g = J^T r, H = J^T J), at the trial shapes of the
+    starts still running.  A start holds each variable that sits on a
     bound with its gradient pointing outward.  On the free variables it
     solves (H + lam D) dx = -g, with D the running maximum of diag(H)
     (Moré, LNM 630, 105 (1978)), and projects x + dx onto the box
@@ -337,54 +379,70 @@ def _solve(problem: _FitProblem, starts: np.ndarray, tol: float, max_iter: int):
     every trial step: ftol, dF <= tol F with the ratio of actual to
     predicted reduction above 0.25; xtol, ||dx|| <= tol (tol + ||x||)
     (all a rejected step can meet); and gtol, a projected gradient
-    ||x - P(x - g)||_inf <= tol at the current x.  Returns
+    ||x - P(x - g)||_inf <= tol at the current x.  The per-start state
+    holds the running starts only, and shrinks when one stops.  Returns
     (chi2, x, converged) per start; ``converged`` is False for a start
     that ran ``max_iter`` iterations without stopping.
     """
+    final_chi2, final_x = np.empty(len(starts)), np.empty_like(starts)
+    converged = np.zeros(len(starts), dtype=bool)
     x = starts.copy()
-    res, jac, _ = problem.profiled(x)
-    chi2 = np.einsum("sn,sn->s", res, res)
-    grad = np.einsum("snp,sn->sp", jac, res)
-    hess = np.einsum("snp,snq->spq", jac, jac)
-    scale = np.diagonal(hess, axis1=1, axis2=2).copy()
-    lam = np.full(len(x), 1e-3)
-    growth = np.full(len(x), 2.0)
-    running = np.ones(len(x), dtype=bool)
-    eye = np.eye(_N_SHAPE, dtype=bool)
+    chi2, grad, hess = problem.normal_equations(x)
+    state = (
+        np.arange(len(x)), x, chi2, grad, hess,
+        np.diagonal(hess, axis1=1, axis2=2).copy(),  # D
+        np.full(len(x), 1e-3),  # lam
+        np.full(len(x), 2.0),  # growth of lam on the next rejection
+    )
+
+    def retire(state, stop):
+        idx, x, chi2 = state[:3]
+        final_chi2[idx[stop]], final_x[idx[stop]], converged[idx[stop]] = chi2[stop], x[stop], True
+        return tuple(a[~stop] for a in state)
+
+    eye = np.eye(_N_SHAPE)
     for _ in range(max_iter):
-        running &= np.max(np.abs(x - np.clip(x - grad, _BOUND_LO, _BOUND_HI)), axis=1) > tol
-        idx = np.flatnonzero(running)
+        x, grad = state[1], state[3]
+        running = np.abs(x - np.minimum(np.maximum(x - grad, _BOUND_LO), _BOUND_HI)).max(axis=1) > tol
+        if not running.all():
+            state = retire(state, ~running)
+        idx, x, chi2, grad, hess, scale, lam, growth = state
         if idx.size == 0:
             break
-        xs, g, h = x[idx], grad[idx], hess[idx]
-        free = ~(((xs <= _BOUND_LO) & (g > 0.0)) | ((xs >= _BOUND_HI) & (g < 0.0)))
-        scale[idx] = d = np.maximum(scale[idx], np.diagonal(h, axis1=1, axis2=2))
-        d = np.maximum(d, _MACHINE_EPS * np.max(d, axis=1, keepdims=True))
-        damped = h + lam[idx, None, None] * d[:, :, None] * eye
+        free = ~(((x <= _BOUND_LO) & (grad > 0.0)) | ((x >= _BOUND_HI) & (grad < 0.0)))
+        scale = np.maximum(scale, hess.diagonal(0, 1, 2))
+        d = np.maximum(scale, _MACHINE_EPS * scale.max(axis=1, keepdims=True))
+        damped = hess + lam[:, None, None] * d[:, :, None] * eye
         system = np.where(free[:, :, None] & free[:, None, :], damped, eye)  # held: dx = 0
-        step = np.linalg.solve(system, np.where(free, -g, 0.0)[:, :, None])[:, :, 0]
-        trial = np.clip(xs + step, _BOUND_LO, _BOUND_HI)
-        step = trial - xs
-        t_res, t_jac, _ = problem.profiled(trial)
-        t_chi2 = np.einsum("sn,sn->s", t_res, t_res)
-        reduction = chi2[idx] - t_chi2
-        predicted = -np.einsum("sp,sp->s", 2.0 * g + np.einsum("spq,sq->sp", h, step), step)
+        step = np.linalg.solve(system, np.where(free, -grad, 0.0)[:, :, None])[:, :, 0]
+        trial = np.minimum(np.maximum(x + step, _BOUND_LO), _BOUND_HI)
+        step = trial - x
+        t_chi2, t_grad, t_hess = problem.normal_equations(trial)
+        reduction = chi2 - t_chi2
+        predicted = -((2.0 * grad + (hess @ step[:, :, None])[:, :, 0]) * step).sum(axis=1)
         # scipy's gain ratio: 0 where the model predicts no descent, 1 where nothing moves
         descent = predicted > 0.0
         ratio = np.where(descent, reduction / np.where(descent, predicted, 1.0), 0.0)
         ratio[(predicted == 0.0) & (reduction == 0.0)] = 1.0
-        stop = (reduction <= tol * chi2[idx]) & (ratio > 0.25)
-        stop |= np.linalg.norm(step, axis=1) <= tol * (tol + np.linalg.norm(xs, axis=1))
+        stop = (reduction <= tol * chi2) & (ratio > 0.25)
+        stop |= np.sqrt((step * step).sum(axis=1)) <= tol * (tol + np.sqrt((x * x).sum(axis=1)))
         taken = reduction > 0.0
         shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(ratio, 1.0) - 1.0) ** 3)
-        lam[idx] *= np.where(taken, shrink, growth[idx])
-        growth[idx] = np.where(taken, 2.0, 2.0 * growth[idx])
-        moved = idx[taken]
-        x[moved], chi2[moved] = trial[taken], t_chi2[taken]
-        grad[moved] = np.einsum("snp,sn->sp", t_jac[taken], t_res[taken])
-        hess[moved] = np.einsum("snp,snq->spq", t_jac[taken], t_jac[taken])
-        running[idx[stop]] = False
-    return chi2, x, ~running
+        state = (
+            idx,
+            np.where(taken[:, None], trial, x),
+            np.where(taken, t_chi2, chi2),
+            np.where(taken[:, None], t_grad, grad),
+            np.where(taken[:, None, None], t_hess, hess),
+            scale,
+            lam * np.where(taken, shrink, growth),
+            np.where(taken, 2.0, 2.0 * growth),
+        )
+        if stop.any():
+            state = retire(state, stop)
+    idx, x, chi2 = state[:3]
+    final_chi2[idx], final_x[idx] = chi2, x
+    return final_chi2, final_x, converged
 
 
 def fit_angular(

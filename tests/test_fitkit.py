@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legvander
 
 from photoevap import fitkit
 from photoevap.errors import DataFormatError, DegenerateModelError, UnderdeterminedError
@@ -220,7 +221,7 @@ class TestProfiledProblem:
         problem = _FitProblem(datasets, config)
         shapes = random_shapes(np.random.default_rng(k))
         _, jacobians, norms = problem.profiled(shapes)
-        assert jacobians.shape == (4, 10 * k, 4)
+        assert jacobians.shape == (4, 5 * k, 4)
         assert norms.shape == (4, k)
         if k > 1:
             assert np.all(norms[:, -1] == math.exp(-40.0))
@@ -245,9 +246,11 @@ class TestProfiledProblem:
                 projection = float(model @ target) / float(model @ model)
                 expected = min(max(projection, math.exp(-40.0)), math.exp(40.0))
                 assert norm == pytest.approx(expected, rel=1e-10)
-                expected_residuals.append(target - norm * model)
+                # the compressed residual is Q_k^T of the full one, D_k = Q_k R_k
+                design = legvander(np.cos(np.deg2rad(ds.theta_deg)), 4) / ds.errors[:, None]
+                expected_residuals.append(np.linalg.qr(design)[0].T @ (target - norm * model))
             assert residuals == pytest.approx(np.concatenate(expected_residuals), rel=1e-9, abs=1e-9)
-            assert float(residuals @ residuals) == pytest.approx(full_chi2, rel=1e-10)
+            assert problem.chi2_free + float(residuals @ residuals) == pytest.approx(full_chi2, rel=1e-10)
 
     @pytest.mark.parametrize("weighting", sorted(WEIGHTINGS))
     def test_stacked_call_matches_single_rows(self, weighting):
@@ -261,6 +264,7 @@ class TestProfiledProblem:
         for method, x in [
             (problem._evaluate, shapes),
             (problem.profiled, shapes),
+            (problem.normal_equations, shapes),
             (problem.residuals_and_jacobian, full_x),
         ]:
             stacked = method(x)
@@ -269,6 +273,88 @@ class TestProfiledProblem:
                     assert single.shape == (1,) + whole.shape[1:]
                     scale = float(np.max(np.abs(single)))
                     assert np.max(np.abs(whole[i] - single[0])) <= 1e-12 * scale
+
+
+def audit_datasets(k, config, seed):
+    """k synthetic bins; for k > 1, the last two are a bin of 6 points
+    on 3 distinct angles (singular R_k) and an all-negative bin (clipped norm)."""
+    datasets = synth_dataset(TRUTH, SIX_NORMS[:k], THETAS, 0.05, seed, config=config)
+    if k > 1:
+        pairs = np.repeat([40.0, 90.0, 130.0], 2)
+        datasets[-2] = synth_dataset(TRUTH, [700.0], pairs, 0.05, seed, config=config, bin_labels=["pairs"])[0]
+        datasets = negate_bin(datasets, k - 1)
+    return datasets
+
+
+def full_rows(datasets, config, x):
+    """Full-row weighted residuals (S, N) and norms (S, K), with sigma built
+    per angle from legendre_coefficients.  x is (S, 4 + K) (shape, log
+    norm_k) vectors, or (S, 4) shapes whose norms are the clipped weighted
+    projections."""
+    residuals, norms = [], []
+    for point in x:
+        series = legendre_coefficients(ShapeParams(*np.exp(point[:3]), r=math.expm1(point[3])), config)
+        rows, bin_norms = [], []
+        for k, ds in enumerate(datasets):
+            model = np.array([series.evaluate(t) for t in np.deg2rad(ds.theta_deg)]) / ds.errors
+            target = ds.yields / ds.errors
+            if len(point) > 4:
+                norm = math.exp(point[4 + k])
+            else:
+                norm = min(max(float(model @ target) / float(model @ model), math.exp(-40.0)), math.exp(40.0))
+            rows.append(target - norm * model)
+            bin_norms.append(norm)
+        residuals.append(np.concatenate(rows))
+        norms.append(bin_norms)
+    return np.array(residuals), np.array(norms)
+
+
+def gradient_and_gram(jacobian, residuals):
+    """J^T r (S, P) and J^T J (S, P, P) of a stack of residuals and Jacobians."""
+    return np.einsum("snp,sn->sp", jacobian, residuals), np.einsum("snp,snq->spq", jacobian, jacobian)
+
+
+class TestCompressionIdentity:
+    """Audit: the 5-row-per-bin compressed problem against full rows."""
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    @pytest.mark.parametrize("weighting", sorted(WEIGHTINGS))
+    def test_compressed_problem_equals_full_rows(self, weighting, k):
+        config = WEIGHTINGS[weighting]
+        datasets = audit_datasets(k, config, 40 + k)
+        problem = _FitProblem(datasets, config)
+        rng = np.random.default_rng(50 + k)
+        shapes = random_shapes(rng)
+        x = np.column_stack([shapes, np.log(SIX_NORMS[:k]) + rng.normal(0.0, 1.0, (4, k))])
+        if k > 1:
+            assert np.linalg.matrix_rank(problem._r[-2]) == 3
+
+        # the norms at x: chi^2, J^T r and J^T J over (shape, log norm_k)
+        full = full_rows(datasets, config, x)[0]
+        full_jac = central_difference(lambda z: full_rows(datasets, config, z)[0], x)
+        assert problem.chi2(x) == pytest.approx(np.sum(full * full, axis=1), rel=1e-12)
+        for got, want in zip(gradient_and_gram(*problem.residuals_and_jacobian(x)[::-1]),
+                             gradient_and_gram(full_jac, full)):
+            assert_rows_match(got, want, 1e-6)
+
+        # every norm profiled out: the solver's (chi^2, g, H) and the norms
+        full, full_norms = full_rows(datasets, config, shapes)
+        full_jac = central_difference(lambda z: full_rows(datasets, config, z)[0], shapes)
+        chi2, grad, hess = problem.normal_equations(shapes)
+        assert chi2 == pytest.approx(np.sum(full * full, axis=1), rel=1e-12)
+        assert problem.profiled(shapes)[2] == pytest.approx(full_norms, rel=1e-10)
+        if k > 1:
+            assert np.all(full_norms[:, -1] == math.exp(-40.0))
+        for got, want in zip((grad, hess), gradient_and_gram(full_jac, full)):
+            assert_rows_match(got, want, 1e-6)
+
+    def test_keeps_no_row_per_point(self):
+        datasets = synth_dataset(TRUTH, NORMS, np.linspace(20.0, 160.0, 37), 0.05, 1)
+        problem = _FitProblem(datasets, DEFAULT_CONFIG)
+        assert problem.n_points == 111
+        shapes = [v.shape for v in vars(problem).values() if isinstance(v, np.ndarray)]
+        assert (3, 5, 5) in shapes and (3, 5) in shapes
+        assert all(37 not in shape and 111 not in shape for shape in shapes)
 
 
 class TestSynthDataset:
@@ -570,7 +656,7 @@ class TestFullProblem:
         rng = np.random.default_rng(30 + k)
         x = np.column_stack([random_shapes(rng), np.log(SIX_NORMS[:k]) + rng.normal(0.0, 1.0, (4, k))])
         _, jacobians = problem.residuals_and_jacobian(x)
-        assert jacobians.shape == (4, 10 * k, 4 + k)
+        assert jacobians.shape == (4, 5 * k, 4 + k)
         expected = central_difference(lambda z: problem.residuals_and_jacobian(z)[0], x)
         assert_rows_match(jacobians, expected, 1e-6)
 
