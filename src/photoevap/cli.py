@@ -23,7 +23,9 @@ and explicit command-line flags override the file.
 
 A subcommand imports the library module it needs when it runs.  Only
 ``fit`` (through ``fitkit``) imports numpy; ``coeff``, ``model``,
-``exciton``, ``times`` and ``spectrum`` run without it.
+``exciton``, ``times`` and ``spectrum`` run without it.  ``main`` runs
+every subcommand alike: each library module keeps its own arithmetic
+finite or raises a typed error.
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ _COEFF_KINDS = {
     "racah": ("racah_w", "a b c d e f"),
     "z": ("z_coeff", "l1 j1 l2 j2 s L"),
 }
-
-# the subcommands that import numpy, which main runs with its warnings off
-_NUMPY_COMMANDS = ("fit",)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser that reports usage problems with exit code 1."""
@@ -149,8 +147,6 @@ def _cmd_model(args) -> dict | str:
 
 def _fit_result_dict(result: fitkit.FitResult, datasets, config) -> dict:
     """Report of one fit, its residual table built from the datasets it fitted."""
-    import numpy as np
-
     from . import xsection
 
     series = xsection.legendre_coefficients(result.params, config)
@@ -167,7 +163,7 @@ def _fit_result_dict(result: fitkit.FitResult, datasets, config) -> dict:
     }
     residuals = []
     for ds, norm in zip(datasets, result.norms):
-        model = norm * np.asarray(series.evaluate(np.deg2rad(ds.theta_deg)))
+        model = [norm * sigma for sigma in series.evaluate(map(math.radians, ds.theta_deg))]
         for theta, value, err, m in zip(ds.theta_deg, ds.yields, ds.errors, model):
             residuals.append(
                 {
@@ -423,15 +419,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command in _NUMPY_COMMANDS:
-            import numpy as np
-
-            # every site that can overflow checks its result and raises a typed
-            # error, so numpy's warnings would only be noise before that message
-            with np.errstate(all="ignore"):
-                result = args.func(args)
-        else:
-            result = args.func(args)
+        result = args.func(args)
         if isinstance(result, dict):
             envelope = {"schema_version": SCHEMA_VERSION, "command": args.command}
             result = json.dumps({**envelope, **result}, indent=2) + "\n"

@@ -9,7 +9,9 @@ log B, log C, log(1+r)) and profiles the norms out by variable projection
 (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)): for each trial
 shape every norm takes its closed-form weighted projection, and the
 projected residual has an analytic Jacobian in Kaufman's form (BIT 15, 49
-(1975)).  The log space keeps positivity structural.  The model is linear
+(1975)).  Each norm is held in units of its bin's smallest error, so no
+step depends on the unit of the yields.  The log space keeps positivity
+structural.  The model is linear
 in each bin's Legendre amplitudes, so the thin QR factor R_k of the bin's
 weighted design compresses it exactly to 5 rows, whatever its number of
 points, plus a constant chi2_free that no shape can reduce (Lawson and
@@ -59,7 +61,7 @@ _START_LO = np.array([math.log(1e-3)] * 3 + [math.log1p(1e-3)])
 _START_HI = np.array([math.log(10.0)] * 3 + [math.log1p(100.0)])
 _BOUND_LO = np.array([math.log(1e-6)] * 3 + [0.0])
 _BOUND_HI = np.array([math.log(1e4)] * 3 + [math.log1p(1e4)])
-_NORM_LO, _NORM_HI = math.exp(-40.0), math.exp(40.0)  # profiled norms, e^-40..e^40
+_NORM_LO, _NORM_HI = math.exp(-40.0), math.exp(40.0)  # norm / the bin's smallest error
 _SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)  # largest ||b|| whose square is finite
 _MACHINE_EPS = float(np.finfo(float).eps)  # no stopping test can resolve less
 _AGREE_REL = math.sqrt(_MACHINE_EPS)  # chi^2 rounding scale: starts this close agree
@@ -182,10 +184,15 @@ class _FitProblem:
     rows c_1..c_4 of M that are not structurally zero (largest entry
     above 1e-12 of the largest in M).
 
-    Bin k's weighted rows are D_k n_k c, where D_k holds P_0..P_4 at the
-    bin's angles over their errors, against the data b_k, the yields
-    over the errors.  The thin QR factorisation D_k = Q_k R_k, with
-    z_k = Q_k^T b_k, gives for every c and n_k
+    Every norm here is in units of its bin's smallest error s_k
+    (``scales``): n_k is the bin's norm over s_k.  Bin k's weighted rows
+    are then D_k n_k c, where D_k holds P_0..P_4 at the bin's angles times
+    the weights s_k / err in (0, 1], against the data b_k, the yields
+    over the errors.  D_k, b_k and n_k carry no unit of the yields, so no
+    unit choice, nor any spread of errors within a bin, can overflow what
+    is built from them, and the norm bounds e^-40..e^40 hold n_k in units
+    of s_k.  The thin QR factorisation D_k = Q_k R_k, with z_k = Q_k^T b_k,
+    gives for every c and n_k
 
         ||b_k - n_k D_k c||^2 = ||b_k - Q_k z_k||^2 + ||z_k - n_k R_k c||^2,
 
@@ -211,13 +218,14 @@ class _FitProblem:
         self.shape_rows = int(np.sum(row_size > 1e-12 * np.max(np.abs(matrix))))
         self._log_powers = np.column_stack([0.5 * powers, -cross_columns.astype(float)])
         self.n_points = sum(len(ds) for ds in datasets)
+        self.scales = [float(np.min(ds.errors)) for ds in datasets]
         with np.errstate(over="ignore"):
             targets = [ds.yields / ds.errors for ds in datasets]
         if not math.hypot(*np.concatenate(targets)) <= _SQRT_FLOAT_MAX:
             raise DegenerateModelError("chi-square overflows: yields too large for their errors")
         factors = [
-            np.linalg.qr(legvander(np.cos(np.deg2rad(ds.theta_deg)), 4) / ds.errors[:, None])
-            for ds in datasets
+            np.linalg.qr(legvander(np.cos(np.deg2rad(ds.theta_deg)), 4) * (s / ds.errors)[:, None])
+            for ds, s in zip(datasets, self.scales)
         ]
         self._r = np.stack([r for _, r in factors])
         self._z = np.stack([q.T @ b for (q, _), b in zip(factors, targets)])
@@ -496,7 +504,7 @@ def fit_angular(
     identifiable = problem.shape_rows == _N_SHAPE and bool(np.all(np.diag(cov) <= 100.0))
     return FitResult(
         params=problem.params_of(best_x),
-        norms=tuple(math.exp(v) for v in best_x[_N_SHAPE:]),
+        norms=tuple(math.exp(v) * s for v, s in zip(best_x[_N_SHAPE:], problem.scales)),
         chi2=float(problem.chi2(best_x[None])[0]),
         dof=dof,
         covariance=cov,

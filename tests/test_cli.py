@@ -293,6 +293,43 @@ class TestFitResidualTable:
             assert total == pytest.approx(fit["chi2"], rel=1e-9)
 
 
+class TestFitUnits:
+    """A fit's outcome does not depend on the unit of a bin's yields and errors."""
+
+    def test_subnormal_errors_fit(self, capsys, tmp_path):
+        # 1 / 1e-310 overflows, but every weight is the bin's smallest error over err
+        rows = [f"b,{theta!r},1e-160,1e-310" for theta in np.linspace(30.0, 150.0, 7).tolist()]
+        path = tmp_path / "angular.csv"
+        path.write_text("\n".join(["bin_label,theta_deg,yield,err", *rows]) + "\n")
+        code, out, err = run(capsys, "fit", str(path), "--starts", "4")
+        assert code == 0, err
+        assert err == ""
+        assert "NaN" not in out and "Infinity" not in out
+        payload = json.loads(out)
+        assert math.isfinite(payload["chi2"]) and 0.0 < payload["norms"]["b"] < 1e-150
+
+    def test_extreme_units_exit_cleanly(self, capsys, tmp_path):
+        # each bin's yields and errors in their own units from 1e-300 to 1e300; a
+        # numpy warning fails the suite, so no fit may raise one on the way
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            k, n = int(rng.integers(1, 4)), int(rng.integers(6, 10))
+            thetas = np.sort(rng.uniform(20.0, 160.0, n))
+            datasets = synth_dataset(TRUTH, rng.uniform(300.0, 1500.0, k), thetas, 0.05, seed)
+            for ds in datasets:
+                ds.yields *= 10.0 ** rng.uniform(-300.0, 300.0)
+                ds.errors *= 10.0 ** rng.uniform(-300.0, 300.0)
+            path = tmp_path / f"units{seed}.csv"
+            write_angular_csv(path, datasets)
+            weighting = ("equal", "2I+1", "spin-cutoff")[seed % 3]
+            mode = ("joint", "per-bin")[seed % 2]
+            code, out, err = run(
+                capsys, "fit", str(path), "--weighting", weighting, "--mode", mode, "--starts", "2"
+            )
+            assert code in (0, 3), (seed, err)
+            assert "NaN" not in out and "Infinity" not in out, seed
+
+
 class TestBadInputExitsCleanly:
     """Bad values give a typed error: no traceback, no NaN in the output."""
 

@@ -240,11 +240,12 @@ class TestProfiledProblem:
         for shape_x, residuals, norms, full_chi2 in zip(shapes, stacked_residuals, stacked_norms, chi2):
             series = legendre_coefficients(problem.params_of(shape_x), config)
             expected_residuals = []
-            for ds, norm in zip(datasets, norms):
+            # the problem's norms are in units of each bin's smallest error
+            for ds, scale, norm in zip(datasets, problem.scales, norms * problem.scales):
                 model = np.asarray(series.evaluate(np.deg2rad(ds.theta_deg))) / ds.errors
                 target = ds.yields / ds.errors
                 projection = float(model @ target) / float(model @ model)
-                expected = min(max(projection, math.exp(-40.0)), math.exp(40.0))
+                expected = min(max(projection, math.exp(-40.0) * scale), math.exp(40.0) * scale)
                 assert norm == pytest.approx(expected, rel=1e-10)
                 # the compressed residual is Q_k^T of the full one, D_k = Q_k R_k
                 design = legvander(np.cos(np.deg2rad(ds.theta_deg)), 4) / ds.errors[:, None]
@@ -290,7 +291,8 @@ def full_rows(datasets, config, x):
     """Full-row weighted residuals (S, N) and norms (S, K), with sigma built
     per angle from legendre_coefficients.  x is (S, 4 + K) (shape, log
     norm_k) vectors, or (S, 4) shapes whose norms are the clipped weighted
-    projections."""
+    projections.  x holds each norm, and the clip bounds it, in units of
+    the bin's smallest error; the returned norms are in units of the yields."""
     residuals, norms = [], []
     for point in x:
         series = legendre_coefficients(ShapeParams(*np.exp(point[:3]), r=math.expm1(point[3])), config)
@@ -298,10 +300,12 @@ def full_rows(datasets, config, x):
         for k, ds in enumerate(datasets):
             model = np.array([series.evaluate(t) for t in np.deg2rad(ds.theta_deg)]) / ds.errors
             target = ds.yields / ds.errors
+            scale = float(np.min(ds.errors))
             if len(point) > 4:
-                norm = math.exp(point[4 + k])
+                norm = math.exp(point[4 + k]) * scale
             else:
-                norm = min(max(float(model @ target) / float(model @ model), math.exp(-40.0)), math.exp(40.0))
+                projection = float(model @ target) / float(model @ model)
+                norm = min(max(projection, math.exp(-40.0) * scale), math.exp(40.0) * scale)
             rows.append(target - norm * model)
             bin_norms.append(norm)
         residuals.append(np.concatenate(rows))
@@ -342,9 +346,9 @@ class TestCompressionIdentity:
         full_jac = central_difference(lambda z: full_rows(datasets, config, z)[0], shapes)
         chi2, grad, hess = problem.normal_equations(shapes)
         assert chi2 == pytest.approx(np.sum(full * full, axis=1), rel=1e-12)
-        assert problem.profiled(shapes)[2] == pytest.approx(full_norms, rel=1e-10)
+        assert problem.profiled(shapes)[2] * problem.scales == pytest.approx(full_norms, rel=1e-10)
         if k > 1:
-            assert np.all(full_norms[:, -1] == math.exp(-40.0))
+            assert np.all(full_norms[:, -1] == math.exp(-40.0) * np.min(datasets[-1].errors))
         for got, want in zip((grad, hess), gradient_and_gram(full_jac, full)):
             assert_rows_match(got, want, 1e-6)
 
@@ -608,11 +612,46 @@ class TestFitRegression:
         result = fit_angular(datasets, n_starts=4, tol=1e-10)
         assert math.isfinite(result.chi2)
         assert np.all(np.isfinite(result.covariance))
-        assert result.norms[1] == pytest.approx(math.exp(-40.0), rel=1e-12)
+        # the floor is e^-40 in units of the bin's smallest error
+        floor = math.exp(-40.0) * np.min(datasets[1].errors)
+        assert result.norms[1] == pytest.approx(floor, rel=1e-12, abs=0.0)
         assert result.norms[0] > 1.0 and result.norms[2] > 1.0
         assert chi_square(result.params, result.norms, datasets) == pytest.approx(
             result.chi2, rel=1e-10
         )
+
+
+class TestUnitInvariance:
+    """Each bin's norm is profiled out, so the unit of its yields drops out."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return fit_angular(read_angular_csv(SAMPLE_ANGULAR))
+
+    @pytest.mark.parametrize("factor", [1e-150, 1e-25, 1e15, 1e150])
+    def test_scaled_sample_fits_alike(self, reference, factor):
+        datasets = [
+            AngularDataset(ds.bin_label, ds.theta_deg, ds.yields * factor, ds.errors * factor)
+            for ds in read_angular_csv(SAMPLE_ANGULAR)
+        ]
+        result = fit_angular(datasets)
+        assert result.chi2 == pytest.approx(reference.chi2, rel=1e-12)
+        assert np.divide(result.norms, factor) == pytest.approx(reference.norms, rel=1e-9)
+        params = [result.params.A, result.params.B, result.params.C, result.params.r]
+        expected = [reference.params.A, reference.params.B, reference.params.C, reference.params.r]
+        assert params == pytest.approx(expected, rel=1e-6)
+        flags = (result.converged, result.identifiable, result.n_starts_agreeing)
+        assert flags == (reference.converged, reference.identifiable, reference.n_starts_agreeing)
+
+    def test_errors_spanning_the_float_range_fit(self):
+        # per-point units from 1e-150 to 1e150 in one bin: the weights, the
+        # smallest error over each error, stay in (0, 1]
+        datasets = synth_dataset(TRUTH, [950.0], THETAS, 0.05, 2)
+        scale = 10.0 ** np.linspace(-150.0, 150.0, len(THETAS))
+        spread = AngularDataset("spread", THETAS, datasets[0].yields * scale, datasets[0].errors * scale)
+        result = fit_angular([spread], n_starts=4)
+        assert math.isfinite(result.chi2) and np.all(np.isfinite(result.covariance))
+        assert chi_square(result.params, result.norms, [spread]) == pytest.approx(result.chi2, rel=1e-10)
 
 
 class TestSpinCutoffExtremes:
