@@ -213,7 +213,7 @@ def _cmd_spectrum(args) -> dict:
         "nucleus": {"A": nucleus.mass_number, "Z": nucleus.charge},
         "sigma_inv_source": "table" if table is not None else "model",
         "partial_wave_l": args.l,
-        "eps_max_mev": args.eps_max,
+        "eps_max_mev": args.eps_max if math.isfinite(args.eps_max) else None,  # inf: no edge
         "n_points": fit.n_points,
         "temperature_mev": fit.temperature,
         "temperature_err_mev": fit.temperature_err,

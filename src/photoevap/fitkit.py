@@ -11,19 +11,20 @@ shape every norm takes its closed-form weighted projection, and the
 projected residual has an analytic Jacobian in Kaufman's form (BIT 15, 49
 (1975)).  Each norm is held in units of its bin's smallest error, so no
 step depends on the unit of the yields.  The log space keeps positivity
-structural.  The model is linear
-in each bin's Legendre amplitudes, so the thin QR factor R_k of the bin's
-weighted design compresses it exactly to 5 rows, whatever its number of
-points, plus a constant chi2_free that no shape can reduce (Lawson and
-Hanson, Solving Least Squares Problems (1974), ch. 1); the data rows are
-not kept past construction.  Restarts come from a deterministic
+structural.  The model is linear in each bin's Legendre amplitudes, so
+the thin QR factor R_k of the bin's weighted design, built from
+xsection's own P_0..P_4, compresses it exactly to 5 rows, whatever its
+number of points, plus a constant chi2_free that no shape can reduce
+(Lawson and Hanson, Solving Least Squares Problems (1974), ch. 1); the
+data rows are not kept past construction.  Restarts come from a deterministic
 additive-recurrence lattice over the shape box, and all of them step
 together through one projected Levenberg-Marquardt iteration whose every
 step is one evaluation of (chi^2, J^T r, J^T J) at a stack of shapes.
 The covariance is still taken over the full (shape, log norm_k) vector:
-the Hessian of chi^2/2 at the optimum is the central difference of the
-analytic gradient J^T r.  The search and the covariance share one model
-evaluation, and numpy is the only dependency.
+the Hessian of chi^2/2 at the optimum is the central difference of that
+vector's analytic gradient J^T r (:meth:`_FitProblem.gradient`).  The
+search and the covariance share one model evaluation, and numpy is the
+only dependency.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import legvander
 
 from ._csvfile import read_csv
 from .errors import DegenerateModelError, UnderdeterminedError
@@ -186,9 +186,10 @@ class _FitProblem:
 
     Every norm here is in units of its bin's smallest error s_k
     (``scales``): n_k is the bin's norm over s_k.  Bin k's weighted rows
-    are then D_k n_k c, where D_k holds P_0..P_4 at the bin's angles times
-    the weights s_k / err in (0, 1], against the data b_k, the yields
-    over the errors.  D_k, b_k and n_k carry no unit of the yields, so no
+    are then D_k n_k c, where D_k holds P_0..P_4 at the bin's angles (the
+    five unit series' :meth:`LegendreSeries.evaluate`) times the weights
+    s_k / err in (0, 1], against the data b_k, the yields over the
+    errors.  D_k, b_k and n_k carry no unit of the yields, so no
     unit choice, nor any spread of errors within a bin, can overflow what
     is built from them, and the norm bounds e^-40..e^40 hold n_k in units
     of s_k.  The thin QR factorisation D_k = Q_k R_k, with z_k = Q_k^T b_k,
@@ -205,10 +206,9 @@ class _FitProblem:
 
     Every method takes a stack of S points, one per row, and loops over
     neither points nor bins; a single point is a stack of one.
-    :meth:`_evaluate` is the one model evaluation;
-    :meth:`residuals_and_jacobian` takes full (shape, log norm_k) vectors,
-    and :meth:`profiled` and :meth:`normal_equations` shapes alone, with
-    the norms profiled out.
+    :meth:`_evaluate` is the one model evaluation; :meth:`gradient`
+    takes full (shape, log norm_k) vectors, and :meth:`profiled` and
+    :meth:`normal_equations` shapes alone, with the norms profiled out.
     """
 
     def __init__(self, datasets: list[AngularDataset], config: ChannelConfig):
@@ -223,8 +223,9 @@ class _FitProblem:
             targets = [ds.yields / ds.errors for ds in datasets]
         if not math.hypot(*np.concatenate(targets)) <= _SQRT_FLOAT_MAX:
             raise DegenerateModelError("chi-square overflows: yields too large for their errors")
+        basis = [LegendreSeries((0.0,) * order + (1.0,)) for order in range(5)]
         factors = [
-            np.linalg.qr(legvander(np.cos(np.deg2rad(ds.theta_deg)), 4) * (s / ds.errors)[:, None])
+            np.linalg.qr((np.array([p.evaluate(np.deg2rad(ds.theta_deg)) for p in basis]) * (s / ds.errors)).T)
             for ds, s in zip(datasets, self.scales)
         ]
         self._r = np.stack([r for _, r in factors])
@@ -258,25 +259,18 @@ class _FitProblem:
             r=max(math.expm1(x[3]), 0.0),
         )
 
-    def residuals_and_jacobian(self, x: np.ndarray):
-        """Compressed residuals (S, 5K) and their Jacobians (S, 5K, 4 + K)
-        at the (S, 4 + K) full (shape, log norm_k) vectors.
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """J^T r (S, 4 + K) at the (S, 4 + K) full (shape, log norm_k)
+        vectors, for the compressed residuals r_k = z_k - n_k R_k c.
 
-        The shape columns are -n_k R_k dc; the column of log n_k is
-        -n_k R_k c on bin k's rows and zero elsewhere.
+        The shape entries are -sum_k n_k (R_k dc)^T r_k and the entry of
+        log n_k is -n_k <R_k c, r_k>.
         """
-        n, n_bins = len(x), len(self._z)
         _, model, d_model = self._evaluate(x[:, :_N_SHAPE])
-        norms = np.exp(x[:, _N_SHAPE:])
-        scaled = norms[:, :, None] * model
-        jacobian = np.concatenate(
-            [-norms[:, :, None, None] * d_model, -scaled[..., None] * np.eye(n_bins)[:, None]], axis=3
-        )
-        return (self._z - scaled).reshape(n, -1), jacobian.reshape(n, 5 * n_bins, -1)
-
-    def chi2(self, x: np.ndarray) -> np.ndarray:
-        res = self.residuals_and_jacobian(x)[0]
-        return self.chi2_free + np.einsum("sn,sn->s", res, res)
+        norms = np.exp(x[:, _N_SHAPE:])[:, :, None]
+        weighted = norms * (self._z - norms * model)  # n_k r_k
+        shape = (weighted[:, :, None, :] @ d_model)[:, :, 0].sum(axis=1)
+        return -np.concatenate([shape, (weighted * model).sum(axis=2)], axis=1)
 
     def profiled(self, shape_x: np.ndarray):
         """(residuals, Jacobians, norms) at the (S, 4) shapes, with each
@@ -352,16 +346,15 @@ def _covariance(problem: _FitProblem, x: np.ndarray) -> np.ndarray:
     """Covariance from the Hessian of chi^2/2, floor-regularised.
 
     Column i of the Hessian is the central difference of the analytic
-    gradient J^T r along x_i with step h_i = 1e-4 * max(1, |x_i|), from
-    one stacked evaluation at the 2n points x +- h_i e_i; it is
-    symmetrised before inversion.  Directions with (near-)zero curvature
-    get a huge variance instead of a pseudo-inverse zero, so flat
-    parameters show up as unidentifiable rather than spuriously well
-    determined.
+    gradient J^T r (:meth:`_FitProblem.gradient`) along x_i with step
+    h_i = 1e-4 * max(1, |x_i|), from one stacked evaluation at the 2n
+    points x +- h_i e_i; it is symmetrised before inversion.  Directions
+    with (near-)zero curvature get a huge variance instead of a
+    pseudo-inverse zero, so flat parameters show up as unidentifiable
+    rather than spuriously well determined.
     """
     h = np.diag(1e-4 * np.maximum(1.0, np.abs(x)))
-    res, jac = problem.residuals_and_jacobian(np.concatenate([x + h, x - h]))
-    upper, lower = np.split((res[:, None, :] @ jac)[:, 0], 2)
+    upper, lower = np.split(problem.gradient(np.concatenate([x + h, x - h])), 2)
     hess = ((upper - lower) / (2.0 * np.diag(h))[:, None]).T
     eigval, eigvec = np.linalg.eigh(0.5 * (hess + hess.T))
     floor = 1e-10
@@ -469,7 +462,7 @@ def fit_angular(
     profiled out, and all starts step together (:func:`_solve`) for at
     most ``max_iter`` iterations each; one that runs out of them only
     leaves ``converged`` false when it is the best.  ``chi2`` is the
-    full problem's chi-square at the best shape and its profiled norms.
+    solver's full chi-square at the best shape and its profiled norms.
     No more points than parameters (four plus one norm per dataset)
     raises :class:`UnderdeterminedError` naming the bin labels.
     """
@@ -499,13 +492,16 @@ def fit_angular(
     agreeing = int(np.sum(chi2s - chi2s[best] <= _AGREE_REL * max(1.0, chi2s[best])))
     best_norms = problem.profiled(shapes[best : best + 1])[2][0]
     best_x = np.concatenate([shapes[best], np.log(best_norms)])
+    norms = tuple(n * s for n, s in zip(best_norms.tolist(), problem.scales))  # float: inf, no warning
+    if not all(map(math.isfinite, norms)):
+        raise DegenerateModelError("a fitted norm overflows: yields too large for the model")
 
     cov = _covariance(problem, best_x)
     identifiable = problem.shape_rows == _N_SHAPE and bool(np.all(np.diag(cov) <= 100.0))
     return FitResult(
         params=problem.params_of(best_x),
-        norms=tuple(math.exp(v) * s for v, s in zip(best_x[_N_SHAPE:], problem.scales)),
-        chi2=float(problem.chi2(best_x[None])[0]),
+        norms=norms,
+        chi2=float(chi2s[best]),
         dof=dof,
         covariance=cov,
         converged=bool(converged[best]),

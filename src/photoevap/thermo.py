@@ -42,7 +42,6 @@ __all__ = [
     "SpectrumPoint",
     "TemperatureFit",
     "TimescaleReport",
-    "coulomb_barrier",
     "exciton_report",
     "fit_temperature",
     "inverse_capture_xsec",
@@ -87,11 +86,6 @@ class SpectrumPoint:
 def nuclear_radius(nucleus: NucleusSpec) -> float:
     """R = 1.5 * A**(1/3) fm."""
     return R0_FM * nucleus.mass_number ** (1.0 / 3.0)
-
-
-def coulomb_barrier(nucleus: NucleusSpec) -> float:
-    """Proton Coulomb barrier e^2 Z / R at the nuclear surface [MeV]."""
-    return E2_MEV_FM * nucleus.charge / nuclear_radius(nucleus)
 
 
 def inverse_capture_xsec(

@@ -521,6 +521,15 @@ class TestSpectrum:
         assert payload["temperature_mev"] == pytest.approx(0.55, rel=1e-10)
         assert payload["n_points"] == 11
 
+    def test_unbounded_window_is_reported_as_null(self, capsys, spectrum_csv):
+        # JSON has no finite stand-in for an infinite edge
+        payload, _ = run_json(
+            capsys, "spectrum", str(spectrum_csv), "-A", "208", "-Z", "82", "--eps-max", "inf",
+        )
+        assert payload["eps_max_mev"] is None
+        assert payload["n_points"] == 11
+        assert payload["temperature_mev"] == pytest.approx(0.55, rel=1e-10)
+
     def test_table_override_is_reported(self, capsys, spectrum_csv, tmp_path):
         table = tmp_path / "table.csv"
         table.write_text("eps_mev,sigma_fm2\n0.5,100.0\n10.0,100.0\n")

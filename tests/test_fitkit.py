@@ -1,7 +1,10 @@
 """Dataset handling, chi-square bookkeeping and multi-start fitting."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -235,11 +238,10 @@ class TestProfiledProblem:
         problem = _FitProblem(datasets, config)
         shapes = random_shapes(np.random.default_rng(5))
         stacked_residuals, _, stacked_norms = problem.profiled(shapes)
-        full_x = np.column_stack([shapes, np.log(stacked_norms)])
-        chi2 = problem.chi2(full_x)
-        for shape_x, residuals, norms, full_chi2 in zip(shapes, stacked_residuals, stacked_norms, chi2):
+        chi2 = problem.normal_equations(shapes)[0]
+        for shape_x, residuals, norms, solver_chi2 in zip(shapes, stacked_residuals, stacked_norms, chi2):
             series = legendre_coefficients(problem.params_of(shape_x), config)
-            expected_residuals = []
+            expected_residuals, full_chi2 = [], 0.0
             # the problem's norms are in units of each bin's smallest error
             for ds, scale, norm in zip(datasets, problem.scales, norms * problem.scales):
                 model = np.asarray(series.evaluate(np.deg2rad(ds.theta_deg))) / ds.errors
@@ -247,11 +249,14 @@ class TestProfiledProblem:
                 projection = float(model @ target) / float(model @ model)
                 expected = min(max(projection, math.exp(-40.0) * scale), math.exp(40.0) * scale)
                 assert norm == pytest.approx(expected, rel=1e-10)
+                full = target - norm * model
+                full_chi2 += float(full @ full)
                 # the compressed residual is Q_k^T of the full one, D_k = Q_k R_k
                 design = legvander(np.cos(np.deg2rad(ds.theta_deg)), 4) / ds.errors[:, None]
-                expected_residuals.append(np.linalg.qr(design)[0].T @ (target - norm * model))
+                expected_residuals.append(np.linalg.qr(design)[0].T @ full)
             assert residuals == pytest.approx(np.concatenate(expected_residuals), rel=1e-9, abs=1e-9)
-            assert problem.chi2_free + float(residuals @ residuals) == pytest.approx(full_chi2, rel=1e-10)
+            assert problem.chi2_free + float(residuals @ residuals) == pytest.approx(solver_chi2, rel=1e-12)
+            assert solver_chi2 == pytest.approx(full_chi2, rel=1e-10)
 
     @pytest.mark.parametrize("weighting", sorted(WEIGHTINGS))
     def test_stacked_call_matches_single_rows(self, weighting):
@@ -266,7 +271,7 @@ class TestProfiledProblem:
             (problem._evaluate, shapes),
             (problem.profiled, shapes),
             (problem.normal_equations, shapes),
-            (problem.residuals_and_jacobian, full_x),
+            (lambda z: (problem.gradient(z),), full_x),
         ]:
             stacked = method(x)
             for i in range(len(x)):
@@ -333,13 +338,10 @@ class TestCompressionIdentity:
         if k > 1:
             assert np.linalg.matrix_rank(problem._r[-2]) == 3
 
-        # the norms at x: chi^2, J^T r and J^T J over (shape, log norm_k)
+        # the norms at x: J^T r over (shape, log norm_k)
         full = full_rows(datasets, config, x)[0]
         full_jac = central_difference(lambda z: full_rows(datasets, config, z)[0], x)
-        assert problem.chi2(x) == pytest.approx(np.sum(full * full, axis=1), rel=1e-12)
-        for got, want in zip(gradient_and_gram(*problem.residuals_and_jacobian(x)[::-1]),
-                             gradient_and_gram(full_jac, full)):
-            assert_rows_match(got, want, 1e-6)
+        assert_rows_match(problem.gradient(x), gradient_and_gram(full_jac, full)[0], 1e-6)
 
         # every norm profiled out: the solver's (chi^2, g, H) and the norms
         full, full_norms = full_rows(datasets, config, shapes)
@@ -586,6 +588,16 @@ class TestFitRegression:
         assert result.chi2 <= 17.657184244344784 * (1.0 + 1e-10)
         assert result.chi2 == pytest.approx(17.657184244344784, rel=1e-8)
 
+    # covariance[3, 3], the variance of log(1+r) that criterion 5 reads, on
+    # the sample's noisy data with the command line's weightings (spin-cutoff
+    # sigma = 2); under 2I+1 it is a floored null direction, so not pinned
+    @pytest.mark.parametrize(
+        "weighting, variance", [("equal", 1.6942412770746926), ("spin-cutoff", 14.583016593720377)]
+    )
+    def test_sample_log_r_variance(self, weighting, variance):
+        result = fit_angular(read_angular_csv(SAMPLE_ANGULAR), ChannelConfig(residual_weighting=weighting))
+        assert result.covariance[3, 3] == pytest.approx(variance, rel=1e-4)
+
     # best chi2 of scipy's trust-region-reflective least_squares on three
     # criterion-5 data sets whose fits end on the r = 0 face, where a
     # stopping rule without the gain-ratio condition stopped early
@@ -683,21 +695,36 @@ def test_chi_square_overflow_raises():
         fit_angular(datasets, n_starts=1)
 
 
+def test_norm_overflow_raises():
+    # every weighted yield and its square are finite, but sigma < 1 at
+    # these angles, so the fitted norm in the yields' unit is not
+    thetas = np.linspace(70.0, 110.0, 8)
+    (ds,) = synth_dataset(ShapeParams(A=0.01, B=10.0, C=0.01, r=0.0), [1.0], thetas, 0.01, 1)
+    peak = np.max(ds.yields)
+    huge = AngularDataset("huge", thetas, ds.yields / peak * 1.79e308, ds.errors / peak * 1.79e308)
+    with pytest.raises(DegenerateModelError, match="norm overflows"):
+        fit_angular([huge], n_starts=4)
+
+
 class TestFullProblem:
-    """Residuals, Jacobian and covariance over the full (shape, log norm_k) vector."""
+    """Gradient and covariance over the full (shape, log norm_k) vector."""
 
     @pytest.mark.parametrize("k", [1, 3, 6])
     @pytest.mark.parametrize("weighting", sorted(WEIGHTINGS))
-    def test_jacobian_matches_central_difference(self, weighting, k):
+    def test_gradient_matches_central_difference(self, weighting, k):
         config = WEIGHTINGS[weighting]
         datasets = synth_dataset(TRUTH, SIX_NORMS[:k], THETAS, 0.05, 20 + k, config=config)
         problem = _FitProblem(datasets, config)
         rng = np.random.default_rng(30 + k)
         x = np.column_stack([random_shapes(rng), np.log(SIX_NORMS[:k]) + rng.normal(0.0, 1.0, (4, k))])
-        _, jacobians = problem.residuals_and_jacobian(x)
-        assert jacobians.shape == (4, 5 * k, 4 + k)
-        expected = central_difference(lambda z: problem.residuals_and_jacobian(z)[0], x)
-        assert_rows_match(jacobians, expected, 1e-6)
+        gradients = problem.gradient(x)
+        assert gradients.shape == (4, 4 + k)
+
+        def half_chi2(z):  # (S, 1): chi^2 / 2 of the full rows
+            residuals = full_rows(datasets, config, z)[0]
+            return 0.5 * np.sum(residuals * residuals, axis=1, keepdims=True)
+
+        assert_rows_match(gradients, central_difference(half_chi2, x)[:, 0], 1e-6)
 
     # under 2I+1, J^T J has a null direction here (smallest eigenvalue
     # 4e-11, next 3e2), which the covariance floors by design
@@ -708,8 +735,24 @@ class TestFullProblem:
         datasets = synth_dataset(TRUTH, NORMS, THETAS, 0.0, None, config=config)
         problem = _FitProblem(datasets, config)
         x = np.log([TRUTH.A, TRUTH.B, TRUTH.C, 1.0 + TRUTH.r] + NORMS)
-        (residuals,), (jacobian,) = problem.residuals_and_jacobian(x[None])
+        (residuals,), _ = full_rows(datasets, config, x[None])
         assert np.max(np.abs(residuals)) < 1e-9
+        (jacobian,) = central_difference(lambda z: full_rows(datasets, config, z)[0], x[None])
         expected = np.diag(np.linalg.inv(jacobian.T @ jacobian))
         got = np.diag(_covariance(problem, x))
         assert got == pytest.approx(expected, rel=1e-3)
+
+
+def test_import_loads_no_numpy_polynomial():
+    # P_0..P_4 come from xsection, so fitkit adds no numpy.polynomial
+    # module to those that importing numpy loads by itself
+    code = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import photoevap.fitkit\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.polynomial')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fitkit.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -33,7 +33,6 @@ from photoevap.thermo import (
     NucleusSpec,
     SigmaInvTable,
     SpectrumPoint,
-    coulomb_barrier,
     exciton_report,
     fit_temperature,
     inverse_capture_xsec,
@@ -82,14 +81,6 @@ class TestGeometry:
         big = NucleusSpec(216, 13)  # 8x the mass number
         assert nuclear_radius(big) == pytest.approx(2.0 * nuclear_radius(small), rel=1e-12)
 
-    def test_barrier_frozen_value(self):
-        assert coulomb_barrier(PB208) == pytest.approx(13.285816787989658, rel=1e-12)
-
-    def test_barrier_is_charge_over_radius(self):
-        n = NucleusSpec(64, 29)
-        expected = E2_MEV_FM * 29 / nuclear_radius(n)
-        assert coulomb_barrier(n) == pytest.approx(expected, rel=1e-14)
-
 
 class TestInverseCapture:
     def test_frozen_sub_barrier_value(self):
@@ -99,12 +90,12 @@ class TestInverseCapture:
 
     def test_geometric_limit_at_and_above_barrier(self):
         area = math.pi * nuclear_radius(PB208) ** 2
-        barrier = coulomb_barrier(PB208)
+        barrier = E2_MEV_FM * 82 / nuclear_radius(PB208)  # Q(R) = 0 at l = 0
         assert inverse_capture_xsec(PB208, 0, barrier) == pytest.approx(area, rel=1e-14)
         assert inverse_capture_xsec(PB208, 0, barrier + 5.0) == pytest.approx(area, rel=1e-14)
 
     def test_continuous_at_the_barrier(self):
-        barrier = coulomb_barrier(PB208)
+        barrier = E2_MEV_FM * 82 / nuclear_radius(PB208)
         below = inverse_capture_xsec(PB208, 0, barrier * (1.0 - 1e-9))
         at = inverse_capture_xsec(PB208, 0, barrier)
         assert below == pytest.approx(at, rel=1e-8)
@@ -168,7 +159,7 @@ class TestInverseCapture:
         mu = AMU_MEV * mass / (mass + 1.0)
         area = math.pi * radius**2
         for l in range(7):
-            eps = coulomb_barrier(nucleus) + l * (l + 1) * HBARC_MEV_FM**2 / (2.0 * mu * radius * radius)
+            eps = E2_MEV_FM * charge / radius + l * (l + 1) * HBARC_MEV_FM**2 / (2.0 * mu * radius * radius)
             for _ in range(40):
                 eps = float(np.nextafter(eps, 0.0))
                 sigma = inverse_capture_xsec(nucleus, l, eps)
@@ -180,7 +171,7 @@ class TestInverseCapture:
         radius = nuclear_radius(nucleus)
         mu = AMU_MEV * mass / (mass + 1.0)
         for l in range(7):
-            eps = coulomb_barrier(nucleus) + l * (l + 1) * HBARC_MEV_FM**2 / (2.0 * mu * radius * radius)
+            eps = E2_MEV_FM * charge / radius + l * (l + 1) * HBARC_MEV_FM**2 / (2.0 * mu * radius * radius)
             for _ in range(2000):
                 eps = math.nextafter(eps, 0.0)
             sigma = []
