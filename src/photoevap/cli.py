@@ -8,12 +8,11 @@ times (widths to lifetimes).
 Each ``_cmd_*`` returns its payload: a dict, or text (``coeff`` and
 ``model --format csv``).  ``main`` owns the rest: it puts the
 ``schema_version``/``command`` envelope in front of a dict and writes it
-as JSON, writes the result once to ``--output`` or stdout, and maps the
-outcome to the exit code.
-
-Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
-malformed input), 3 numerical error (every other ``PhotoevapError``: a
-degenerate or underdetermined computation, or unscalable points).
+as JSON, writes the result once to ``--output`` or stdout, and maps every
+outcome to one exit code: 0 success, 1 usage error (argparse's own usage
+status 2 maps to 1), 2 data error (unreadable or malformed input), 3
+numerical error (every other ``PhotoevapError``: a degenerate or
+underdetermined computation, or unscalable points).
 
 Every subcommand accepts ``--config FILE`` with flat ``key = value``
 lines, each the option ``-key`` where the subcommand defines it, else
@@ -30,11 +29,11 @@ finite or raises a typed error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import re
 import sys
+from argparse import SUPPRESS, ArgumentParser
 from dataclasses import asdict
 
 from .errors import DataFormatError, PhotoevapError
@@ -48,15 +47,6 @@ _COEFF_KINDS = {
     "racah": ("racah_w", "a b c d e f"),
     "z": ("z_coeff", "l1 j1 l2 j2 s L"),
 }
-
-class _Parser(argparse.ArgumentParser):
-    """argparse parser that reports usage problems with exit code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
 
 _WIDTH_PATTERN = re.compile(r"^\s*([-+0-9.eE]+)\s*(ev|kev|mev)\s*$", re.IGNORECASE)
 _WIDTH_SCALE_MEV = {"ev": 1e-6, "kev": 1e-3, "mev": 1.0}
@@ -103,14 +93,6 @@ def _channel_config(args) -> xsection.ChannelConfig:
         residual_weighting=args.weighting,
         spin_cutoff_sigma=args.spin_cutoff_sigma,
     )
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(output, "w") as handle:
-            handle.write(text)
 
 
 def _cmd_coeff(args) -> str:
@@ -276,9 +258,9 @@ def _add_weighting_options(parser) -> None:
     )
 
 
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+def _build_parser() -> tuple[ArgumentParser, dict[str, ArgumentParser]]:
     """The top-level parser and its subcommand parsers by name."""
-    parser = _Parser(prog="photoevap", description=__doc__.split("\n\n")[0])
+    parser = ArgumentParser(prog="photoevap", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     coeff = sub.add_parser(
@@ -347,14 +329,14 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     for name, subparser in sub.choices.items():
         # coeff writes no file and has no option a config could set, so --config stays hidden
         if name == "coeff":
-            subparser.add_argument("--config", default=None, help=argparse.SUPPRESS)
+            subparser.add_argument("--config", default=None, help=SUPPRESS)
         else:
             subparser.add_argument("--config", default=None, help="flat key=value config file")
             subparser.add_argument("--output", default=None, help="output file (default: stdout)")
     return parser, sub.choices
 
 
-def _load_config_tokens(path: str, parser: _Parser) -> list[str]:
+def _load_config_tokens(path: str, parser: ArgumentParser) -> list[str]:
     """Flat key = value lines -> ``parser``'s option tokens, inserted before user flags."""
     tokens = []
     try:
@@ -383,7 +365,9 @@ def _load_config_tokens(path: str, parser: _Parser) -> list[str]:
     return tokens
 
 
-def _apply_config(argv: list[str], parser: _Parser, subparsers: dict[str, _Parser]) -> list[str]:
+def _apply_config(
+    argv: list[str], parser: ArgumentParser, subparsers: dict[str, ArgumentParser]
+) -> list[str]:
     """Strip --config from argv and splice its tokens after the subcommand.
 
     Keys resolve through the subcommand's parser, else through ``parser``.
@@ -413,30 +397,27 @@ def main(argv=None) -> int:
     parser, subparsers = _build_parser()
     try:
         args = parser.parse_args(_apply_config(raw_argv, parser, subparsers))
-    except DataFormatError as exc:
-        print(f"photoevap: {exc}", file=sys.stderr)
-        return 2
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         result = args.func(args)
         if isinstance(result, dict):
             envelope = {"schema_version": SCHEMA_VERSION, "command": args.command}
             result = json.dumps({**envelope, **result}, indent=2) + "\n"
-        _emit(result, getattr(args, "output", None))
-        return 0
-    except DataFormatError as exc:
+        if (output := getattr(args, "output", None)) in (None, "-"):
+            sys.stdout.write(result)
+        else:
+            with open(output, "w") as handle:
+                handle.write(result)
+    except SystemExit as exc:  # argparse: status 2 after a usage error, 0 after --help
+        return 1 if exc.code == 2 else int(exc.code or 0)
+    except (DataFormatError, OSError) as exc:
         print(f"photoevap: data error: {exc}", file=sys.stderr)
         return 2
     except PhotoevapError as exc:
         print(f"photoevap: numerical error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"photoevap: data error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, MemoryError) as exc:  # MemoryError: e.g. a --grid or --starts count
+    except (ValueError, OverflowError, MemoryError) as exc:  # e.g. a count too large to allocate
         print(f"photoevap: error: {exc or type(exc).__name__}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -421,10 +421,9 @@ def _solve(problem: _FitProblem, starts: np.ndarray, tol: float, max_iter: int):
         t_chi2, t_grad, t_hess = problem.normal_equations(trial)
         reduction = chi2 - t_chi2
         predicted = -((2.0 * grad + (hess @ step[:, :, None])[:, :, 0]) * step).sum(axis=1)
-        # scipy's gain ratio: 0 where the model predicts no descent, 1 where nothing moves
+        # scipy's gain ratio: 0 where the model predicts no descent
         descent = predicted > 0.0
         ratio = np.where(descent, reduction / np.where(descent, predicted, 1.0), 0.0)
-        ratio[(predicted == 0.0) & (reduction == 0.0)] = 1.0
         stop = (reduction <= tol * chi2) & (ratio > 0.25)
         stop |= np.sqrt((step * step).sum(axis=1)) <= tol * (tol + np.sqrt((x * x).sum(axis=1)))
         taken = reduction > 0.0

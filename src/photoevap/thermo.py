@@ -342,6 +342,8 @@ def exciton_report(mass_number: int, e_star: float) -> ExcitonReport:
         raise ValueError(f"e_star must be >= 0 MeV, got {e_star!r}")
     g = mass_number / 13.0
     n_bar = math.sqrt(2.0 * g * e_star)
+    if not math.isfinite(n_bar):
+        raise DegenerateModelError(f"exciton number sqrt(2 g E*) overflows at E* = {e_star:g} MeV")
     n_sigma = math.sqrt(n_bar / 2.0)
     if n_bar <= n_sigma:
         raise DegenerateModelError(

@@ -139,11 +139,6 @@ def _residual_weight(config: ChannelConfig, spin: int) -> float:
     return math.exp(-spin * (spin + 1) / 2.0 / sigma / sigma)
 
 
-def _entrance_orbitals(multipole: int) -> tuple[int, ...]:
-    # electric radiation couples to l = L -+ 1; drop negative values
-    return tuple(l for l in (multipole - 1, multipole + 1) if l >= 0)
-
-
 def enumerate_terms(
     config: ChannelConfig = DEFAULT_CONFIG, *, huby_phase: bool = False
 ) -> list[TermAmplitude]:
@@ -160,8 +155,9 @@ def enumerate_terms(
     terms = []
     for L1 in _MULTIPOLES:
         for L2 in _MULTIPOLES:
-            for l1 in _entrance_orbitals(L1):
-                for l2 in _entrance_orbitals(L2):
+            # electric radiation couples to l = L -+ 1
+            for l1 in (L1 - 1, L1 + 1):
+                for l2 in (L2 - 1, L2 + 1):
                     for l1p in _EXIT_ORBITALS:
                         for l2p in _EXIT_ORBITALS:
                             # parity: exit parities must match the E(L) photon parities

@@ -436,7 +436,7 @@ class TestBadInputExitsCleanly:
         good.write_text("eps_mev,counts\n3.0,120.0\n4.0,80.0\n5.0,40.0\n6.0,20.0\n")
         code, out, err = run(capsys, *(token.format(bad=bad, late=late, good=good) for token in argv))
         self.assert_clean(code, out, err, 2)
-        assert err.startswith("photoevap: ") and err.count("\n") == 1
+        assert err.startswith("photoevap: data error: ") and err.count("\n") == 1
         # with two input files, the message says which one
         assert str(late if "{late}" in argv else bad) in err
 
@@ -569,6 +569,11 @@ class TestExciton:
         code, _, _ = run(capsys, "exciton", "-A", "2", "-E", "0.5")
         assert code == 3
 
+    def test_overflowing_exciton_number_is_numerical_error(self, capsys):
+        code, out, err = run(capsys, "exciton", "-A", "208", "-E", "1e308")
+        assert (code, out) == (3, "")
+        assert err.startswith("photoevap: numerical error: exciton number") and "overflows" in err
+
 
 class TestTimes:
     ARGS = ("times", "-r", "0.11", "--gcn", "0.1eV", "--gspr", "2MeV", "--D", "1e-16MeV")
@@ -675,8 +680,9 @@ class TestConfigFile:
         assert payload["params"]["B"] == 0.47
 
     def test_missing_config_file_is_data_error(self, capsys):
-        code, _, _ = run(capsys, "model", "--config", "/nonexistent.cfg")
+        code, _, err = run(capsys, "model", "--config", "/nonexistent.cfg")
         assert code == 2
+        assert err.startswith("photoevap: data error: cannot read config file /nonexistent.cfg")
 
     @pytest.mark.parametrize("line", ["A 0.082", "A =", "= 0.1"], ids=["no-equals", "no-value", "no-key"])
     def test_malformed_config_line_is_data_error(self, capsys, tmp_path, line):
@@ -684,7 +690,7 @@ class TestConfigFile:
         cfg.write_text(line + "\n")
         code, _, err = run(capsys, "model", "--config", str(cfg))
         assert code == 2
-        assert "key = value" in err
+        assert err == f"photoevap: data error: {cfg}:1: expected key = value\n"
 
     def test_config_equals_form(self, capsys, tmp_path):
         cfg = tmp_path / "model.cfg"
@@ -986,6 +992,9 @@ class TestTopLevel:
 _WILD = st.floats()
 _NUMBER = st.one_of(st.floats(0.0, 100.0), st.floats(-1e3, 1e3), _WILD).map(repr)
 _WEIGHTING = st.sampled_from(["equal", "2I+1", "spin-cutoff", "flat"])
+# integers too large for a float (10**400) or an index (both); no value in
+# between, where a count would be allocated whole
+_HUGE = st.sampled_from([2**63, 10**400])
 _SPIN = st.one_of(
     st.integers(-6, 12).map(lambda n: f"{n}/2"), st.sampled_from(["1.5", "0.3", "x", "1/0", ""])
 )
@@ -1050,7 +1059,7 @@ _HUBY_PHASE = st.one_of(
 
 @st.composite
 def _model_argv(draw):
-    grid = draw(st.tuples(_NUMBER, _NUMBER, st.integers(-1, 40)))
+    grid = draw(st.tuples(_NUMBER, _NUMBER, st.one_of(st.integers(-1, 40), _HUGE)))
     return [
         "model", *(f"-{name}{draw(_NUMBER)}" for name in "ABCr"),
         *_options(
@@ -1093,7 +1102,8 @@ def _fit_argv(draw):
 def _spectrum_argv(draw):
     with_err = draw(st.booleans())
     row = st.tuples(st.floats(0.5, 12.0), st.floats(1e-3, 1e6), *[st.floats(0.0, 10.0)] * with_err)
-    charge = draw(st.integers(-1, 100))
+    charge = draw(st.one_of(st.integers(-1, 100), _HUGE))
+    mass_number = draw(st.one_of(st.integers(-1, 200).map(lambda n: charge + n), _HUGE))
     argv = [
         "spectrum",
         draw(_csv_file(
@@ -1101,8 +1111,8 @@ def _spectrum_argv(draw):
             damage=True,
         )),
         f"--charge={charge}",
-        f"--mass-number={charge + draw(st.integers(-1, 200))}",
-        *_options(draw, ("--l", st.integers(-1, 8)), ("--eps-max", _NUMBER)),
+        f"--mass-number={mass_number}",
+        *_options(draw, ("--l", st.one_of(st.integers(-1, 8), _HUGE)), ("--eps-max", _NUMBER)),
     ]
     if draw(st.booleans()):
         table_row = st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 1e3))
@@ -1113,7 +1123,7 @@ def _spectrum_argv(draw):
 
 @st.composite
 def _exciton_argv(draw):
-    mass_number = draw(st.integers(-5, 400))
+    mass_number = draw(st.one_of(st.integers(-5, 400), _HUGE))
     return ["exciton", f"--mass-number={mass_number}", f"--excitation={draw(_NUMBER)}"]
 
 
@@ -1150,6 +1160,9 @@ def _infinite_keys(payload):
             yield from _infinite_keys(value)
 
 
+_SPECTRUM = "eps_mev,counts\n3.0,120.0\n4.0,80.0\n5.0,40.0\n"
+
+
 class TestContract:
     @given(
         st.one_of(
@@ -1162,6 +1175,10 @@ class TestContract:
     @example(["spectrum", _File("", "eps_mev,counts\n3.0,1\n4.0\n5.0,2\n", True), "-Z82", "-A208"])
     @example(["spectrum", _File("", "eps_mev,counts\n", True), "-Z82", "-A208"])
     @example(["model", "-A0.1", "-B1", "-C1", "-r0", _File("--config=", "huby_phase = true\n")])
+    @example(["exciton", f"-A{10**400}", "-E1"])
+    @example(["spectrum", _File("", _SPECTRUM), "-Z82", f"-A{10**400}"])
+    @example(["spectrum", _File("", _SPECTRUM), "-Z82", "-A208", f"--l={10**400}"])
+    @example(["model", "-A1", "-B1", "-C1", "-r0", f"--grid=0:180:{2**63}"])
     @settings(max_examples=300)
     def test_exit_code_and_json_output(self, argv):
         malformed = any(getattr(token, "malformed", False) for token in argv)

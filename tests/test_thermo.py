@@ -603,6 +603,11 @@ class TestExcitonReport:
         with pytest.raises(DegenerateModelError):
             exciton_report(208, 0.0)
 
+    def test_overflowing_exciton_number_raises(self):
+        # 2 g E* overflows to inf: the window is lost to the overflow, not to a small n_bar
+        with pytest.raises(DegenerateModelError, match="overflows"):
+            exciton_report(208, 1e308)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             exciton_report(1, 5.0)
