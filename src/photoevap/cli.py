@@ -48,20 +48,22 @@ _COEFF_KINDS = {
     "z": ("z_coeff", "l1 j1 l2 j2 s L"),
 }
 
-_WIDTH_PATTERN = re.compile(r"^\s*([-+0-9.eE]+)\s*(ev|kev|mev)\s*$", re.IGNORECASE)
+_WIDTH_PATTERN = re.compile(r"^\s*(.*?)\s*(ev|kev|mev)\s*$", re.IGNORECASE)
 _WIDTH_SCALE_MEV = {"ev": 1e-6, "kev": 1e-3, "mev": 1.0}
 _WIDTH_SCALE_EV = {"ev": 1.0, "kev": 1e3, "mev": 1e6}
 
 
 def _parse_width(token: str, scale: dict) -> float:
-    """Width token with a mandatory unit suffix (eV, keV or MeV)."""
+    """Width token: a finite number with a mandatory unit suffix (eV, keV or MeV)."""
     match = _WIDTH_PATTERN.match(token)
     if not match:
         raise ValueError(f"width {token!r} needs a unit suffix (eV, keV or MeV)")
     try:
         value = float(match.group(1))
-    except ValueError as exc:
-        raise ValueError(f"bad width value in {token!r}") from exc
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"bad width value in {token!r}")
     return value * scale[match.group(2).lower()]
 
 

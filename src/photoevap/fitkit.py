@@ -336,9 +336,18 @@ def chi_square(
 def _lattice_starts(n_starts: int, seed) -> np.ndarray:
     """Additive-recurrence (R_d) lattice on the start box: unit point i is
     (shift + i phi^-j) mod 1, phi^5 = phi + 1, with shift 0 unless seeded."""
-    shift = np.zeros(_N_SHAPE) if seed is None else np.random.default_rng(seed).random(_N_SHAPE)
+    try:
+        shift = np.zeros(_N_SHAPE) if seed is None else np.random.default_rng(seed).random(_N_SHAPE)
+    except ValueError as exc:  # numpy's "expected non-negative integer"
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}") from exc
     alpha = 1.1673039782614187 ** -np.arange(1.0, _N_SHAPE + 1)
-    unit = (shift + np.outer(np.arange(n_starts), alpha)) % 1.0
+    try:
+        index = np.arange(n_starts)  # from 2**63 on: empty, with no error
+        if len(index) != n_starts:
+            raise ValueError(f"{len(index)} rows")
+        unit = (shift + np.outer(index, alpha)) % 1.0
+    except (ValueError, MemoryError) as exc:
+        raise ValueError("n_starts is too large to build the start lattice") from exc
     return _START_LO + unit * (_START_HI - _START_LO)
 
 
@@ -463,7 +472,9 @@ def fit_angular(
     leaves ``converged`` false when it is the best.  ``chi2`` is the
     solver's full chi-square at the best shape and its profiled norms.
     No more points than parameters (four plus one norm per dataset)
-    raises :class:`UnderdeterminedError` naming the bin labels.
+    raises :class:`UnderdeterminedError` naming the bin labels; an
+    ``n_starts`` too large for the start lattice, or a negative ``seed``,
+    raises ``ValueError`` naming it.
     """
     if not datasets:
         raise ValueError("no datasets to fit")

@@ -24,7 +24,8 @@ The 195 terms share 10 power triples (a, b, c), so the sum is
 c = M m with m_j = sqrt(A^a B^b C^c), over (1+r) for cross terms.  The
 residual-spin weight w(I') multiplies a geometry free of it, so the real
 5 x 10 matrix is M = sum_I' w(I') G[I'], where G[I'] groups the terms of
-spin I' by triple; G is built and checked real once per audit phase.
+spin I' by triple; G is built and checked real once per audit phase,
+and M once per (configuration, phase) behind a bounded memo.
 
 The module is pure Python, with no numpy: one model point is a few dozen
 multiply-adds, which numpy's per-call overhead would cost more than it
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from operator import mul
 
 from .angmom import clebsch_gordan, z_coeff
@@ -238,11 +239,13 @@ def _spin_geometry(huby_phase: bool):
     return geometry, tuple(spins), tuple(powers), cross
 
 
+@lru_cache(maxsize=16)  # a few configurations used in turn stay resident; memory is flat in sigma
 def _coefficient_matrix(config: ChannelConfig, huby_phase: bool):
     """(M, P, cross) with c = M m: M = sum_I' w(I') G[I'] as 5 row tuples of n.
 
     Column j holds the terms whose magnitude factor has the powers P[j].
-    Only the nonzero entries of G are summed.
+    Only the nonzero entries of G are summed.  The value is immutable, so
+    every caller shares the memoised one.
     """
     geometry, spins, powers, cross = _spin_geometry(huby_phase)
     rows = [[0.0] * len(powers) for _ in range(MAX_ORDER + 1)]

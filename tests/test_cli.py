@@ -407,8 +407,11 @@ class TestBadInputExitsCleanly:
             (["--tol", "inf"], "tol must be finite"),
             (["--max-iter", "0"], "max_iter must be >= 1"),
             (["--tol", "1e-17"], "tol must be"),
+            # numpy's arange silently returns no rows for this count
+            (["--starts", str(2**63)], "n_starts"),
+            (["--seed", "-1"], "seed must be"),
         ],
-        ids=["tol-nan", "tol-inf", "max-iter-0", "tol-below-eps"],
+        ids=["tol-nan", "tol-inf", "max-iter-0", "tol-below-eps", "starts-2**63", "seed-negative"],
     )
     def test_unusable_stopping_rule_is_usage_error(self, capsys, option, message):
         code, out, err = run(capsys, "fit", str(SAMPLE_ANGULAR), "--starts", "2", *option)
@@ -619,7 +622,9 @@ class TestTimes:
         assert "gamma_spreading_mev" in err
 
     @pytest.mark.parametrize(
-        "gcn, message", [("0.1", "suffix"), ("1e.eV", "bad width value")], ids=["no-unit", "bad-number"]
+        "gcn, message",
+        [("0.1", "suffix"), ("1e.eV", "bad width value"), ("infeV", "bad width value"), ("nanEv", "bad width value")],
+        ids=["no-unit", "bad-number", "inf", "nan"],
     )
     def test_missing_unit_suffix_is_usage_error(self, capsys, gcn, message):
         code, _, err = run(

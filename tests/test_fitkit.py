@@ -501,6 +501,13 @@ class TestFitAngular:
         with pytest.raises(ValueError):
             fit_angular(datasets, n_starts=0)
 
+    # numpy's arange returns no rows at 2**63 and refuses the larger counts
+    # before allocating, so none of these builds a large array
+    @pytest.mark.parametrize("n_starts", [2**63, 2**64 + 5, 10**400], ids=["2**63", "2**64+5", "10**400"])
+    def test_unbuildable_start_lattice_names_n_starts(self, n_starts):
+        with pytest.raises(ValueError, match="n_starts"):
+            fit_angular(make_noisy(), n_starts=n_starts)
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
@@ -510,6 +517,7 @@ class TestFitAngular:
             ({"tol": -1e-8}, "tol must be finite and > 0"),
             ({"max_iter": 0}, "max_iter must be >= 1"),
             ({"tol": 1e-17}, "tol must be >= machine epsilon"),
+            ({"seed": -1}, "seed must be a non-negative integer"),
         ],
     )
     def test_rejects_unusable_stopping_rules(self, kwargs, message):

@@ -465,8 +465,10 @@ class TestSpinGeometry:
     @pytest.fixture
     def fresh_cache(self):
         _spin_geometry.cache_clear()
+        _coefficient_matrix.cache_clear()
         yield
         _spin_geometry.cache_clear()
+        _coefficient_matrix.cache_clear()
 
     def test_unseen_sigma_reuses_the_geometry(self, monkeypatch):
         legendre_coefficients(BASE, ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=2.0))
@@ -494,6 +496,52 @@ class TestSpinGeometry:
             _coefficient_matrix(DEFAULT_CONFIG, False)
         with pytest.raises(RuntimeError, match="imaginary residue"):
             legendre_coefficients(BASE)
+
+
+def _bits(matrix):
+    return np.asarray(matrix, dtype=float).tobytes()
+
+
+class TestMatrixMemo:
+    """One M per (configuration, phase), bit for bit the cold build."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        _coefficient_matrix.cache_clear()
+        yield
+        _coefficient_matrix.cache_clear()
+
+    def test_repeated_key_returns_the_same_object(self):
+        first = _coefficient_matrix(ChannelConfig("spin-cutoff", 1.3), False)
+        assert _coefficient_matrix(ChannelConfig("spin-cutoff", 1.3), False) is first
+        assert _coefficient_matrix(ChannelConfig("spin-cutoff", 1.3), True) is not first
+
+    @pytest.mark.parametrize("huby_phase", [False, True])
+    @pytest.mark.parametrize("name", sorted(AUDIT_CONFIGS))
+    def test_memoised_matrix_is_the_cold_build(self, name, huby_phase):
+        config = AUDIT_CONFIGS[name]
+        _coefficient_matrix(config, huby_phase)
+        matrix, powers, cross = _coefficient_matrix(config, huby_phase)
+        cold_matrix, cold_powers, cold_cross = _coefficient_matrix.__wrapped__(config, huby_phase)
+        assert _bits(matrix) == _bits(cold_matrix)
+        assert (powers, cross) == (cold_powers, cold_cross)
+
+    def test_memo_stays_bounded_over_unseen_sigmas(self):
+        bound = _coefficient_matrix.cache_parameters()["maxsize"]
+        in_turn = [ChannelConfig(), ChannelConfig("2I+1"), ChannelConfig("spin-cutoff")]
+        for config in in_turn:
+            _coefficient_matrix(config, False)
+        hits = _coefficient_matrix.cache_info().hits
+        for k in range(bound + 8):
+            config = ChannelConfig("spin-cutoff", 0.55 + 0.25 * k)
+            assert _bits(_coefficient_matrix(config, False)[0]) == _bits(
+                _coefficient_matrix.__wrapped__(config, False)[0]
+            )
+            for other in in_turn:
+                _coefficient_matrix(other, False)
+            assert _coefficient_matrix.cache_info().currsize <= bound
+        # configurations used in turn stay resident while unseen sigmas pass through
+        assert _coefficient_matrix.cache_info().hits == hits + len(in_turn) * (bound + 8)
 
 
 def test_forward_backward_ratio_rejects_orders_above_four():
