@@ -14,11 +14,13 @@ status 2 maps to 1), 2 data error (unreadable or malformed input), 3
 numerical error (every other ``PhotoevapError``: a degenerate or
 underdetermined computation, or unscalable points).
 
-Every subcommand accepts ``--config FILE`` with flat ``key = value``
-lines, each the option ``-key`` where the subcommand defines it, else
+Options match by their full name only (``--conf`` is a usage error), so
+one argparse pass finds ``--config FILE`` where the subcommand's parser
+would, before or after the subcommand.  Its flat ``key = value`` lines
+are each the option ``-key`` where the subcommand defines it, else
 ``--key`` with underscores as hyphens (``l = 2`` is ``--l 2``); a flag
-takes ``true`` or ``false``, a key that names no option is a usage error,
-and explicit command-line flags override the file.
+takes ``true`` or ``false``; a key that names no option, ``config`` or
+``help`` is a usage error; and explicit command-line flags override it.
 
 A subcommand imports the library module it needs when it runs.  Only
 ``fit`` (through ``fitkit``) imports numpy; ``coeff``, ``model``,
@@ -33,7 +35,7 @@ import json
 import math
 import re
 import sys
-from argparse import SUPPRESS, ArgumentParser
+from argparse import ArgumentError, ArgumentParser
 from dataclasses import asdict
 
 from .errors import DataFormatError, PhotoevapError
@@ -260,13 +262,26 @@ def _add_weighting_options(parser) -> None:
     )
 
 
-def _build_parser() -> tuple[ArgumentParser, dict[str, ArgumentParser]]:
-    """The top-level parser and its subcommand parsers by name."""
-    parser = ArgumentParser(prog="photoevap", description=__doc__.split("\n\n")[0])
+def _build_parser() -> tuple[ArgumentParser, ArgumentParser, dict[str, ArgumentParser]]:
+    """The parser that finds --config, the top-level parser and its subcommand parsers by name.
+
+    No parser takes an abbreviated option, so the first finds --config
+    where the others would.  Every subcommand but coeff, which has no
+    option a config could set, lists --config and takes --output.
+    """
+    config = ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    config.add_argument("--config", help="flat key=value config file")
+    output = ArgumentParser(add_help=False)
+    output.add_argument("--output", help="output file (default: stdout)")
+    parser = ArgumentParser(
+        prog="photoevap", description=__doc__.split("\n\n")[0], allow_abbrev=False
+    )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    runs = {"allow_abbrev": False, "parents": [config, output]}
 
     coeff = sub.add_parser(
         "coeff",
+        allow_abbrev=False,
         help="print a coupling coefficient to 12 significant digits",
         description=(
             "Print one coupling coefficient.  Spins accept '1', '3/2' or '1.5'; "
@@ -279,7 +294,7 @@ def _build_parser() -> tuple[ArgumentParser, dict[str, ArgumentParser]]:
     coeff.add_argument("values", nargs=6, metavar="SPIN")
     coeff.set_defaults(func=_cmd_coeff)
 
-    model = sub.add_parser("model", help="evaluate the angular-distribution model")
+    model = sub.add_parser("model", **runs, help="evaluate the angular-distribution model")
     model.add_argument("-A", type=float, required=True, help="quadrupole/dipole transmission ratio")
     model.add_argument("-B", type=float, required=True, help="l'=1 over l'=0 transmission ratio")
     model.add_argument("-C", type=float, required=True, help="l'=2 over l'=0 transmission ratio")
@@ -294,7 +309,7 @@ def _build_parser() -> tuple[ArgumentParser, dict[str, ArgumentParser]]:
     )
     model.set_defaults(func=_cmd_model)
 
-    fit = sub.add_parser("fit", help="fit shape parameters to angular data")
+    fit = sub.add_parser("fit", **runs, help="fit shape parameters to angular data")
     fit.add_argument("data", help="CSV with columns bin_label, theta_deg, yield[, err]")
     fit.add_argument("--mode", choices=("joint", "per-bin"), default="joint")
     fit.add_argument("--starts", type=int, default=32, help="number of multi-start points")
@@ -304,7 +319,7 @@ def _build_parser() -> tuple[ArgumentParser, dict[str, ArgumentParser]]:
     _add_weighting_options(fit)
     fit.set_defaults(func=_cmd_fit)
 
-    spectrum = sub.add_parser("spectrum", help="extract a temperature from a spectrum")
+    spectrum = sub.add_parser("spectrum", **runs, help="extract a temperature from a spectrum")
     spectrum.add_argument("data", help="CSV with columns eps_mev, counts[, err]")
     spectrum.add_argument("-A", "--mass-number", type=int, required=True)
     spectrum.add_argument("-Z", "--charge", type=int, required=True)
@@ -317,25 +332,18 @@ def _build_parser() -> tuple[ArgumentParser, dict[str, ArgumentParser]]:
     )
     spectrum.set_defaults(func=_cmd_spectrum)
 
-    exciton = sub.add_parser("exciton", help="exciton-model temperature window")
+    exciton = sub.add_parser("exciton", **runs, help="exciton-model temperature window")
     exciton.add_argument("-A", "--mass-number", type=int, required=True)
     exciton.add_argument("-E", "--excitation", type=float, required=True, help="excitation [MeV]")
     exciton.set_defaults(func=_cmd_exciton)
 
-    times = sub.add_parser("times", help="widths to lifetimes")
+    times = sub.add_parser("times", **runs, help="widths to lifetimes")
     times.add_argument("-r", type=float, required=True, help="beta / gamma_cn (dimensionless)")
     times.add_argument("--gcn", required=True, help="compound decay width, e.g. 0.1eV")
     times.add_argument("--gspr", required=True, help="spreading width, e.g. 2MeV")
     times.add_argument("--D", required=True, help="compound level spacing, e.g. 1e-16MeV")
     times.set_defaults(func=_cmd_times)
-    for name, subparser in sub.choices.items():
-        # coeff writes no file and has no option a config could set, so --config stays hidden
-        if name == "coeff":
-            subparser.add_argument("--config", default=None, help=SUPPRESS)
-        else:
-            subparser.add_argument("--config", default=None, help="flat key=value config file")
-            subparser.add_argument("--output", default=None, help="output file (default: stdout)")
-    return parser, sub.choices
+    return config, parser, sub.choices
 
 
 def _load_config_tokens(path: str, parser: ArgumentParser) -> list[str]:
@@ -354,8 +362,8 @@ def _load_config_tokens(path: str, parser: ArgumentParser) -> list[str]:
                     raise DataFormatError(f"{path}:{lineno}: expected key = value")
                 actions = parser._option_string_actions
                 option = "-" + key if "-" + key in actions else "--" + key.replace("_", "-")
-                if option not in actions:
-                    parser.error(f"config key {key!r} is not an option of {parser.prog}")
+                if option not in actions or actions[option].dest in ("config", "help"):
+                    parser.error(f"config key {key!r} is not a settable option of {parser.prog}")
                 if actions[option].nargs != 0:
                     tokens += [option, value]
                 elif value.lower() == "true":  # a flag such as --huby-phase
@@ -367,38 +375,25 @@ def _load_config_tokens(path: str, parser: ArgumentParser) -> list[str]:
     return tokens
 
 
-def _apply_config(
-    argv: list[str], parser: ArgumentParser, subparsers: dict[str, ArgumentParser]
-) -> list[str]:
-    """Strip --config from argv and splice its tokens after the subcommand.
+def _apply_config(argv: list[str] | None, config, parser, subparsers: dict) -> list[str] | None:
+    """Strip --config where ``config`` finds it and splice its tokens after the subcommand.
 
     Keys resolve through the subcommand's parser, else through ``parser``.
     """
-    remaining: list[str] = []
-    config_path = None
-    tokens = iter(argv)
-    for token in tokens:
-        if token == "--config":
-            value = next(tokens, None)
-            if value is None:
-                remaining.append(token)  # let argparse report the missing value
-            else:
-                config_path = value
-        elif token.startswith("--config="):
-            config_path = token.split("=", 1)[1]
-        else:
-            remaining.append(token)
-    if config_path is None:
+    try:
+        found, remaining = config.parse_known_args(argv)
+    except ArgumentError:  # --config without a value: the subcommand's parser reports it
+        return argv
+    if found.config is None:
         return remaining
     target = subparsers.get(remaining[0], parser) if remaining else parser
-    return [*remaining[:1], *_load_config_tokens(config_path, target), *remaining[1:]]
+    return [*remaining[:1], *_load_config_tokens(found.config, target), *remaining[1:]]
 
 
 def main(argv=None) -> int:
-    raw_argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = _build_parser()
+    config, parser, subparsers = _build_parser()
     try:
-        args = parser.parse_args(_apply_config(raw_argv, parser, subparsers))
+        args = parser.parse_args(_apply_config(argv, config, parser, subparsers))
         result = args.func(args)
         if isinstance(result, dict):
             envelope = {"schema_version": SCHEMA_VERSION, "command": args.command}

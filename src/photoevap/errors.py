@@ -31,4 +31,4 @@ class InvalidPointError(PhotoevapError, ValueError):
 
 
 class UnscalablePointError(PhotoevapError, ValueError):
-    """A spectrum point cannot be scaled because the divisor vanishes."""
+    """A spectrum point cannot be scaled: its divisor vanishes or its scaled value overflows."""

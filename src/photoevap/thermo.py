@@ -223,8 +223,8 @@ def scale_spectrum(
 ) -> list[SpectrumPoint]:
     """Divide each point by eps * sigma_inv(eps), propagating errors.
 
-    A vanishing divisor makes the point unscalable; the offending
-    energies are reported in the raised error rather than dropped.
+    A vanishing divisor or an overflowing quotient makes a point unscalable;
+    the offending energies are reported together in the raised error.
     """
     if not points:
         raise ValueError("no spectrum points to scale")
@@ -232,13 +232,16 @@ def scale_spectrum(
     scaled = []
     for point in points:
         divisor = point.eps * inverse_capture_xsec(nucleus, l, point.eps, table)
-        if divisor <= 0.0:
-            bad.append(point.eps)
-            continue
-        scaled.append(SpectrumPoint(point.eps, point.counts / divisor, point.err / divisor))
+        if divisor > 0.0:
+            counts, err = point.counts / divisor, point.err / divisor
+            if math.isfinite(counts) and math.isfinite(err):
+                scaled.append(SpectrumPoint(point.eps, counts, err))
+                continue
+        bad.append(point.eps)
     if bad:
+        energies = ", ".join(f"{e:g}" for e in bad)
         raise UnscalablePointError(
-            "sigma_inv vanishes at eps = " + ", ".join(f"{e:g}" for e in bad) + " MeV"
+            f"cannot scale eps = {energies} MeV: sigma_inv vanishes or the scaled point overflows"
         )
     return scaled
 

@@ -359,6 +359,15 @@ class TestBadInputExitsCleanly:
         self.assert_clean(code, out, err, 2)
         assert "line 3" in err
 
+    def test_overflowing_scaled_count_is_numerical_error(self, capsys, tmp_path):
+        # finite counts that overflow once divided by eps * sigma_inv(0.5 MeV) = 3.8e-36
+        path = tmp_path / "spectrum.csv"
+        path.write_text("eps_mev,counts,err\n0.5,1e300,1e299\n3.0,120.0,5\n4.0,80.0,4\n5.0,40.0,3\n")
+        code, out, err = run(capsys, "spectrum", str(path), "-A", "208", "-Z", "82")
+        self.assert_clean(code, out, err, 3)
+        assert err.startswith("photoevap: numerical error: ") and err.count("\n") == 1
+        assert "eps = 0.5 MeV" in err
+
     @pytest.mark.parametrize(
         "table_row", ["5.0,nan", "nan,100.0", "5.0,inf"], ids=["nan-sigma", "nan-eps", "inf-sigma"]
     )
@@ -725,8 +734,15 @@ class TestConfigFile:
             (["model"], "A = 0.082\nB = 0.47\nC = 0.37\nr = 0.11\ncolour = red\n", "colour"),
             (["fit", str(SAMPLE_ANGULAR)], "huby_phase = true\n", "huby_phase"),
             ([], "A = 0.082\n", "A"),
+            # a config file sets up the run; it cannot name another config or ask for help
+            (["spectrum", str(SAMPLE_SPECTRUM)], "mass_number = 208\nconfig = x.cfg\n", "config"),
+            (["model"], "A = 0.082\nB = 0.47\nC = 0.37\nr = 0.11\nhelp = true\n", "help"),
+            ([], "help = true\n", "help"),
         ],
-        ids=["flag-yes", "flag-1", "model-unknown", "fit-huby-phase", "no-command"],
+        ids=[
+            "flag-yes", "flag-1", "model-unknown", "fit-huby-phase", "no-command",
+            "config", "help", "no-command-help",
+        ],
     )
     def test_bad_key_is_usage_error_naming_it(self, capsys, tmp_path, argv, text, key):
         cfg = tmp_path / "case.cfg"
@@ -735,6 +751,35 @@ class TestConfigFile:
         assert (code, out) == (1, "")
         assert f"config key {key!r}" in err.splitlines()[-1]
         assert "unrecognized" not in err
+
+    def test_config_before_the_subcommand(self, capsys, tmp_path):
+        cfg = tmp_path / "spectrum.cfg"
+        cfg.write_text("mass_number = 208\ncharge = 82\nl = 2\n")
+        code, from_config, err = run(capsys, "--config", str(cfg), "spectrum", str(SAMPLE_SPECTRUM))
+        assert code == 0, err
+        flags = ["-A", "208", "-Z", "82", "--l", "2"]
+        code, from_flags, err = run(capsys, "spectrum", str(SAMPLE_SPECTRUM), *flags)
+        assert code == 0, err
+        assert from_config == from_flags
+        assert json.loads(from_config)["partial_wave_l"] == 2
+
+    @pytest.mark.parametrize(
+        "argv, unrecognized",
+        [
+            (["spectrum", str(SAMPLE_SPECTRUM), "-A", "208", "-Z", "82", "--conf", "{cfg}"], "--conf {cfg}"),
+            (["spectrum", str(SAMPLE_SPECTRUM), "-A", "208", "-Z", "82", "--conf={cfg}"], "--conf={cfg}"),
+            (["fit", str(SAMPLE_ANGULAR), "--weight", "2I+1"], "--weight 2I+1"),
+        ],
+        ids=["conf", "conf-equals", "weight"],
+    )
+    def test_abbreviated_option_is_usage_error(self, capsys, tmp_path, argv, unrecognized):
+        # a prefix of an option name matches nothing, so --conf cannot reach the
+        # subcommand as --config after the config pass has passed it over
+        cfg = tmp_path / "l2.cfg"
+        cfg.write_text("l = 2\n")
+        code, out, err = run(capsys, *(token.format(cfg=cfg) for token in argv))
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1].endswith("unrecognized arguments: " + unrecognized.format(cfg=cfg))
 
     @pytest.mark.parametrize(
         "positional, options",

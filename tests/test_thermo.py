@@ -391,6 +391,18 @@ class TestScaleSpectrum:
         with pytest.raises(UnscalablePointError, match="0.01"):
             scale_spectrum(points, PB208)
 
+    @pytest.mark.parametrize("counts, err", [(1e300, 1e299), (1.0, 1e299)], ids=["counts", "err"])
+    def test_overflowing_point_is_reported_with_vanishing_ones(self, counts, err):
+        # sigma_inv(0.5 MeV) = 7.6e-36 fm^2: the finite inputs divide past the float range,
+        # while at 0.01 MeV the divisor underflows to zero; one error names both energies
+        points = [
+            SpectrumPoint(0.01, 10.0),
+            SpectrumPoint(0.5, counts, err),
+            *(SpectrumPoint(e, 100.0, 5.0) for e in (4.0, 6.0, 8.0)),
+        ]
+        with pytest.raises(UnscalablePointError, match=r"eps = 0\.01, 0\.5 MeV"):
+            scale_spectrum(points, PB208)
+
     def test_table_with_zero_sigma_is_unscalable(self):
         table = SigmaInvTable((1.0, 3.0), (0.0, 0.0))
         with pytest.raises(UnscalablePointError):
