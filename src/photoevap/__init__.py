@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 # searched in this order, so that a name outside fitkit loads no numpy
 _MODULES = ("errors", "angmom", "thermo", "xsection", "fitkit")
-_SUBMODULES = (*_MODULES, "cli", "constants")
+_SUBMODULES = (*_MODULES, "cli")
 
 
 def _exports():

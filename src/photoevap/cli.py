@@ -19,8 +19,9 @@ one argparse pass finds ``--config FILE`` where the subcommand's parser
 would, before or after the subcommand.  Its flat ``key = value`` lines
 are each the option ``-key`` where the subcommand defines it, else
 ``--key`` with underscores as hyphens (``l = 2`` is ``--l 2``); a flag
-takes ``true`` or ``false``; a key that names no option, ``config`` or
-``help`` is a usage error; and explicit command-line flags override it.
+takes ``true`` or ``false``; a key that names no option, ``config``,
+``help`` or an option the file has already set is a usage error, and so
+is a second ``--config``; and explicit command-line flags override it.
 
 A subcommand imports the library module it needs when it runs.  Only
 ``fit`` (through ``fitkit``) imports numpy; ``coeff``, ``model``,
@@ -239,8 +240,8 @@ def _cmd_times(args) -> dict:
         "tau_cn_s": report.tau_cn,
         "gamma_spreading_mev": report.gamma_spreading,
         "tau_thermalization_s": report.tau_thermalization,
-        # at r = 0 this is inf / finite: the JSON Infinity token
-        "tau_phase_over_tau_thermalization": report.tau_phase / report.tau_thermalization,
+        # infinite at r = 0: the JSON Infinity token
+        "tau_phase_over_tau_thermalization": report.tau_ratio,
         "level_spacing_mev": report.level_spacing,
         "t_heisenberg_s": report.t_heisenberg,
         "n_eff": report.n_eff,
@@ -270,7 +271,7 @@ def _build_parser() -> tuple[ArgumentParser, ArgumentParser, dict[str, ArgumentP
     option a config could set, lists --config and takes --output.
     """
     config = ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
-    config.add_argument("--config", help="flat key=value config file")
+    config.add_argument("--config", action="append", help="flat key=value config file")
     output = ArgumentParser(add_help=False)
     output.add_argument("--output", help="output file (default: stdout)")
     parser = ArgumentParser(
@@ -348,7 +349,7 @@ def _build_parser() -> tuple[ArgumentParser, ArgumentParser, dict[str, ArgumentP
 
 def _load_config_tokens(path: str, parser: ArgumentParser) -> list[str]:
     """Flat key = value lines -> ``parser``'s option tokens, inserted before user flags."""
-    tokens = []
+    tokens, dests = [], set()
     try:
         with open(path, encoding="utf-8-sig") as handle:
             for lineno, line in enumerate(handle, start=1):
@@ -362,9 +363,14 @@ def _load_config_tokens(path: str, parser: ArgumentParser) -> list[str]:
                     raise DataFormatError(f"{path}:{lineno}: expected key = value")
                 actions = parser._option_string_actions
                 option = "-" + key if "-" + key in actions else "--" + key.replace("_", "-")
-                if option not in actions or actions[option].dest in ("config", "help"):
+                action = actions.get(option)
+                if action is None or action.dest in ("config", "help"):
                     parser.error(f"config key {key!r} is not a settable option of {parser.prog}")
-                if actions[option].nargs != 0:
+                if action.dest in dests:
+                    spelled = "/".join(action.option_strings)
+                    parser.error(f"config key {key!r}: {spelled} is already set in this file")
+                dests.add(action.dest)
+                if action.nargs != 0:
                     tokens += [option, value]
                 elif value.lower() == "true":  # a flag such as --huby-phase
                     tokens.append(option)
@@ -387,7 +393,9 @@ def _apply_config(argv: list[str] | None, config, parser, subparsers: dict) -> l
     if found.config is None:
         return remaining
     target = subparsers.get(remaining[0], parser) if remaining else parser
-    return [*remaining[:1], *_load_config_tokens(found.config, target), *remaining[1:]]
+    if len(found.config) > 1:
+        target.error("argument --config: may be given only once")
+    return [*remaining[:1], *_load_config_tokens(found.config[0], target), *remaining[1:]]
 
 
 def main(argv=None) -> int:

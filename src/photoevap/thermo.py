@@ -26,7 +26,6 @@ from numbers import Integral
 from operator import mul
 
 from ._csvfile import read_csv
-from .constants import AMU_MEV, E2_MEV_FM, HBAR_EV_S, HBARC_MEV_FM, R0_FM
 from .errors import (
     DataFormatError,
     DegenerateModelError,
@@ -50,6 +49,13 @@ __all__ = [
     "scale_spectrum",
     "timescales",
 ]
+
+# fixed here, not taken from an external table, so that results are bit-reproducible
+HBAR_EV_S = 6.582119e-16      # hbar [eV s]
+HBARC_MEV_FM = 197.3269804    # hbar c [MeV fm]
+E2_MEV_FM = 1.43997           # e^2 / (4 pi eps0) [MeV fm]
+AMU_MEV = 931.494             # atomic mass unit [MeV / c^2]
+R0_FM = 1.5                   # nuclear radius parameter, R = R0 * A**(1/3) [fm]
 
 
 @dataclass(frozen=True)
@@ -366,6 +372,7 @@ class TimescaleReport:
     tau_cn: float               # hbar / gamma_cn [s]
     gamma_spreading: float      # spreading width [MeV]
     tau_thermalization: float   # hbar / gamma_spreading [s]
+    tau_ratio: float            # tau_phase / tau_thermalization, inf at r = 0
     level_spacing: float        # compound level spacing D [MeV]
     t_heisenberg: float         # hbar / D [s]
     n_eff: float                # gamma_spreading / D
@@ -394,6 +401,7 @@ def timescales(
             raise ValueError(f"{name} must be positive and finite in eV, got {value!r}")
     beta = r * gamma_cn_ev
     tau_phase = math.inf if beta == 0.0 else HBAR_EV_S / beta
+    tau_thermalization = HBAR_EV_S / (gamma_spreading_mev * 1e6)
     report = TimescaleReport(
         r=r,
         beta=beta,
@@ -401,7 +409,8 @@ def timescales(
         gamma_cn=gamma_cn_ev,
         tau_cn=HBAR_EV_S / gamma_cn_ev,
         gamma_spreading=gamma_spreading_mev,
-        tau_thermalization=HBAR_EV_S / (gamma_spreading_mev * 1e6),
+        tau_thermalization=tau_thermalization,
+        tau_ratio=tau_phase / tau_thermalization,
         level_spacing=level_spacing_mev,
         t_heisenberg=HBAR_EV_S / (level_spacing_mev * 1e6),
         n_eff=gamma_spreading_mev / level_spacing_mev,
@@ -409,7 +418,7 @@ def timescales(
     # only r = 0 may give an infinite dephasing time, and nothing may overflow
     derived = [beta, report.tau_cn, report.tau_thermalization, report.t_heisenberg, report.n_eff]
     if r > 0:
-        derived += [tau_phase, tau_phase / report.tau_thermalization]
+        derived += [tau_phase, report.tau_ratio]
     if not all(math.isfinite(value) for value in derived):
         raise ValueError("widths out of range: a derived width, lifetime or ratio overflows")
     return report

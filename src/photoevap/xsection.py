@@ -164,16 +164,14 @@ def enumerate_terms(
                             # parity: exit parities must match the E(L) photon parities
                             if (l1p + l2p + L1 + L2) % 2:
                                 continue
+                            # l1 + l2, l1p + l2p and so lo and hi have the parity of L1 + L2:
+                            # every order of the step-2 range passes both Z parity rules
+                            lo = max(abs(L1 - L2), abs(l1 - l2), abs(l1p - l2p))
+                            hi = min(L1 + L2, l1 + l2, l1p + l2p)
                             ip_lo = max(abs(l1p - L1), abs(l2p - L2))
                             ip_hi = min(l1p + L1, l2p + L2)
                             for ip in range(ip_lo, ip_hi + 1):
-                                lo = max(abs(L1 - L2), abs(l1 - l2), abs(l1p - l2p))
-                                hi = min(L1 + L2, l1 + l2, l1p + l2p)
-                                if (l1 + l2 + lo) % 2:
-                                    lo += 1
                                 for order in range(lo, hi + 1, 2):
-                                    if (l1p + l2p + order) % 2:
-                                        continue
                                     geom = _geometry(L1, L2, l1, l2, l1p, l2p, ip, order, huby_phase)
                                     geom *= _residual_weight(config, ip)
                                     terms.append(

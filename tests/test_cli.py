@@ -738,10 +738,14 @@ class TestConfigFile:
             (["spectrum", str(SAMPLE_SPECTRUM)], "mass_number = 208\nconfig = x.cfg\n", "config"),
             (["model"], "A = 0.082\nB = 0.47\nC = 0.37\nr = 0.11\nhelp = true\n", "help"),
             ([], "help = true\n", "help"),
+            # each option is set once per file, under any of its spellings
+            (["spectrum", str(SAMPLE_SPECTRUM)], "mass_number = 208\ncharge = 82\nl = 2\nl = 0\n", "l"),
+            (["spectrum", str(SAMPLE_SPECTRUM)], "A = 208\ncharge = 82\nmass_number = 120\n", "mass_number"),
+            (["model"], "huby_phase = false\nhuby_phase = true\n", "huby_phase"),
         ],
         ids=[
             "flag-yes", "flag-1", "model-unknown", "fit-huby-phase", "no-command",
-            "config", "help", "no-command-help",
+            "config", "help", "no-command-help", "repeated-key", "two-spellings", "repeated-flag",
         ],
     )
     def test_bad_key_is_usage_error_naming_it(self, capsys, tmp_path, argv, text, key):
@@ -751,6 +755,29 @@ class TestConfigFile:
         assert (code, out) == (1, "")
         assert f"config key {key!r}" in err.splitlines()[-1]
         assert "unrecognized" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", str(SAMPLE_SPECTRUM), "--config", "{b}", "--config", "{a}"],
+            ["--config", "{b}", "spectrum", str(SAMPLE_SPECTRUM), "--config", "{a}"],
+            ["spectrum", str(SAMPLE_SPECTRUM), "--config={b}", "--config={b}"],
+        ],
+        ids=["after", "around", "same-file"],
+    )
+    def test_second_config_is_usage_error(self, capsys, tmp_path, argv):
+        # a second file neither replaces the first in silence nor merges with it
+        b, a = tmp_path / "b.cfg", tmp_path / "a.cfg"
+        b.write_text("mass_number = 208\ncharge = 82\n")
+        a.write_text("l = 2\n")
+        code, out, err = run(capsys, *(token.format(a=a, b=b) for token in argv))
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == "photoevap spectrum: error: argument --config: may be given only once"
+
+    def test_dangling_config_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "model", "--config")
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == "photoevap model: error: argument --config: expected one argument"
 
     def test_config_before_the_subcommand(self, capsys, tmp_path):
         cfg = tmp_path / "spectrum.cfg"

@@ -701,6 +701,9 @@ def test_chi_square_overflow_raises():
     datasets[0].yields[3] = 1.5e154
     with pytest.raises(DegenerateModelError, match="overflows"):
         fit_angular(datasets, n_starts=1)
+    # the fit stops before it; chi_square checks its own sum
+    with pytest.raises(DegenerateModelError, match="chi-square overflows"):
+        chi_square(TRUTH, [1.0], datasets)
 
 
 def test_norm_overflow_raises():

@@ -21,7 +21,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from photoevap.constants import AMU_MEV, E2_MEV_FM, HBAR_EV_S, HBARC_MEV_FM
 from photoevap.errors import (
     DataFormatError,
     DegenerateModelError,
@@ -30,6 +29,10 @@ from photoevap.errors import (
     UnscalablePointError,
 )
 from photoevap.thermo import (
+    AMU_MEV,
+    E2_MEV_FM,
+    HBAR_EV_S,
+    HBARC_MEV_FM,
     NucleusSpec,
     SigmaInvTable,
     SpectrumPoint,
@@ -497,6 +500,24 @@ class TestFitTemperature:
             fit = fit_temperature(points, eps_max=8.0)
         assert math.isinf(fit.temperature)
 
+    @pytest.mark.parametrize(
+        "points, eps_max",
+        [
+            # energy offsets near 1e308: their weighted sum of squares overflows
+            ([SpectrumPoint(e, c) for e, c in ((1e-300, 1.0), (1.7e308, 2.0), (1e308, 3.0))], math.inf),
+            # every sum is finite, but a slope near 1e-116 with errors 1e200 times
+            # the counts puts temperature_err beyond 1e308
+            (
+                [SpectrumPoint(e, c, c * 1e200) for e, c in ((1.0, 1.0), (1e100, 1.0), (2e100, 1.0 + 2**-50))],
+                8e100,
+            ),
+        ],
+        ids=["sums", "temperature-err"],
+    )
+    def test_fit_beyond_the_float_range_raises(self, points, eps_max):
+        with pytest.raises(DegenerateModelError, match="leaves the floating-point range"):
+            fit_temperature(points, eps_max)
+
     @pytest.mark.parametrize("heavy", [0, 2])
     def test_dominant_weight_keeps_energy_spread(self, heavy):
         # one point weighs 1e16 times the others: the uncentred normal
@@ -647,11 +668,13 @@ class TestTimescales:
         assert report.t_heisenberg * report.level_spacing * 1e6 == pytest.approx(
             HBAR_EV_S, rel=1e-14
         )
+        assert report.tau_ratio == report.tau_phase / report.tau_thermalization
 
     def test_zero_r_means_infinite_phase_memory(self):
         report = timescales(0.0, 0.1, 2.0, 1e-16)
         assert report.beta == 0.0
         assert math.isinf(report.tau_phase)
+        assert report.tau_ratio == math.inf
 
     def test_slow_dephasing_hierarchy(self):
         # r < 1 puts dephasing slower than compound decay, both far
