@@ -196,8 +196,7 @@ def z_coeff(
     for name, two in (("l1", tl1), ("l2", tl2), ("L", tL)):
         if two % 2 != 0:
             raise ValueError(f"{name} must be an integer orbital momentum")
-    if ((tl1 + tl2 + tL) // 2) % 2 != 0:
-        return 0.0
+    # <l1 0 l2 0|L 0> is an exact +0.0 when l1 + l2 + L is odd
     cg0 = _cg_two(tl1, 0, tl2, 0, tL, 0)
     if cg0 == 0.0:
         return 0.0

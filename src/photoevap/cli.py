@@ -132,39 +132,6 @@ def _cmd_model(args) -> dict | str:
     }
 
 
-def _fit_result_dict(result: fitkit.FitResult, datasets, config) -> dict:
-    """Report of one fit, its residual table built from the datasets it fitted."""
-    from . import xsection
-
-    series = xsection.legendre_coefficients(result.params, config)
-    payload = {
-        "converged": result.converged,
-        "identifiable": result.identifiable,
-        "chi2": result.chi2,
-        "dof": result.dof,
-        "n_starts_agreeing": result.n_starts_agreeing,
-        "params": asdict(result.params),
-        "norms": dict(zip(result.bin_labels, result.norms)),
-        "covariance_labels": list(result.covariance_labels),
-        "covariance": result.covariance.tolist(),
-    }
-    residuals = []
-    for ds, norm in zip(datasets, result.norms):
-        model = [norm * sigma for sigma in series.evaluate(map(math.radians, ds.theta_deg))]
-        for theta, value, err, m in zip(ds.theta_deg, ds.yields, ds.errors, model):
-            residuals.append(
-                {
-                    "bin_label": ds.bin_label,
-                    "theta_deg": float(theta),
-                    "yield": float(value),
-                    "model": float(m),
-                    "residual": float((value - m) / err),
-                }
-            )
-    payload["residuals"] = residuals
-    return payload
-
-
 def _cmd_fit(args) -> dict:
     from . import fitkit
 
@@ -172,20 +139,40 @@ def _cmd_fit(args) -> dict:
     if any(ds.unit_weights for ds in datasets):
         print("warning: no err column; using unit weights", file=sys.stderr)
     config = _channel_config(args)
-    groups = [datasets] if args.mode == "joint" else [[ds] for ds in datasets]
-    options = dict(n_starts=args.starts, seed=args.seed, tol=args.tol, max_iter=args.max_iter)
-    reports = [
-        _fit_result_dict(fitkit.fit_angular(group, config, **options), group, config)
-        for group in groups
-    ]
+
+    def report(group) -> dict:
+        """Report of one fit of ``group``, with fitkit's own residuals of it."""
+        result = fitkit.fit_angular(
+            group, config, n_starts=args.starts, seed=args.seed, tol=args.tol, max_iter=args.max_iter
+        )
+        table = fitkit._model_and_residuals(result.params, result.norms, group, config)
+        return {
+            "converged": result.converged,
+            "identifiable": result.identifiable,
+            "chi2": result.chi2,
+            "dof": result.dof,
+            "n_starts_agreeing": result.n_starts_agreeing,
+            "params": asdict(result.params),
+            "norms": dict(zip(result.bin_labels, result.norms)),
+            "covariance_labels": list(result.covariance_labels),
+            "covariance": result.covariance.tolist(),
+            "residuals": [
+                {
+                    "bin_label": ds.bin_label,
+                    "theta_deg": float(theta),
+                    "yield": float(value),
+                    "model": float(m),
+                    "residual": float(res),
+                }
+                for ds, (model, residuals) in zip(group, table)
+                for theta, value, m, res in zip(ds.theta_deg, ds.yields, model, residuals)
+            ],
+        }
+
     payload = {"mode": args.mode, "weighting": config.residual_weighting}
     if args.mode == "joint":
-        payload.update(reports[0])
-    else:
-        payload["bins"] = [
-            {"bin_label": group[0].bin_label, **report} for group, report in zip(groups, reports)
-        ]
-    return payload
+        return {**payload, **report(datasets)}
+    return {**payload, "bins": [{"bin_label": ds.bin_label, **report([ds])} for ds in datasets]}
 
 
 def _cmd_spectrum(args) -> dict:

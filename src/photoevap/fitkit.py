@@ -187,13 +187,13 @@ class _FitProblem:
     Every norm here is in units of its bin's smallest error s_k
     (``scales``): n_k is the bin's norm over s_k.  Bin k's weighted rows
     are then D_k n_k c, where D_k holds P_0..P_4 at the bin's angles (the
-    five unit series' :meth:`LegendreSeries.evaluate`) times the weights
-    s_k / err in (0, 1], against the data b_k, the yields over the
-    errors.  D_k, b_k and n_k carry no unit of the yields, so no
-    unit choice, nor any spread of errors within a bin, can overflow what
-    is built from them, and the norm bounds e^-40..e^40 hold n_k in units
-    of s_k.  The thin QR factorisation D_k = Q_k R_k, with z_k = Q_k^T b_k,
-    gives for every c and n_k
+    five unit series, c = e_0..e_4, through :meth:`LegendreSeries.evaluate`)
+    times the weights s_k / err in (0, 1], against the data b_k, the
+    yields over the errors.  D_k, b_k and n_k carry no unit of the
+    yields, so no unit choice, nor any spread of errors within a bin, can
+    overflow what is built from them, and the norm bounds e^-40..e^40
+    hold n_k in units of s_k.  The thin QR factorisation D_k = Q_k R_k,
+    with z_k = Q_k^T b_k, gives for every c and n_k
 
         ||b_k - n_k D_k c||^2 = ||b_k - Q_k z_k||^2 + ||z_k - n_k R_k c||^2,
 
@@ -223,7 +223,7 @@ class _FitProblem:
             targets = [ds.yields / ds.errors for ds in datasets]
         if not math.hypot(*np.concatenate(targets)) <= _SQRT_FLOAT_MAX:
             raise DegenerateModelError("chi-square overflows: yields too large for their errors")
-        basis = [LegendreSeries((0.0,) * order + (1.0,)) for order in range(5)]
+        basis = [LegendreSeries(tuple(row)) for row in np.eye(5).tolist()]
         factors = [
             np.linalg.qr((np.array([p.evaluate(np.deg2rad(ds.theta_deg)) for p in basis]) * (s / ds.errors)).T)
             for ds, s in zip(datasets, self.scales)
@@ -305,6 +305,18 @@ class _FitProblem:
         return chi2, (jac_t @ res[:, :, None])[:, :, 0], jac_t @ jac
 
 
+def _model_and_residuals(params, norms, datasets, config) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per dataset, the model norm_k * sigma(theta) at its angles, with sigma
+    from :func:`legendre_coefficients`, and the residuals (yield - model) / err.
+    Overflow is left to the caller, such as :func:`chi_square`'s ``errstate``."""
+    norms = list(norms)
+    if len(norms) != len(datasets):
+        raise ValueError(f"{len(norms)} norms for {len(datasets)} datasets")
+    series = legendre_coefficients(params, config)
+    models = [norm * np.asarray(series.evaluate(np.deg2rad(ds.theta_deg))) for ds, norm in zip(datasets, norms)]
+    return [(model, (ds.yields - model) / ds.errors) for ds, model in zip(datasets, models)]
+
+
 def chi_square(
     params: ShapeParams,
     norms,
@@ -313,20 +325,15 @@ def chi_square(
 ) -> float:
     """Sum over points of ((yield - norm_k * sigma(theta)) / err)^2.
 
-    sigma is :func:`legendre_coefficients` evaluated at each dataset's
-    angles, with linear norms, so every valid shape (A = 0 included) and
-    a zero norm are accepted.  A sum beyond the float range raises
+    The residuals are the ones the ``fit`` command's residual table
+    prints, with sigma from :func:`legendre_coefficients` and linear
+    norms, so every valid shape (A = 0 included) and a zero norm are
+    accepted.  A sum beyond the float range raises
     :class:`DegenerateModelError`.
     """
-    norms = list(norms)
-    if len(norms) != len(datasets):
-        raise ValueError(f"{len(norms)} norms for {len(datasets)} datasets")
-    series = legendre_coefficients(params, config)
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for ds, norm in zip(datasets, norms):
-            model = norm * np.asarray(series.evaluate(np.deg2rad(ds.theta_deg)))
-            res = (ds.yields - model) / ds.errors
+        for _, res in _model_and_residuals(params, norms, datasets, config):
             total += float(res @ res)
     if not math.isfinite(total):
         raise DegenerateModelError("chi-square overflows: residuals too large for their errors")

@@ -286,10 +286,9 @@ def raw_coefficients(
 class LegendreSeries:
     """sigma(theta) = sum_L c_L P_L(cos theta) with c_0 normalised to 1.
 
-    ``coefficients`` holds 1 to 5 finite values c_0..c_4; missing orders
-    are zero.  ``scale`` records the raw c_0 that was divided out
-    (diagnostic only; absolute normalisation is carried by per-dataset fit
-    norms).
+    ``coefficients`` holds exactly five finite values c_0..c_4.  ``scale``
+    records the raw c_0 that was divided out (diagnostic only; absolute
+    normalisation is carried by per-dataset fit norms).
     """
 
     coefficients: tuple[float, ...]
@@ -299,14 +298,10 @@ class LegendreSeries:
         n = len(self.coefficients)
         if n > MAX_ORDER + 1:
             raise ValueError(f"series has orders above P_{MAX_ORDER}")
-        if n == 0:
-            raise ValueError("series needs at least c_0")
+        if n < MAX_ORDER + 1:
+            raise ValueError(f"series needs c_0..c_{MAX_ORDER}, got {n} values")
         if not all(map(math.isfinite, self.coefficients)):
             raise ValueError(f"coefficients must be finite, got {self.coefficients!r}")
-
-    def _orders(self) -> tuple[float, ...]:
-        """c_0..c_4, padded with zeros."""
-        return (*self.coefficients, 0.0, 0.0, 0.0, 0.0)[: MAX_ORDER + 1]
 
     def evaluate(self, theta):
         """Series value at polar angle theta (radians).
@@ -314,7 +309,7 @@ class LegendreSeries:
         A number gives a float and an iterable of angles a list.  An angle
         outside [0, pi], NaN included, raises ``ValueError``.
         """
-        c0, c1, c2, c3, c4 = self._orders()
+        c0, c1, c2, c3, c4 = self.coefficients
         try:
             angles = iter(theta)
         except TypeError:
@@ -363,7 +358,7 @@ def forward_backward_ratio(series: LegendreSeries) -> float:
     Closed form from half-range Legendre integrals; the backward integral
     must be positive or the series is unphysical.
     """
-    c0, c1, _, c3, _ = series._orders()
+    c0, c1, _, c3, _ = series.coefficients
     # forward row int_0^1 P_L dx = (P_{L-1}(0) - P_{L+1}(0)) / (2L + 1), 1 for L = 0,
     # that is (1, 1/2, 0, -1/8, 0); backward row int_-1^0 P_L dx = (-1)^L times it
     forward = c0 + 0.5 * c1 - 0.125 * c3

@@ -339,8 +339,9 @@ class TestZCoeff:
         assert z_coeff(*args) == pytest.approx(expected, abs=1e-13)
 
     def test_odd_parity_gives_exact_zero(self):
-        assert z_coeff(0, 0.5, 1, 0.5, 0.5, 2) == 0.0
-        assert z_coeff(1, 1.5, 2, 2.5, 0.5, 2) == 0.0
+        for value in (z_coeff(0, 0.5, 1, 0.5, 0.5, 2), z_coeff(1, 1.5, 2, 2.5, 0.5, 2)):
+            assert value == 0.0
+            assert math.copysign(1.0, value) == 1.0  # +0.0, never -0.0
 
     def test_non_integer_orbital_raises(self):
         with pytest.raises(ValueError):

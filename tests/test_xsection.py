@@ -305,12 +305,6 @@ class TestSeriesEvaluation:
         with pytest.raises(ValueError):
             series.evaluate(np.array([0.1, math.nan, 0.2]))
 
-    def test_short_series_pads_with_zeros(self):
-        short = LegendreSeries((1.0, 0.3))
-        full = LegendreSeries((1.0, 0.3, 0.0, 0.0, 0.0))
-        assert short.evaluate([0.0, 1.0, 2.0]) == full.evaluate([0.0, 1.0, 2.0])
-        assert forward_backward_ratio(short) == forward_backward_ratio(full)
-
 
 PROJECTION_CASES = [
     BASE,
@@ -551,13 +545,20 @@ def test_forward_backward_ratio_rejects_orders_above_four():
 
 @pytest.mark.parametrize(
     "coefficients",
-    [(), (1.0, math.nan, 0.0, 0.0, 0.0), (math.inf,), (1.0, 0.0, -math.inf)],
-    ids=["empty", "nan", "inf", "minus-inf"],
+    [
+        (),
+        (1.0, 0.3),
+        (1.0, math.nan, 0.0, 0.0, 0.0),
+        (math.inf, 0.0, 0.0, 0.0, 0.0),
+        (1.0, 0.0, -math.inf, 0.0, 0.0),
+    ],
+    ids=["empty", "short", "nan", "inf", "minus-inf"],
 )
 def test_series_rejects_bad_coefficients(coefficients):
-    # a NaN coefficient used to give U = NaN: NaN passes "backward <= 0" unnoticed
-    with pytest.raises(ValueError):
-        forward_backward_ratio(LegendreSeries(coefficients))
+    # a NaN coefficient used to give U = NaN: NaN passes "backward <= 0" unnoticed.
+    # The constructor itself must refuse: a short tuple would also fail to unpack later.
+    with pytest.raises(ValueError, match="needs c_0..c_4|finite"):
+        LegendreSeries(coefficients)
 
 
 @pytest.mark.parametrize("huby_phase", [False, True])
