@@ -27,7 +27,6 @@ __all__ = [
     "clear_caches",
     "clebsch_gordan",
     "racah_w",
-    "two_j_of",
     "wigner_6j",
     "z_coeff",
 ]
@@ -51,7 +50,7 @@ def _doubled(value: SpinLike) -> int:
     return int(two)
 
 
-def two_j_of(value: SpinLike) -> int:
+def _two_j(value: SpinLike) -> int:
     """Doubled magnitude of a spin; rejects negative or oversized values."""
     two = _doubled(value)
     if two < 0:
@@ -128,7 +127,7 @@ def clebsch_gordan(
     that violates |m| <= j or the integer/half-integer pairing raises
     ``ValueError``.
     """
-    tj1, tj2, tj = two_j_of(j1), two_j_of(j2), two_j_of(j)
+    tj1, tj2, tj = _two_j(j1), _two_j(j2), _two_j(j)
     tm1, tm2, tm = _doubled(m1), _doubled(m2), _doubled(m)
     _check_projection(tj1, tm1, "(j1, m1)")
     _check_projection(tj2, tm2, "(j2, m2)")
@@ -161,7 +160,7 @@ def wigner_6j(
     j1: SpinLike, j2: SpinLike, j3: SpinLike, j4: SpinLike, j5: SpinLike, j6: SpinLike
 ) -> float:
     """{j1 j2 j3; j4 j5 j6}; 0 when any of the four triads fails."""
-    return _6j_two(*map(two_j_of, (j1, j2, j3, j4, j5, j6)))
+    return _6j_two(*map(_two_j, (j1, j2, j3, j4, j5, j6)))
 
 
 def _racah_two(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> float:
@@ -178,7 +177,7 @@ def racah_w(
     a: SpinLike, b: SpinLike, c: SpinLike, d: SpinLike, e: SpinLike, f: SpinLike
 ) -> float:
     """Racah W(a b c d; e f) = (-1)^(a+b+c+d) {a b e; d c f}."""
-    return _racah_two(*map(two_j_of, (a, b, c, d, e, f)))
+    return _racah_two(*map(_two_j, (a, b, c, d, e, f)))
 
 
 def z_coeff(
@@ -191,8 +190,8 @@ def z_coeff(
     Returns exactly 0 when l1 + l2 + L is odd or any triangle rule fails.
     The orbital arguments and L must be integers.
     """
-    tl1, tl2, tL = two_j_of(l1), two_j_of(l2), two_j_of(big_l)
-    tj1, tj2, ts = two_j_of(j1), two_j_of(j2), two_j_of(s)
+    tl1, tl2, tL = _two_j(l1), _two_j(l2), _two_j(big_l)
+    tj1, tj2, ts = _two_j(j1), _two_j(j2), _two_j(s)
     for name, two in (("l1", tl1), ("l2", tl2), ("L", tL)):
         if two % 2 != 0:
             raise ValueError(f"{name} must be an integer orbital momentum")

@@ -15,13 +15,14 @@ numerical error (every other ``PhotoevapError``: a degenerate or
 underdetermined computation, or unscalable points).
 
 Options match by their full name only (``--conf`` is a usage error), so
-one argparse pass finds ``--config FILE`` where the subcommand's parser
-would, before or after the subcommand.  Its flat ``key = value`` lines
-are each the option ``-key`` where the subcommand defines it, else
-``--key`` with underscores as hyphens (``l = 2`` is ``--l 2``); a flag
-takes ``true`` or ``false``; a key that names no option, ``config``,
-``help`` or an option the file has already set is a usage error, and so
-is a second ``--config``; and explicit command-line flags override it.
+one argparse pass finds ``--config FILE``, which every subcommand lists,
+where the subcommand's parser would, before or after the subcommand.
+Its flat ``key = value`` lines are each the option ``-key`` where the
+subcommand defines it, else ``--key`` with underscores as hyphens
+(``l = 2`` is ``--l 2``); a flag takes ``true`` or ``false``; a key that
+names no option, ``config``, ``help`` or an option the file has already
+set is a usage error, and so is a second ``--config``; and explicit
+command-line flags override it.
 
 A subcommand imports the library module it needs when it runs.  Only
 ``fit`` (through ``fitkit``) imports numpy; ``coeff``, ``model``,
@@ -36,6 +37,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from argparse import ArgumentError, ArgumentParser
 from dataclasses import asdict
 
@@ -182,7 +184,11 @@ def _cmd_spectrum(args) -> dict:
     nucleus = thermo.NucleusSpec(args.mass_number, args.charge)
     table = thermo.SigmaInvTable.from_csv(args.sigma_inv_table) if args.sigma_inv_table else None
     scaled = thermo.scale_spectrum(points, nucleus, l=args.l, table=table)
-    fit = thermo.fit_temperature(scaled, args.eps_max)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = thermo.fit_temperature(scaled, args.eps_max)
+    for warning in caught:  # the flat-spectrum warning, as one plain line
+        print(f"warning: {warning.message}", file=sys.stderr)
     return {
         "nucleus": {"A": nucleus.mass_number, "Z": nucleus.charge},
         "sigma_inv_source": "table" if table is not None else "model",
@@ -254,8 +260,8 @@ def _build_parser() -> tuple[ArgumentParser, ArgumentParser, dict[str, ArgumentP
     """The parser that finds --config, the top-level parser and its subcommand parsers by name.
 
     No parser takes an abbreviated option, so the first finds --config
-    where the others would.  Every subcommand but coeff, which has no
-    option a config could set, lists --config and takes --output.
+    where the others would.  Every subcommand lists --config; every one
+    but coeff, which prints one number, takes --output.
     """
     config = ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
     config.add_argument("--config", action="append", help="flat key=value config file")
@@ -270,6 +276,7 @@ def _build_parser() -> tuple[ArgumentParser, ArgumentParser, dict[str, ArgumentP
     coeff = sub.add_parser(
         "coeff",
         allow_abbrev=False,
+        parents=[config],
         help="print a coupling coefficient to 12 significant digits",
         description=(
             "Print one coupling coefficient.  Spins accept '1', '3/2' or '1.5'; "

@@ -6,7 +6,6 @@ __all__ = [
     "InvalidPointError",
     "PhotoevapError",
     "UnderdeterminedError",
-    "UnscalablePointError",
 ]
 
 
@@ -27,8 +26,4 @@ class UnderdeterminedError(PhotoevapError, ValueError):
 
 
 class InvalidPointError(PhotoevapError, ValueError):
-    """A data point cannot enter the computation (e.g. non-positive value)."""
-
-
-class UnscalablePointError(PhotoevapError, ValueError):
-    """A spectrum point cannot be scaled: its divisor vanishes or its scaled value overflows."""
+    """A point cannot enter the fit: its value is non-positive or unweightable, or it cannot be scaled."""

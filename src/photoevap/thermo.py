@@ -31,7 +31,6 @@ from .errors import (
     DegenerateModelError,
     InvalidPointError,
     UnderdeterminedError,
-    UnscalablePointError,
 )
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "exciton_report",
     "fit_temperature",
     "inverse_capture_xsec",
-    "nuclear_radius",
     "read_spectrum_csv",
     "scale_spectrum",
     "timescales",
@@ -87,11 +85,6 @@ class SpectrumPoint:
             raise ValueError(f"counts must be finite, got {self.counts!r}")
         if not (self.err >= 0 and math.isfinite(self.err)):
             raise ValueError(f"err must be finite and >= 0, got {self.err!r}")
-
-
-def nuclear_radius(nucleus: NucleusSpec) -> float:
-    """R = 1.5 * A**(1/3) fm."""
-    return R0_FM * nucleus.mass_number ** (1.0 / 3.0)
 
 
 def inverse_capture_xsec(
@@ -138,7 +131,7 @@ def inverse_capture_xsec(
         return table(eps)
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive, got {eps!r}")
-    radius = nuclear_radius(nucleus)
+    radius = R0_FM * nucleus.mass_number ** (1.0 / 3.0)
     mu = AMU_MEV * nucleus.mass_number / (1.0 + nucleus.mass_number)  # reduced mass [MeV]
     a = E2_MEV_FM * nucleus.charge
     b = l * (l + 1) * HBARC_MEV_FM ** 2 / (2.0 * mu)
@@ -246,7 +239,7 @@ def scale_spectrum(
         bad.append(point.eps)
     if bad:
         energies = ", ".join(f"{e:g}" for e in bad)
-        raise UnscalablePointError(
+        raise InvalidPointError(
             f"cannot scale eps = {energies} MeV: sigma_inv vanishes or the scaled point overflows"
         )
     return scaled

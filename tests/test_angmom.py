@@ -27,7 +27,6 @@ from photoevap.angmom import (
     clear_caches,
     clebsch_gordan,
     racah_w,
-    two_j_of,
     wigner_6j,
     z_coeff,
 )
@@ -91,12 +90,12 @@ class TestSpinParsing:
         [(0, 0), (1, 2), (0.5, 1), ("3/2", 3), (Fraction(5, 2), 5), (np.int64(3), 6)],
     )
     def test_doubled_forms(self, value, expected):
-        assert two_j_of(value) == expected
+        assert angmom._two_j(value) == expected
 
     @pytest.mark.parametrize("bad", [0.3, "2/3", -1, -0.5, "spin", True, 1000])
     def test_rejects_non_spins(self, bad):
         with pytest.raises(ValueError):
-            two_j_of(bad)
+            angmom._two_j(bad)
 
 
 class TestClebschGordan:

@@ -499,6 +499,16 @@ class TestBadInputExitsCleanly:
         assert proc.stderr.startswith("photoevap: numerical error: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
 
+    def test_flat_spectrum_prints_one_warning_line(self, tmp_path):
+        # a fresh process, since pytest captures warnings that a user would see
+        (tmp_path / "spectrum.csv").write_text("eps_mev,counts\n3,3\n4,4\n5,5\n")
+        (tmp_path / "table.csv").write_text("eps_mev,sigma_fm2\n1,1\n10,1\n")
+        argv = ["spectrum", "spectrum.csv", "-A", "208", "-Z", "82", "--sigma-inv-table", "table.csv"]
+        proc = _run_console_script("photoevap.cli:main", tmp_path, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "warning: scaled spectrum is flat; temperature is infinite\n"
+        assert '"temperature_mev": Infinity' in proc.stdout
+
     def test_equal_energies_are_numerical_error(self, capsys, tmp_path):
         path = tmp_path / "spectrum.csv"
         path.write_text("eps_mev,counts\n5.0,120.0\n5.0,110.0\n5.0,130.0\n")
@@ -774,6 +784,12 @@ class TestConfigFile:
         assert (code, out) == (1, "")
         assert err.splitlines()[-1] == "photoevap spectrum: error: argument --config: may be given only once"
 
+    @pytest.mark.parametrize("command", ["coeff", "model", "fit", "spectrum", "exciton", "times"])
+    def test_every_subcommand_lists_config(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert "--config CONFIG" in out
+
     def test_dangling_config_is_usage_error(self, capsys):
         code, out, err = run(capsys, "model", "--config")
         assert (code, out) == (1, "")
@@ -1015,6 +1031,9 @@ class TestTopLevel:
             ("xsection", "cross_section"),
             ("xsection", "correlation_factor"),
             ("xsection", "magnitude_factor"),
+            ("thermo", "nuclear_radius"),
+            ("errors", "UnscalablePointError"),
+            ("angmom", "two_j_of"),
         ],
     )
     def test_pruned_name_is_gone(self, module, name):

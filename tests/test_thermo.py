@@ -26,20 +26,19 @@ from photoevap.errors import (
     DegenerateModelError,
     InvalidPointError,
     UnderdeterminedError,
-    UnscalablePointError,
 )
 from photoevap.thermo import (
     AMU_MEV,
     E2_MEV_FM,
     HBAR_EV_S,
     HBARC_MEV_FM,
+    R0_FM,
     NucleusSpec,
     SigmaInvTable,
     SpectrumPoint,
     exciton_report,
     fit_temperature,
     inverse_capture_xsec,
-    nuclear_radius,
     read_spectrum_csv,
     scale_spectrum,
     timescales,
@@ -47,6 +46,11 @@ from photoevap.thermo import (
 
 PB208 = NucleusSpec(208, 82)
 SAMPLE_SPECTRUM = Path(__file__).resolve().parents[1] / "sample_data" / "spectrum_bi_gp.csv"
+
+
+def nuclear_radius(nucleus: NucleusSpec) -> float:
+    """R = R0 A^(1/3) [fm], the radius of the barrier model."""
+    return R0_FM * nucleus.mass_number ** (1.0 / 3.0)
 
 
 class TestNucleusSpec:
@@ -76,13 +80,16 @@ class TestSpectrumPoint:
 
 
 class TestGeometry:
+    # far above the barrier sigma_inv is the geometric area pi R^2
     def test_radius_frozen_value(self):
-        assert nuclear_radius(PB208) == pytest.approx(8.88748820522211, rel=1e-12)
+        area = math.pi * 8.88748820522211**2
+        assert inverse_capture_xsec(PB208, 0, 50.0) == pytest.approx(area, rel=1e-12)
 
     def test_radius_scales_with_cube_root_of_mass(self):
         small = NucleusSpec(27, 13)
         big = NucleusSpec(216, 13)  # 8x the mass number
-        assert nuclear_radius(big) == pytest.approx(2.0 * nuclear_radius(small), rel=1e-12)
+        area_small = inverse_capture_xsec(small, 0, 50.0)
+        assert inverse_capture_xsec(big, 0, 50.0) == pytest.approx(4.0 * area_small, rel=1e-12)
 
 
 class TestInverseCapture:
@@ -391,7 +398,7 @@ class TestScaleSpectrum:
     def test_unscalable_energy_is_reported(self):
         # deep sub-barrier transmission underflows to zero
         points = [SpectrumPoint(0.01, 10.0), SpectrumPoint(5.0, 10.0)]
-        with pytest.raises(UnscalablePointError, match="0.01"):
+        with pytest.raises(InvalidPointError, match="0.01"):
             scale_spectrum(points, PB208)
 
     @pytest.mark.parametrize("counts, err", [(1e300, 1e299), (1.0, 1e299)], ids=["counts", "err"])
@@ -403,12 +410,12 @@ class TestScaleSpectrum:
             SpectrumPoint(0.5, counts, err),
             *(SpectrumPoint(e, 100.0, 5.0) for e in (4.0, 6.0, 8.0)),
         ]
-        with pytest.raises(UnscalablePointError, match=r"eps = 0\.01, 0\.5 MeV"):
+        with pytest.raises(InvalidPointError, match=r"eps = 0\.01, 0\.5 MeV"):
             scale_spectrum(points, PB208)
 
     def test_table_with_zero_sigma_is_unscalable(self):
         table = SigmaInvTable((1.0, 3.0), (0.0, 0.0))
-        with pytest.raises(UnscalablePointError):
+        with pytest.raises(InvalidPointError):
             scale_spectrum([SpectrumPoint(2.0, 5.0)], PB208, table=table)
 
     def test_empty_input_raises(self):
