@@ -20,10 +20,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from typing import Union
 
 __all__ = [
-    "SpinLike",
     "clear_caches",
     "clebsch_gordan",
     "racah_w",
@@ -31,11 +29,11 @@ __all__ = [
     "z_coeff",
 ]
 
-SpinLike = Union[int, float, str, Fraction]
+_Spin = int | float | str | Fraction
 
 _MAX_TWO_J = 40
 
-def _doubled(value: SpinLike) -> int:
+def _doubled(value: _Spin) -> int:
     """Twice the numeric value, required to be integral."""
     if isinstance(value, bool):
         raise ValueError(f"not a spin value: {value!r}")
@@ -50,7 +48,7 @@ def _doubled(value: SpinLike) -> int:
     return int(two)
 
 
-def _two_j(value: SpinLike) -> int:
+def _two_j(value: _Spin) -> int:
     """Doubled magnitude of a spin; rejects negative or oversized values."""
     two = _doubled(value)
     if two < 0:
@@ -119,7 +117,7 @@ def _cg_two(tj1: int, tm1: int, tj2: int, tm2: int, tj: int, tm: int) -> float:
 
 
 def clebsch_gordan(
-    j1: SpinLike, m1: SpinLike, j2: SpinLike, m2: SpinLike, j: SpinLike, m: SpinLike
+    j1: _Spin, m1: _Spin, j2: _Spin, m2: _Spin, j: _Spin, m: _Spin
 ) -> float:
     """<j1 m1 j2 m2 | j m> in the Condon-Shortley convention.
 
@@ -157,7 +155,7 @@ def _6j_two(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> float:
 
 
 def wigner_6j(
-    j1: SpinLike, j2: SpinLike, j3: SpinLike, j4: SpinLike, j5: SpinLike, j6: SpinLike
+    j1: _Spin, j2: _Spin, j3: _Spin, j4: _Spin, j5: _Spin, j6: _Spin
 ) -> float:
     """{j1 j2 j3; j4 j5 j6}; 0 when any of the four triads fails."""
     return _6j_two(*map(_two_j, (j1, j2, j3, j4, j5, j6)))
@@ -174,14 +172,14 @@ def _racah_two(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> float:
 
 
 def racah_w(
-    a: SpinLike, b: SpinLike, c: SpinLike, d: SpinLike, e: SpinLike, f: SpinLike
+    a: _Spin, b: _Spin, c: _Spin, d: _Spin, e: _Spin, f: _Spin
 ) -> float:
     """Racah W(a b c d; e f) = (-1)^(a+b+c+d) {a b e; d c f}."""
     return _racah_two(*map(_two_j, (a, b, c, d, e, f)))
 
 
 def z_coeff(
-    l1: SpinLike, j1: SpinLike, l2: SpinLike, j2: SpinLike, s: SpinLike, big_l: SpinLike
+    l1: _Spin, j1: _Spin, l2: _Spin, j2: _Spin, s: _Spin, big_l: _Spin
 ) -> float:
     """Blatt-Biedenharn Z coefficient (original phase, no i-power factor).
 

@@ -39,7 +39,6 @@ import re
 import sys
 import warnings
 from argparse import ArgumentError, ArgumentParser
-from dataclasses import asdict
 
 from .errors import DataFormatError, PhotoevapError
 
@@ -126,7 +125,7 @@ def _cmd_model(args) -> dict | str:
         lines.extend(f"{t:.12g},{s:.12g}" for t, s in zip(grid, sigma))
         return "\n".join(lines) + "\n"
     return {
-        "params": asdict(params),
+        "params": vars(params),
         "weighting": config.residual_weighting,
         "coefficients": {f"c_{order}": c for order, c in enumerate(series.coefficients)},
         "asymmetry_U": ratio,
@@ -154,7 +153,7 @@ def _cmd_fit(args) -> dict:
             "chi2": result.chi2,
             "dof": result.dof,
             "n_starts_agreeing": result.n_starts_agreeing,
-            "params": asdict(result.params),
+            "params": vars(result.params),
             "norms": dict(zip(result.bin_labels, result.norms)),
             "covariance_labels": list(result.covariance_labels),
             "covariance": result.covariance.tolist(),
@@ -350,10 +349,8 @@ def _load_config_tokens(path: str, parser: ArgumentParser) -> list[str]:
                 text = line.split("#", 1)[0].strip()
                 if not text:
                     continue
-                if "=" not in text:
-                    raise DataFormatError(f"{path}:{lineno}: expected key = value")
-                key, value = (part.strip() for part in text.split("=", 1))
-                if not key or not value:
+                key, sep, value = (part.strip() for part in text.partition("="))
+                if not (sep and key and value):
                     raise DataFormatError(f"{path}:{lineno}: expected key = value")
                 actions = parser._option_string_actions
                 option = "-" + key if "-" + key in actions else "--" + key.replace("_", "-")

@@ -38,7 +38,6 @@ from ._csvfile import read_csv
 from .errors import DegenerateModelError, UnderdeterminedError
 from .xsection import (
     ChannelConfig,
-    DEFAULT_CONFIG,
     LegendreSeries,
     ShapeParams,
     _coefficient_matrix,
@@ -256,7 +255,7 @@ class _FitProblem:
             A=math.exp(x[0]),
             B=math.exp(x[1]),
             C=math.exp(x[2]),
-            r=max(math.expm1(x[3]), 0.0),
+            r=math.expm1(x[3]),
         )
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
@@ -321,7 +320,7 @@ def chi_square(
     params: ShapeParams,
     norms,
     datasets: list[AngularDataset],
-    config: ChannelConfig = DEFAULT_CONFIG,
+    config: ChannelConfig = ChannelConfig(),
 ) -> float:
     """Sum over points of ((yield - norm_k * sigma(theta)) / err)^2.
 
@@ -463,7 +462,7 @@ def _solve(problem: _FitProblem, starts: np.ndarray, tol: float, max_iter: int):
 
 def fit_angular(
     datasets: list[AngularDataset],
-    config: ChannelConfig = DEFAULT_CONFIG,
+    config: ChannelConfig = ChannelConfig(),
     *,
     n_starts: int = 32,
     seed=None,
@@ -535,7 +534,7 @@ def synth_dataset(
     noise_frac: float,
     seed,
     *,
-    config: ChannelConfig = DEFAULT_CONFIG,
+    config: ChannelConfig = ChannelConfig(),
     bin_labels=None,
 ) -> list[AngularDataset]:
     """Generate one dataset per norm on a shared angle grid.

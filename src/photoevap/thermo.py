@@ -311,8 +311,7 @@ def fit_temperature(points: list[SpectrumPoint], eps_max: float) -> TemperatureF
     var_slope = 1.0 / sxx / scale / scale
     if not weighted:
         resid = [v - (intercept + slope * e) for e, v in zip(eps, logy)]
-        dof = len(usable) - 2
-        var_slope *= sum(map(mul, resid, resid)) / dof if dof > 0 else 0.0
+        var_slope *= sum(map(mul, resid, resid)) / (len(usable) - 2)
     if not all(map(math.isfinite, (sxx, intercept, var_slope))):
         raise DegenerateModelError("temperature fit leaves the floating-point range")
     if slope == 0.0:

@@ -44,7 +44,6 @@ from .errors import DegenerateModelError
 
 __all__ = [
     "ChannelConfig",
-    "DEFAULT_CONFIG",
     "LegendreSeries",
     "ShapeParams",
     "TermAmplitude",
@@ -105,9 +104,6 @@ class ChannelConfig:
             raise ValueError(f"spin_cutoff_sigma must be positive, got {self.spin_cutoff_sigma!r}")
 
 
-DEFAULT_CONFIG = ChannelConfig()
-
-
 @dataclass(frozen=True)
 class TermAmplitude:
     """One interference term of the multipole/exit-channel sum.
@@ -141,7 +137,7 @@ def _residual_weight(config: ChannelConfig, spin: int) -> float:
 
 
 def enumerate_terms(
-    config: ChannelConfig = DEFAULT_CONFIG, *, huby_phase: bool = False
+    config: ChannelConfig = ChannelConfig(), *, huby_phase: bool = False
 ) -> list[TermAmplitude]:
     """Every term passing the selection rules, in deterministic order.
 
@@ -256,7 +252,7 @@ def _coefficient_matrix(config: ChannelConfig, huby_phase: bool):
 
 def raw_coefficients(
     params: ShapeParams,
-    config: ChannelConfig = DEFAULT_CONFIG,
+    config: ChannelConfig = ChannelConfig(),
     *,
     huby_phase: bool = False,
 ) -> tuple[float, ...]:
@@ -330,7 +326,7 @@ class LegendreSeries:
 
 def legendre_coefficients(
     params: ShapeParams,
-    config: ChannelConfig = DEFAULT_CONFIG,
+    config: ChannelConfig = ChannelConfig(),
     *,
     huby_phase: bool = False,
 ) -> LegendreSeries:
@@ -368,6 +364,6 @@ def forward_backward_ratio(series: LegendreSeries) -> float:
     return forward / backward
 
 
-def asymmetry(params: ShapeParams, config: ChannelConfig = DEFAULT_CONFIG) -> float:
+def asymmetry(params: ShapeParams, config: ChannelConfig = ChannelConfig()) -> float:
     """Forward/backward asymmetry U of the model distribution."""
     return forward_backward_ratio(legendre_coefficients(params, config))

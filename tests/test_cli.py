@@ -509,6 +509,16 @@ class TestBadInputExitsCleanly:
         assert proc.stderr == "warning: scaled spectrum is flat; temperature is infinite\n"
         assert '"temperature_mev": Infinity' in proc.stdout
 
+    def test_rising_spectrum_reports_negative_temperature(self, tmp_path):
+        # counts / eps on a flat table doubles per MeV: T = -1/ln 2, exit 0, nothing on stderr
+        (tmp_path / "spectrum.csv").write_text("eps_mev,counts\n1,10\n2,40\n3,120\n")
+        (tmp_path / "table.csv").write_text("eps_mev,sigma_fm2\n0.5,1\n10,1\n")
+        argv = ["spectrum", "spectrum.csv", "-A", "208", "-Z", "82", "--sigma-inv-table", "table.csv"]
+        proc = _run_console_script("photoevap.cli:main", tmp_path, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["temperature_mev"] == pytest.approx(-1.0 / math.log(2.0), rel=1e-12)
+
     def test_equal_energies_are_numerical_error(self, capsys, tmp_path):
         path = tmp_path / "spectrum.csv"
         path.write_text("eps_mev,counts\n5.0,120.0\n5.0,110.0\n5.0,130.0\n")
@@ -983,6 +993,31 @@ class TestTopLevel:
         assert report.pop("import") == []
         assert report == {" ".join(argv): [0, []] for argv in commands}
 
+    def test_coeff_loads_no_dataclass_machinery(self):
+        commands = [
+            ["coeff", "cg", "0.5", "0.5", "0.5", "--", "-0.5", "1", "0"],
+            ["coeff", "w6j", "1", "2", "3", "2", "1", "2"],
+            ["coeff", "racah", "1", "2", "3", "2", "1", "2"],
+            ["coeff", "z", "1", "1.5", "1", "1.5", "0.5", "2"],
+        ]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from photoevap.cli import main\n"
+            "report = {}\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        status = main(argv)\n"
+            "    report[' '.join(argv)] = [status, sorted({'dataclasses', 'inspect'} & set(sys.modules))]\n"
+            "print(json.dumps(report))\n"
+        )
+        import_root = Path(photoevap.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(import_root))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {" ".join(argv): [0, []] for argv in commands}
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1034,6 +1069,8 @@ class TestTopLevel:
             ("thermo", "nuclear_radius"),
             ("errors", "UnscalablePointError"),
             ("angmom", "two_j_of"),
+            ("xsection", "DEFAULT_CONFIG"),
+            ("angmom", "SpinLike"),
         ],
     )
     def test_pruned_name_is_gone(self, module, name):

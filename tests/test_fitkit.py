@@ -26,7 +26,6 @@ from photoevap.fitkit import (
     synth_dataset,
 )
 from photoevap.xsection import (
-    DEFAULT_CONFIG,
     ChannelConfig,
     ShapeParams,
     legendre_coefficients,
@@ -38,7 +37,7 @@ THETAS = np.linspace(30.0, 150.0, 10)
 SAMPLE_ANGULAR = Path(__file__).resolve().parents[1] / "sample_data" / "angular_bi_gp.csv"
 SIX_NORMS = [1200.0, 950.0, 610.0, 1500.0, 800.0, 1100.0]
 WEIGHTINGS = {
-    "equal": DEFAULT_CONFIG,
+    "equal": ChannelConfig(),
     "2I+1": ChannelConfig(residual_weighting="2I+1"),
     "spin-cutoff": ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=1.3),
 }
@@ -171,7 +170,7 @@ class TestChiSquare:
 
 class TestFastPathEquivalence:
     def test_coeff_vector_matches_reference_series(self):
-        problem = _FitProblem(make_noisy(), DEFAULT_CONFIG)
+        problem = _FitProblem(make_noisy(), ChannelConfig())
         rng = np.random.default_rng(0)
         a, b, c = np.exp(rng.uniform(math.log(1e-3), math.log(10.0), (3, 25)))
         r = np.expm1(rng.uniform(0.0, math.log1p(100.0), 25))
@@ -356,7 +355,7 @@ class TestCompressionIdentity:
 
     def test_keeps_no_row_per_point(self):
         datasets = synth_dataset(TRUTH, NORMS, np.linspace(20.0, 160.0, 37), 0.05, 1)
-        problem = _FitProblem(datasets, DEFAULT_CONFIG)
+        problem = _FitProblem(datasets, ChannelConfig())
         assert problem.n_points == 111
         shapes = [v.shape for v in vars(problem).values() if isinstance(v, np.ndarray)]
         assert (3, 5, 5) in shapes and (3, 5) in shapes

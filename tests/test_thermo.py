@@ -12,6 +12,7 @@ cancellation costs nothing at that precision.
 import dataclasses
 import math
 import re
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -506,6 +507,13 @@ class TestFitTemperature:
         with pytest.warns(RuntimeWarning):
             fit = fit_temperature(points, eps_max=8.0)
         assert math.isinf(fit.temperature)
+
+    def test_rising_spectrum_gives_negative_temperature_without_warning(self):
+        points = [SpectrumPoint(1, 10), SpectrumPoint(2, 20), SpectrumPoint(3, 40)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_temperature(points, 8.0)
+        assert fit.temperature == pytest.approx(-1.0 / math.log(2.0), rel=1e-12)
 
     @pytest.mark.parametrize(
         "points, eps_max",

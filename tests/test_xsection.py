@@ -20,7 +20,6 @@ from scipy.special import eval_legendre
 from oracles import legendre_project
 from photoevap.errors import DegenerateModelError
 from photoevap.xsection import (
-    DEFAULT_CONFIG,
     ChannelConfig,
     LegendreSeries,
     ShapeParams,
@@ -82,7 +81,7 @@ class TestShapeParams:
 
 class TestChannelConfig:
     def test_defaults(self):
-        assert DEFAULT_CONFIG.residual_weighting == "equal"
+        assert ChannelConfig().residual_weighting == "equal"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -417,7 +416,7 @@ class TestCoefficientMatrix:
     """
 
     def test_default_matrix_is_five_by_ten_and_read_only(self):
-        matrix, powers, cross = _coefficient_matrix(DEFAULT_CONFIG, False)
+        matrix, powers, cross = _coefficient_matrix(ChannelConfig(), False)
         assert np.asarray(matrix).shape == (5, 10)
         assert np.asarray(powers).shape == (10, 3)
         assert list(cross) == [a == 1 for a, _, _ in powers]
@@ -487,7 +486,7 @@ class TestSpinGeometry:
 
         monkeypatch.setattr(xsection, "enumerate_terms", corrupted)
         with pytest.raises(RuntimeError, match="imaginary residue"):
-            _coefficient_matrix(DEFAULT_CONFIG, False)
+            _coefficient_matrix(ChannelConfig(), False)
         with pytest.raises(RuntimeError, match="imaginary residue"):
             legendre_coefficients(BASE)
 
