@@ -18,7 +18,7 @@ class DataFormatError(PhotoevapError, ValueError):
 
 
 class DegenerateModelError(PhotoevapError, ValueError):
-    """A model evaluation collapsed (non-positive normalisation or yield)."""
+    """A model evaluation collapsed (non-positive normalisation or yield, or a spectrum that does not fall)."""
 
 
 class UnderdeterminedError(PhotoevapError, ValueError):

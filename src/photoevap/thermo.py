@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from dataclasses import dataclass
 from numbers import Integral
 from operator import mul
@@ -260,12 +259,14 @@ def fit_temperature(points: list[SpectrumPoint], eps_max: float) -> TemperatureF
 
     Fits ln(scaled counts) = intercept - eps/T by weighted least squares
     over points with eps <= eps_max.  Weights come from the propagated
-    errors when all are positive, otherwise every point gets unit weight
-    and the slope variance is estimated from the residual scatter.  The
-    sums use weights relative to the heaviest point and offsets from it,
-    centred on the weighted mean, so a dominant point neither cancels the
-    energy spread nor overflows.  A NaN ``eps_max`` raises ``ValueError``;
-    an infinite one keeps every point.
+    errors, and a zero error beside positive ones raises ``InvalidPointError``;
+    with every error zero, every point gets unit weight and the slope variance
+    is estimated from the residual scatter.  The sums use weights relative
+    to the heaviest point and offsets from it, centred on the weighted mean,
+    so a dominant point neither cancels the energy spread nor overflows.
+    A scaled spectrum that does not fall has no temperature and raises
+    ``DegenerateModelError``: T is always finite and positive.  A NaN
+    ``eps_max`` raises ``ValueError``; an infinite one keeps every point.
     """
     if math.isnan(eps_max):
         raise ValueError(f"eps_max must be a number, got {eps_max!r}")
@@ -283,9 +284,9 @@ def fit_temperature(points: list[SpectrumPoint], eps_max: float) -> TemperatureF
         )
     eps = [float(p.eps) for p in usable]
     logy = [math.log(p.counts) for p in usable]
-    weighted = all(p.err > 0 for p in usable)
-    # weights relative to the heaviest point, so that no sum overflows
-    inv_rel = [float(p.counts / p.err) for p in usable] if weighted else [1.0] * len(usable)
+    weighted = any(p.err > 0 for p in usable)
+    # weights relative to the heaviest point, so that no sum overflows; a zero error weighs inf
+    inv_rel = [float(p.counts / p.err) if p.err else (math.inf if weighted else 1.0) for p in usable]
     scale = max(inv_rel)
     ref = inv_rel.index(scale)
     if not math.isfinite(scale):
@@ -314,9 +315,8 @@ def fit_temperature(points: list[SpectrumPoint], eps_max: float) -> TemperatureF
         var_slope *= sum(map(mul, resid, resid)) / (len(usable) - 2)
     if not all(map(math.isfinite, (sxx, intercept, var_slope))):
         raise DegenerateModelError("temperature fit leaves the floating-point range")
-    if slope == 0.0:
-        warnings.warn("scaled spectrum is flat; temperature is infinite", RuntimeWarning)
-        return TemperatureFit(math.inf, intercept, math.inf, len(usable))
+    if slope >= 0.0:
+        raise DegenerateModelError(f"scaled spectrum does not fall with eps below eps_max = {eps_max:g}")
     temperature = -1.0 / slope
     temperature_err = math.sqrt(var_slope) / slope / slope
     if not (math.isfinite(temperature) and math.isfinite(temperature_err)):

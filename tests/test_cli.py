@@ -279,6 +279,16 @@ SAMPLE_ANGULAR = Path(__file__).resolve().parents[1] / "sample_data" / "angular_
 SAMPLE_SPECTRUM = SAMPLE_ANGULAR.with_name("spectrum_bi_gp.csv")
 
 
+def write_model_table(path):
+    """Write the barrier model's own l = 0 sigma_inv of 208Pb as a lookup table."""
+    from photoevap.thermo import NucleusSpec, inverse_capture_xsec
+
+    nucleus = NucleusSpec(208, 82)
+    rows = (f"{e!r},{inverse_capture_xsec(nucleus, 0, e)!r}\n" for e in (1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0))
+    path.write_text("eps_mev,sigma_fm2\n" + "".join(rows))
+    return path
+
+
 class TestFitResidualTable:
     @pytest.mark.parametrize("mode", ["joint", "per-bin"])
     @pytest.mark.parametrize("weighting", ["equal", "2I+1", "spin-cutoff"])
@@ -499,25 +509,27 @@ class TestBadInputExitsCleanly:
         assert proc.stderr.startswith("photoevap: numerical error: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
 
-    def test_flat_spectrum_prints_one_warning_line(self, tmp_path):
-        # a fresh process, since pytest captures warnings that a user would see
-        (tmp_path / "spectrum.csv").write_text("eps_mev,counts\n3,3\n4,4\n5,5\n")
+    @pytest.mark.parametrize(
+        "spectrum, table, message",
+        [
+            # counts / eps on a flat table: constant, and doubling per MeV
+            ("eps_mev,counts\n3,3\n4,4\n5,5\n", True, "scaled spectrum does not fall"),
+            ("eps_mev,counts\n1,10\n2,40\n3,120\n", True, "scaled spectrum does not fall"),
+            # one zero error beside positive ones cannot be weighted
+            ("eps_mev,counts,err\n3.0,120.0,0\n4.0,80.0,1.0\n5.0,40.0,1.0\n", False, "error too small to weight"),
+        ],
+        ids=["flat", "rising", "zero-error"],
+    )
+    def test_spectrum_without_temperature_is_numerical_error(self, tmp_path, spectrum, table, message):
+        # a fresh process, so that a warning would reach stderr
+        (tmp_path / "spectrum.csv").write_text(spectrum)
         (tmp_path / "table.csv").write_text("eps_mev,sigma_fm2\n1,1\n10,1\n")
-        argv = ["spectrum", "spectrum.csv", "-A", "208", "-Z", "82", "--sigma-inv-table", "table.csv"]
+        argv = ["spectrum", "spectrum.csv", "-A", "208", "-Z", "82", *["--sigma-inv-table", "table.csv"] * table]
         proc = _run_console_script("photoevap.cli:main", tmp_path, *argv)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == "warning: scaled spectrum is flat; temperature is infinite\n"
-        assert '"temperature_mev": Infinity' in proc.stdout
-
-    def test_rising_spectrum_reports_negative_temperature(self, tmp_path):
-        # counts / eps on a flat table doubles per MeV: T = -1/ln 2, exit 0, nothing on stderr
-        (tmp_path / "spectrum.csv").write_text("eps_mev,counts\n1,10\n2,40\n3,120\n")
-        (tmp_path / "table.csv").write_text("eps_mev,sigma_fm2\n0.5,1\n10,1\n")
-        argv = ["spectrum", "spectrum.csv", "-A", "208", "-Z", "82", "--sigma-inv-table", "table.csv"]
-        proc = _run_console_script("photoevap.cli:main", tmp_path, *argv)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == ""
-        assert json.loads(proc.stdout)["temperature_mev"] == pytest.approx(-1.0 / math.log(2.0), rel=1e-12)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"photoevap: numerical error: {message}")
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
     def test_equal_energies_are_numerical_error(self, capsys, tmp_path):
         path = tmp_path / "spectrum.csv"
@@ -563,13 +575,13 @@ class TestSpectrum:
         assert payload["temperature_mev"] == pytest.approx(0.55, rel=1e-10)
 
     def test_table_override_is_reported(self, capsys, spectrum_csv, tmp_path):
-        table = tmp_path / "table.csv"
-        table.write_text("eps_mev,sigma_fm2\n0.5,100.0\n10.0,100.0\n")
+        table = write_model_table(tmp_path / "table.csv")
         payload, _ = run_json(
             capsys, "spectrum", str(spectrum_csv), "-A", "208", "-Z", "82",
             "--sigma-inv-table", str(table),
         )
         assert payload["sigma_inv_source"] == "table"
+        assert payload["temperature_mev"] > 0
 
     def test_narrow_window_is_numerical_error(self, capsys, spectrum_csv):
         code, _, _ = run(
@@ -951,8 +963,7 @@ class TestTopLevel:
         assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
     def test_light_commands_load_no_numpy(self, tmp_path):
-        table = tmp_path / "table.csv"
-        table.write_text("eps_mev,sigma_fm2\n0.5,1.0\n3.0,40.0\n6.0,150.0\n12.0,300.0\n")
+        table = write_model_table(tmp_path / "table.csv")
         config = tmp_path / "spectrum.cfg"
         config.write_text("mass_number = 208\ncharge = 82\neps_max = 6.5\n")
         spectrum = [str(SAMPLE_SPECTRUM), "-A", "208", "-Z", "82"]
@@ -1118,7 +1129,7 @@ class TestTopLevel:
 # --------------------------------------------------------------------------
 # The CLI contract over generated inputs: an exit code in {0, 1, 2, 3} and
 # no escaping exception for every argv, and at exit 0 JSON without NaN whose
-# only Infinity tokens are the ones README documents.
+# only Infinity tokens are the ones README documents: `times` at r = 0.
 
 # mostly plausible values, and every float (NaN, the infinities, subnormals
 # and extremes included) as well
@@ -1267,11 +1278,9 @@ def _times_argv(draw):
     return ["times", f"-r{draw(_NUMBER)}", *widths]
 
 
-# Infinity is documented only for the dephasing time at r = 0 and for the
-# temperature of a flat scaled spectrum
+# Infinity is documented only for the dephasing time at r = 0
 _INFINITY_ALLOWED = {
     "times": {"tau_phase_s", "tau_phase_over_tau_thermalization"},
-    "spectrum": {"temperature_mev", "temperature_err_mev"},
 }
 
 
@@ -1340,5 +1349,3 @@ class TestContract:
         assert infinite <= _INFINITY_ALLOWED.get(argv[0], set()), infinite
         if infinite and argv[0] == "times":
             assert payload["r"] == 0.0
-        if infinite and argv[0] == "spectrum":
-            assert math.isinf(payload["temperature_mev"])

@@ -12,7 +12,6 @@ cancellation costs nothing at that precision.
 import dataclasses
 import math
 import re
-import warnings
 from pathlib import Path
 
 import mpmath
@@ -502,18 +501,12 @@ class TestFitTemperature:
         with pytest.raises(InvalidPointError):
             fit_temperature(points, eps_max=8.0)
 
-    def test_flat_spectrum_warns_infinite_temperature(self):
-        points = [SpectrumPoint(e, 3.0) for e in (1.0, 2.0, 3.0, 4.0)]
-        with pytest.warns(RuntimeWarning):
-            fit = fit_temperature(points, eps_max=8.0)
-        assert math.isinf(fit.temperature)
-
-    def test_rising_spectrum_gives_negative_temperature_without_warning(self):
-        points = [SpectrumPoint(1, 10), SpectrumPoint(2, 20), SpectrumPoint(3, 40)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fit = fit_temperature(points, 8.0)
-        assert fit.temperature == pytest.approx(-1.0 / math.log(2.0), rel=1e-12)
+    @pytest.mark.parametrize("counts", [(3.0, 3.0, 3.0, 3.0), (10.0, 20.0, 40.0)], ids=["flat", "rising"])
+    def test_spectrum_that_does_not_fall_raises(self, counts):
+        # no temperature, neither an infinite nor a negative one
+        points = [SpectrumPoint(float(e), c) for e, c in enumerate(counts, start=1)]
+        with pytest.raises(DegenerateModelError, match="does not fall"):
+            fit_temperature(points, eps_max=8.0)
 
     @pytest.mark.parametrize(
         "points, eps_max",
@@ -523,7 +516,7 @@ class TestFitTemperature:
             # every sum is finite, but a slope near 1e-116 with errors 1e200 times
             # the counts puts temperature_err beyond 1e308
             (
-                [SpectrumPoint(e, c, c * 1e200) for e, c in ((1.0, 1.0), (1e100, 1.0), (2e100, 1.0 + 2**-50))],
+                [SpectrumPoint(e, c, c * 1e200) for e, c in ((1.0, 1.0), (1e100, 1.0), (2e100, 1.0 - 2**-50))],
                 8e100,
             ),
         ],
@@ -590,13 +583,25 @@ class TestFitTemperature:
         with pytest.raises(UnderdeterminedError, match="too large to weight"):
             fit_temperature(points, eps_max=8.0)
 
-    def test_error_too_small_to_weight_raises(self):
+    @pytest.mark.parametrize("err", [1e-320, 0.0], ids=["tiny", "zero"])
+    def test_error_too_small_to_weight_raises(self, err):
+        # a zero error is the limit of a tiny one, not a switch to unit weights
         points = [
             SpectrumPoint(p.eps, p.counts, 0.05 * p.counts) for p in self.exponential_points(0.55)
         ]
-        points[2] = SpectrumPoint(points[2].eps, 1e10, 1e-320)
-        with pytest.raises(InvalidPointError):
+        points[2] = SpectrumPoint(points[2].eps, 1e10, err)
+        with pytest.raises(InvalidPointError, match=f"at eps = {points[2].eps:g} MeV"):
             fit_temperature(points, eps_max=8.0)
+
+    def test_all_zero_errors_give_unit_weights(self, tmp_path):
+        rows = ["3.0,120.0", "4.0,80.0", "5.0,41.0", "6.0,19.0"]
+        plain, zeros = tmp_path / "plain.csv", tmp_path / "zeros.csv"
+        plain.write_text("eps_mev,counts\n" + "".join(row + "\n" for row in rows))
+        zeros.write_text("eps_mev,counts,err\n" + "".join(row + ",0\n" for row in rows))
+        fit = fit_temperature(read_spectrum_csv(zeros), eps_max=8.0)
+        assert fit == fit_temperature(read_spectrum_csv(plain), eps_max=8.0)
+        want = numpy_fit_temperature(read_spectrum_csv(zeros), eps_max=8.0)
+        assert (fit.temperature, fit.log_intercept, fit.temperature_err) == pytest.approx(want, rel=1e-12)
 
     def test_weight_on_one_energy_is_underdetermined(self):
         points = [
