@@ -181,7 +181,8 @@ def _cmd_spectrum(args) -> dict:
     points = thermo.read_spectrum_csv(args.data)
     nucleus = thermo.NucleusSpec(args.mass_number, args.charge)
     table = thermo.SigmaInvTable.from_csv(args.sigma_inv_table) if args.sigma_inv_table else None
-    scaled = thermo.scale_spectrum(points, nucleus, l=args.l, table=table)
+    window = [p for p in points if not p.eps > args.eps_max]  # NaN keeps all: fit_temperature rejects it
+    scaled = thermo.scale_spectrum(window, nucleus, l=args.l, table=table)
     fit = thermo.fit_temperature(scaled, args.eps_max)
     return {
         "nucleus": {"A": nucleus.mass_number, "Z": nucleus.charge},

@@ -216,7 +216,6 @@ class _FitProblem:
         row_size = np.max(np.abs(matrix[1:]), axis=1)
         self.shape_rows = int(np.sum(row_size > 1e-12 * np.max(np.abs(matrix))))
         self._log_powers = np.column_stack([0.5 * powers, -cross_columns.astype(float)])
-        self.n_points = sum(len(ds) for ds in datasets)
         self.scales = [float(np.min(ds.errors)) for ds in datasets]
         with np.errstate(over="ignore"):
             targets = [ds.yields / ds.errors for ds in datasets]
@@ -493,16 +492,14 @@ def fit_angular(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
-    problem = _FitProblem(datasets, config)
-    n_norms = len(datasets)
-    dof = problem.n_points - (_N_SHAPE + n_norms)
+    n_points = sum(map(len, datasets))
+    n_params = _N_SHAPE + len(datasets)  # one norm per dataset
+    dof = n_points - n_params
     if dof <= 0:
         labels = ", ".join(repr(ds.bin_label) for ds in datasets)
-        raise UnderdeterminedError(
-            f"{problem.n_points} points in {labels} cannot constrain"
-            f" {_N_SHAPE + n_norms} parameters"
-        )
+        raise UnderdeterminedError(f"{n_points} points in {labels} cannot constrain {n_params} parameters")
 
+    problem = _FitProblem(datasets, config)
     chi2s, shapes, converged = _solve(problem, _lattice_starts(n_starts, seed), tol, max_iter)
     best = int(np.argmin(chi2s))
     agreeing = int(np.sum(chi2s - chi2s[best] <= _AGREE_REL * max(1.0, chi2s[best])))

@@ -25,12 +25,7 @@ from numbers import Integral
 from operator import mul
 
 from ._csvfile import read_csv
-from .errors import (
-    DataFormatError,
-    DegenerateModelError,
-    InvalidPointError,
-    UnderdeterminedError,
-)
+from .errors import DataFormatError, DegenerateModelError, InvalidPointError, UnderdeterminedError
 
 __all__ = [
     "ExcitonReport",
@@ -222,10 +217,9 @@ def scale_spectrum(
     """Divide each point by eps * sigma_inv(eps), propagating errors.
 
     A vanishing divisor or an overflowing quotient makes a point unscalable;
-    the offending energies are reported together in the raised error.
+    the offending energies are reported together in the raised error.  An
+    empty list scales to an empty list.
     """
-    if not points:
-        raise ValueError("no spectrum points to scale")
     bad = []
     scaled = []
     for point in points:
@@ -264,9 +258,11 @@ def fit_temperature(points: list[SpectrumPoint], eps_max: float) -> TemperatureF
     is estimated from the residual scatter.  The sums use weights relative
     to the heaviest point and offsets from it, centred on the weighted mean,
     so a dominant point neither cancels the energy spread nor overflows.
-    A scaled spectrum that does not fall has no temperature and raises
-    ``DegenerateModelError``: T is always finite and positive.  A NaN
-    ``eps_max`` raises ``ValueError``; an infinite one keeps every point.
+    A single distinct energy, or weights that leave only one, has no spread
+    and raises ``UnderdeterminedError``.  A scaled spectrum that does not
+    fall has no temperature and raises ``DegenerateModelError``: T is always
+    finite and positive.  A NaN ``eps_max`` raises ``ValueError``; an
+    infinite one keeps every point.
     """
     if math.isnan(eps_max):
         raise ValueError(f"eps_max must be a number, got {eps_max!r}")
@@ -275,8 +271,6 @@ def fit_temperature(points: list[SpectrumPoint], eps_max: float) -> TemperatureF
         raise UnderdeterminedError(
             f"need at least 3 points below eps_max = {eps_max:g}, have {len(usable)}"
         )
-    if len({p.eps for p in usable}) < 2:
-        raise UnderdeterminedError(f"need at least 2 distinct energies below eps_max = {eps_max:g}")
     bad = [p.eps for p in usable if p.counts <= 0]
     if bad:
         raise InvalidPointError(
@@ -306,7 +300,10 @@ def fit_temperature(points: list[SpectrumPoint], eps_max: float) -> TemperatureF
     w_dx = list(map(mul, w, d_x))
     sxx = sum(map(mul, w_dx, d_x))
     if not sxx > 0.0:
-        raise UnderdeterminedError("the weights leave no spread in energy below eps_max")
+        raise UnderdeterminedError(
+            f"no spread in energy below eps_max = {eps_max:g}:"
+            " a single distinct energy, or weights that leave only one"
+        )
     slope = sum(map(mul, w_dx, y)) / sxx
     intercept = logy[ref] + sum(map(mul, w, y)) / s0 - slope * (eps[ref] + mean_x)
     var_slope = 1.0 / sxx / scale / scale

@@ -279,12 +279,15 @@ SAMPLE_ANGULAR = Path(__file__).resolve().parents[1] / "sample_data" / "angular_
 SAMPLE_SPECTRUM = SAMPLE_ANGULAR.with_name("spectrum_bi_gp.csv")
 
 
-def write_model_table(path):
-    """Write the barrier model's own l = 0 sigma_inv of 208Pb as a lookup table."""
+def write_model_table(path, energies=(1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0), vanish_from=math.inf):
+    """Write the barrier model's own l = 0 sigma_inv of 208Pb as a lookup table.
+
+    From ``vanish_from`` MeV on, the table's sigma_inv is 0.
+    """
     from photoevap.thermo import NucleusSpec, inverse_capture_xsec
 
     nucleus = NucleusSpec(208, 82)
-    rows = (f"{e!r},{inverse_capture_xsec(nucleus, 0, e)!r}\n" for e in (1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0))
+    rows = (f"{e!r},{inverse_capture_xsec(nucleus, 0, e) if e < vanish_from else 0.0!r}\n" for e in energies)
     path.write_text("eps_mev,sigma_fm2\n" + "".join(rows))
     return path
 
@@ -536,7 +539,7 @@ class TestBadInputExitsCleanly:
         path.write_text("eps_mev,counts\n5.0,120.0\n5.0,110.0\n5.0,130.0\n")
         code, out, err = run(capsys, "spectrum", str(path), "-A", "208", "-Z", "82")
         self.assert_clean(code, out, err, 3)
-        assert "distinct energies" in err
+        assert "no spread in energy" in err
 
 
 class TestSpectrum:
@@ -584,11 +587,27 @@ class TestSpectrum:
         assert payload["temperature_mev"] > 0
 
     def test_narrow_window_is_numerical_error(self, capsys, spectrum_csv):
-        code, _, _ = run(
-            capsys, "spectrum", str(spectrum_csv), "-A", "208", "-Z", "82",
-            "--eps-max", "3.1",
-        )
-        assert code == 3
+        # 3.1 keeps one point and 1 keeps none, which scales to nothing before the fit counts it
+        for eps_max, have in (("3.1", 1), ("1", 0)):
+            code, _, err = run(
+                capsys, "spectrum", str(spectrum_csv), "-A", "208", "-Z", "82",
+                "--eps-max", eps_max,
+            )
+            assert code == 3
+            assert f"need at least 3 points below eps_max = {eps_max}, have {have}" in err
+
+    @pytest.mark.parametrize(
+        "energies, vanish_from",
+        [((1.5, 2.0, 3.0, 4.0, 5.0, 6.0), math.inf), ((1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 6.5, 8.0, 10.0), 6.5)],
+        ids=["table-ends-at-window", "sigma-vanishes-above-window"],
+    )
+    def test_table_needs_to_cover_only_the_window(self, capsys, tmp_path, energies, vanish_from):
+        # points above --eps-max are never scaled, so the table beyond 6 MeV is never read
+        argv = ["spectrum", str(SAMPLE_SPECTRUM), "-A", "208", "-Z", "82", "--eps-max", "6", "--sigma-inv-table"]
+        full = run(capsys, *argv, str(write_model_table(tmp_path / "full.csv")))
+        assert full[0] == 0, full[2]
+        window = write_model_table(tmp_path / "window.csv", energies, vanish_from)
+        assert run(capsys, *argv, str(window)) == full
 
     @pytest.mark.parametrize(
         "option, message",

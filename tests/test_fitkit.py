@@ -356,7 +356,6 @@ class TestCompressionIdentity:
     def test_keeps_no_row_per_point(self):
         datasets = synth_dataset(TRUTH, NORMS, np.linspace(20.0, 160.0, 37), 0.05, 1)
         problem = _FitProblem(datasets, ChannelConfig())
-        assert problem.n_points == 111
         shapes = [v.shape for v in vars(problem).values() if isinstance(v, np.ndarray)]
         assert (3, 5, 5) in shapes and (3, 5) in shapes
         assert all(37 not in shape and 111 not in shape for shape in shapes)

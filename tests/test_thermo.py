@@ -418,9 +418,8 @@ class TestScaleSpectrum:
         with pytest.raises(InvalidPointError):
             scale_spectrum([SpectrumPoint(2.0, 5.0)], PB208, table=table)
 
-    def test_empty_input_raises(self):
-        with pytest.raises(ValueError):
-            scale_spectrum([], PB208)
+    def test_empty_input_scales_to_empty(self):
+        assert scale_spectrum([], PB208) == []
 
     @given(
         counts=st.lists(
@@ -494,6 +493,12 @@ class TestFitTemperature:
         points = self.exponential_points(0.55, n=5)
         with pytest.raises(UnderdeterminedError):
             fit_temperature(points, eps_max=1.5)
+
+    def test_single_energy_has_no_spread(self):
+        # every offset from the one energy is exactly 0, so the energy spread is too
+        points = [SpectrumPoint(5.0, c) for c in (120.0, 110.0, 130.0)]
+        with pytest.raises(UnderdeterminedError, match="no spread in energy below eps_max = 8"):
+            fit_temperature(points, eps_max=8.0)
 
     def test_non_positive_counts_raise(self):
         points = self.exponential_points(0.55)
