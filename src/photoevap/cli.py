@@ -145,7 +145,7 @@ def _cmd_fit(args) -> dict:
         result = fitkit.fit_angular(
             group, config, n_starts=args.starts, seed=args.seed, tol=args.tol, max_iter=args.max_iter
         )
-        table = fitkit._model_and_residuals(result.params, result.norms, group, config)
+        table = fitkit.model_and_residuals(result.params, result.norms, group, config)
         return {
             "converged": result.converged,
             "identifiable": result.identifiable,

@@ -49,6 +49,7 @@ __all__ = [
     "FitResult",
     "chi_square",
     "fit_angular",
+    "model_and_residuals",
     "read_angular_csv",
     "synth_dataset",
 ]
@@ -303,7 +304,7 @@ class _FitProblem:
         return chi2, (jac_t @ res[:, :, None])[:, :, 0], jac_t @ jac
 
 
-def _model_and_residuals(params, norms, datasets, config) -> list[tuple[np.ndarray, np.ndarray]]:
+def model_and_residuals(params, norms, datasets, config) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per dataset, the model norm_k * sigma(theta) at its angles, with sigma
     from :func:`legendre_coefficients`, and the residuals (yield - model) / err.
     Overflow is left to the caller, such as :func:`chi_square`'s ``errstate``."""
@@ -331,7 +332,7 @@ def chi_square(
     """
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, res in _model_and_residuals(params, norms, datasets, config):
+        for _, res in model_and_residuals(params, norms, datasets, config):
             total += float(res @ res)
     if not math.isfinite(total):
         raise DegenerateModelError("chi-square overflows: residuals too large for their errors")

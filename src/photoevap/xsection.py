@@ -24,8 +24,8 @@ The 195 terms share 10 power triples (a, b, c), so the sum is
 c = M m with m_j = sqrt(A^a B^b C^c), over (1+r) for cross terms.  The
 residual-spin weight w(I') multiplies a geometry free of it, so the real
 5 x 10 matrix is M = sum_I' w(I') G[I'], where G[I'] groups the terms of
-spin I' by triple; G is built and checked real once per audit phase,
-and M once per (configuration, phase) behind a bounded memo.
+spin I' by triple; G is built once per audit phase and M once per
+(configuration, phase) behind a bounded memo.
 
 The module is pure Python, with no numpy: one model point is a few dozen
 multiply-adds, which numpy's per-call overhead would cost more than it
@@ -56,7 +56,6 @@ __all__ = [
 
 _PHOTON_SPIN = 1
 _WEIGHTING_MODES = ("equal", "2I+1", "spin-cutoff")
-_IPOW = (1 + 0j, 1j, -1 + 0j, -1j)  # i**n via n mod 4
 _MULTIPOLES = (1, 2)  # E1 and E2 photon absorption
 # exit proton orbitals; l' >= 3 is left out because its centrifugal
 # barrier suppresses evaporation protons too strongly to matter
@@ -111,7 +110,7 @@ class TermAmplitude:
     L1, L2 are the photon multipole orders of the two interfering
     amplitudes, l1, l2 the entrance orbital momenta (L -+ 1), l1p, l2p
     the exit proton orbitals, Ip the residual spin and L the Legendre
-    order the term feeds.  ``geometry`` is the full complex coupling
+    order the term feeds.  ``geometry`` is the full real coupling
     weight including the residual-spin weight.
     """
 
@@ -123,7 +122,7 @@ class TermAmplitude:
     l2p: int
     Ip: int
     L: int
-    geometry: complex
+    geometry: float
 
 
 def _residual_weight(config: ChannelConfig, spin: int) -> float:
@@ -142,8 +141,7 @@ def enumerate_terms(
     """Every term passing the selection rules, in deterministic order.
 
     The list is closed under swapping the two amplitudes
-    (L1, l1, l1p) <-> (L2, l2, l2p); swapped partners carry complex
-    conjugate geometry, which is what makes the summed series real.
+    (L1, l1, l1p) <-> (L2, l2, l2p); swapped partners carry equal geometry.
 
     ``huby_phase=True`` multiplies each Z coefficient by i**(-l1+l2-L)
     (the later phase revision of the Z convention).  It exists as a sign
@@ -179,19 +177,21 @@ def enumerate_terms(
 def _geometry(
     L1: int, L2: int, l1: int, l2: int, l1p: int, l2p: int, ip: int, order: int,
     huby_phase: bool,
-) -> complex:
-    geom = (
+) -> float:
+    # one sign for i**(L2 - L1 + l1 - l2), (-1)**(Ip + 1) and, under huby_phase,
+    # Zbar = i**(-l1 + l2 - L) Z on both Z factors.  Both i-powers are even:
+    # l = L -+ 1 makes the first -2, 0 or 2, and Z parity makes l1 + l2 + L and
+    # l1p + l2p + L even, so l2 - l1 + l2p - l1p - 2L is even too
+    exponent = (L2 - L1 + l1 - l2) // 2 + ip + 1
+    if huby_phase:
+        exponent += (l2 - l1 + l2p - l1p) // 2 - order
+    return (
         clebsch_gordan(L1, -1, 1, 1, l1, 0)
         * clebsch_gordan(L2, -1, 1, 1, l2, 0)
-        * _IPOW[(L2 - L1 + l1 - l2) % 4]
-        * (-1 if ip % 2 == 0 else 1)  # (-1)**(Ip + 1)
+        * (-1 if exponent % 2 else 1)
         * z_coeff(l1, L1, l2, L2, _PHOTON_SPIN, order)
         * z_coeff(l1p, L1, l2p, L2, ip, order)
     )
-    if huby_phase:
-        # audit variant: Zbar = i**(-l1 + l2 - L) Z applied to both Z factors
-        geom *= _IPOW[(-l1 + l2 - order) % 4] * _IPOW[(-l1p + l2p - order) % 4]
-    return geom
 
 
 def _powers(term: TermAmplitude) -> tuple[int, int, int]:
@@ -212,21 +212,16 @@ def _spin_geometry(huby_phase: bool):
     magnitude powers (a, b, c) = P[j].  ``cross`` marks the a == 1 columns,
     whose m_j carries 1/(1+r): equal-multipole amplitudes stay fully
     correlated, while dipole and quadrupole ones decorrelate by it.
-    Conjugate partners cancel the imaginary parts; a residue above 1e-12
-    of the largest real entry means a broken term table and raises.
     """
     terms = enumerate_terms(huby_phase=huby_phase)
     spins = sorted({term.Ip for term in terms})
     powers = sorted({_powers(term) for term in terms})
-    sums: dict[tuple[int, int, int], complex] = {}
+    sums: dict[tuple[int, int, int], float] = {}
     for term in terms:
         key = (term.Ip, term.L, powers.index(_powers(term)))
         sums[key] = sums.get(key, 0.0) + term.geometry
-    residue = max(abs(g.imag) for g in sums.values())
-    if residue > 1e-12 * max(abs(g.real) for g in sums.values()):
-        raise RuntimeError(f"imaginary residue {residue:g} exceeds realisation bound")
     geometry = tuple(
-        tuple((order, j, g.real) for (ip, order, j), g in sorted(sums.items()) if ip == spin and g.real)
+        tuple((order, j, g) for (ip, order, j), g in sorted(sums.items()) if ip == spin and g)
         for spin in spins
     )
     cross = tuple(a == 1 for a, _, _ in powers)

@@ -5,16 +5,21 @@ closed finite-sum forms using exact big-integer rational arithmetic
 (fractions.Fraction), sharing no code with the package under test.
 Every value is carried as sign * sqrt(rational) until the final float
 conversion, so the only rounding is the last sqrt.
+
+The photoproton distribution oracle is written from the partial-wave sum
+of the amplitudes themselves, not from the package's Z-coefficient
+interference terms.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import eval_legendre, roots_legendre
+from scipy.special import eval_legendre, lpmv, roots_legendre
 
 
 class SqrtRational(NamedTuple):
@@ -173,3 +178,65 @@ def legendre_project(evaluate, n_orders: int, n_nodes: int = 40) -> np.ndarray:
         basis = eval_legendre(order, nodes)
         out[order] = (2 * order + 1) / 2.0 * np.sum(weights * basis * values)
     return out
+
+
+def spherical_harmonic_at_zero_azimuth(l: int, m: int, theta: float) -> float:
+    """Condon-Shortley Y_l^m(theta, phi = 0), real at phi = 0.
+
+    scipy's lpmv carries the (-1)^m Condon-Shortley phase; a negative m
+    uses Y_l^-m = (-1)^m conj(Y_l^m).
+    """
+    k = abs(m)
+    norm = math.sqrt((2 * l + 1) / (4 * math.pi) * math.factorial(l - k) / math.factorial(l + k))
+    value = norm * float(lpmv(k, l, math.cos(theta)))
+    return (-1) ** k * value if m < 0 else value
+
+
+_I_POWER = (1, 1j, -1, -1j)  # i**n via n mod 4
+
+
+@cache
+def _cg_value(j1: int, m1: int, j2: int, m2: int, j: int, m: int) -> float:
+    return cg_exact(j1, m1, j2, m2, j, m).value()
+
+
+def photoproton_distribution(theta: float, magnitude, weight) -> float:
+    """W(theta) of protons evaporated after E1/E2 absorption on a spin-0 target.
+
+    A photon of helicity lambda = +-1 along z forms the compound state
+    J = L, M = lambda; it decays to a proton of orbital l' <= 2 and a
+    residual nucleus of spin I' (l' and I' couple to L; the proton spin is
+    left out):
+
+      W = sum_pi sum_lambda sum_I' w(I') sum_ms |sum_{L, l'} a_{L l'}
+          <l' lambda-ms, I' ms | L lambda> Y_l'^(lambda-ms)(theta, 0)|^2,
+      a_{L l'} = i^L sqrt(2L + 1) * i^(-l') * magnitude(L, l').
+
+    Phases:
+    * i^L sqrt(2L + 1) is the E(L) term of a circularly polarised plane
+      photon's multipole expansion;
+    * i^(-l') is the partial-wave phase of the outgoing proton;
+    * Clebsch-Gordan and Y_lm follow Condon and Shortley (``cg_exact``
+      and :func:`spherical_harmonic_at_zero_azimuth`).
+
+    Amplitudes interfere only within one residual parity
+    pi = (-1)^(L + l'); the two parities, the residual spins I' and the
+    helicities add incoherently.  ``magnitude(L, l')`` is real (0 drops
+    the channel) and ``weight(I')`` is the residual-spin weight w(I').
+    """
+    total = 0.0
+    for parity in (0, 1):
+        channels = [(L, l) for L in (1, 2) for l in (0, 1, 2) if (L + l) % 2 == parity]
+        for helicity in (-1, 1):
+            for spin in range(5):  # I' <= L + l' <= 4
+                for ms in range(-spin, spin + 1):
+                    m = helicity - ms
+                    amplitude = 0j
+                    for L, l in channels:
+                        if abs(m) > l:
+                            continue
+                        a = _I_POWER[(L - l) % 4] * math.sqrt(2 * L + 1) * magnitude(L, l)
+                        cg = _cg_value(l, m, spin, ms, L, helicity)
+                        amplitude += a * cg * spherical_harmonic_at_zero_azimuth(l, m, theta)
+                    total += weight(spin) * abs(amplitude) ** 2
+    return total

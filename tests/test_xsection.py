@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_legendre
 
-from oracles import legendre_project
+from oracles import legendre_project, photoproton_distribution
 from photoevap.errors import DegenerateModelError
 from photoevap.xsection import (
     ChannelConfig,
@@ -117,14 +117,14 @@ class TestEnumerateTerms:
             assert abs(t.l2p - t.L2) <= t.Ip <= t.l2p + t.L2
             assert abs(t.L1 - t.L2) <= t.L <= min(t.L1 + t.L2, t.l1 + t.l2, t.l1p + t.l2p)
 
-    def test_closed_under_amplitude_swap_with_conjugate_geometry(self):
-        terms = enumerate_terms()
+    @pytest.mark.parametrize("huby_phase", [False, True])
+    def test_closed_under_amplitude_swap_with_equal_geometry(self, huby_phase):
+        terms = enumerate_terms(huby_phase=huby_phase)
         index = {
             (t.L1, t.L2, t.l1, t.l2, t.l1p, t.l2p, t.Ip, t.L): t.geometry for t in terms
         }
         for t in terms:
-            partner = index[(t.L2, t.L1, t.l2, t.l1, t.l2p, t.l1p, t.Ip, t.L)]
-            assert partner == pytest.approx(np.conj(t.geometry), abs=1e-14)
+            assert index[(t.L2, t.L1, t.l2, t.l1, t.l2p, t.l1p, t.Ip, t.L)] == t.geometry
 
     def test_cross_terms_feed_only_odd_orders(self):
         for t in enumerate_terms():
@@ -233,7 +233,7 @@ class TestLegendreCoefficients:
     @pytest.mark.parametrize(
         "params, config, message",
         [
-            # A**2 or B**2 overflows; the NaN residue would pass the realness check
+            # A**2 or B**2 overflows; raw_coefficients raises before a NaN can form
             (ShapeParams(A=1e308, B=1.0, C=1.0, r=0.0), ChannelConfig(), "overflow"),
             (ShapeParams(A=1.0, B=1e200, C=0.0, r=1.0), ChannelConfig(), "overflow"),
             # A**2 and C**2 are finite; only their product A**2 C**2 overflows
@@ -455,14 +455,6 @@ class TestCoefficientMatrix:
 class TestSpinGeometry:
     """M = sum_I' w(I') G[I'] from one sigma-free geometry per audit phase."""
 
-    @pytest.fixture
-    def fresh_cache(self):
-        _spin_geometry.cache_clear()
-        _coefficient_matrix.cache_clear()
-        yield
-        _spin_geometry.cache_clear()
-        _coefficient_matrix.cache_clear()
-
     def test_unseen_sigma_reuses_the_geometry(self, monkeypatch):
         legendre_coefficients(BASE, ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=2.0))
         calls = []
@@ -476,19 +468,86 @@ class TestSpinGeometry:
             legendre_coefficients(BASE, ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=sigma))
         assert calls == []
 
-    def test_imaginary_residue_raises(self, monkeypatch, fresh_cache):
-        def corrupted(*args, **kwargs):
-            terms = enumerate_terms(*args, **kwargs)
-            # a cross term: its swapped partner (L1 != L2) is another list entry
-            k = next(i for i, t in enumerate(terms) if t.L1 != t.L2 and abs(t.geometry) > 1e-3)
-            terms[k] = dataclasses.replace(terms[k], geometry=1j * terms[k].geometry)
-            return terms
+    def test_every_i_power_exponent_is_even(self):
+        # the photon phase i**(L2 - L1 + l1 - l2) and Huby's i**(l2 - l1 + l2p - l1p - 2L)
+        # are then signs, so each term's geometry is real and needs no imaginary part
+        for t in enumerate_terms():
+            assert (t.L2 - t.L1 + t.l1 - t.l2) % 2 == 0
+            assert (t.l2 - t.l1 + t.l2p - t.l1p - 2 * t.L) % 2 == 0
 
-        monkeypatch.setattr(xsection, "enumerate_terms", corrupted)
-        with pytest.raises(RuntimeError, match="imaginary residue"):
-            _coefficient_matrix(ChannelConfig(), False)
-        with pytest.raises(RuntimeError, match="imaginary residue"):
-            legendre_coefficients(BASE)
+
+def oracle_coefficients(magnitude, weight):
+    """c_0-normalised Legendre projection of the first-principles distribution."""
+    projected = legendre_project(lambda theta: photoproton_distribution(theta, magnitude, weight), 5)
+    return projected / projected[0]
+
+
+def oracle_weight(config):
+    """w(I') written out from the weighting's definition."""
+    sigma = config.spin_cutoff_sigma
+    return {
+        "equal": lambda spin: 1.0,
+        "2I+1": lambda spin: 2.0 * spin + 1.0,
+        "spin-cutoff": lambda spin: math.exp(-spin * (spin + 1) / (2.0 * sigma ** 2)),
+    }[config.residual_weighting]
+
+
+ORACLE_CHANNELS = [
+    (L, exit_orbital, spin)
+    for L in (1, 2)
+    for exit_orbital in (0, 1, 2)
+    for spin in range(abs(L - exit_orbital), L + exit_orbital + 1)
+]
+
+
+class TestFirstPrinciplesOracle:
+    """The huby_phase=True geometry against the partial-wave amplitude sum.
+
+    The oracle (tests/oracles.py) squares the amplitudes themselves and
+    shares no code with the Z-coefficient terms.  The default convention
+    fails both checks; only Huby's revision passes them.
+    """
+
+    @staticmethod
+    def channel_coefficients(L, exit_orbital, spin):
+        coefficients = np.zeros(5)
+        for t in enumerate_terms(huby_phase=True):
+            if (t.L1, t.L2, t.l1p, t.l2p, t.Ip) == (L, L, exit_orbital, exit_orbital, spin):
+                coefficients[t.L] += t.geometry
+        return coefficients / coefficients[0]
+
+    @pytest.mark.parametrize(
+        "L, exit_orbital, expected",
+        [(1, 1, (1.0, 0.0, -1.0, 0.0, 0.0)), (2, 2, (1.0, 0.0, 5 / 7, 0.0, -12 / 7))],
+        ids=["E1-sin2", "E2-sin2cos2"],
+    )
+    def test_spinless_residue_channels_have_closed_forms(self, L, exit_orbital, expected):
+        # E1 with l' = 1 and I' = 0 is sin^2, E2 with l' = 2 and I' = 0 is sin^2 cos^2
+        oracle = oracle_coefficients(lambda L_, l: float((L_, l) == (L, exit_orbital)), lambda spin: float(spin == 0))
+        assert oracle == pytest.approx(expected, abs=1e-12)
+        assert self.channel_coefficients(L, exit_orbital, 0) == pytest.approx(expected, abs=1e-12)
+
+    def test_there_are_sixteen_channels(self):
+        channels = {(t.L1, t.l1p, t.Ip) for t in enumerate_terms() if t.L1 == t.L2 and t.l1p == t.l2p}
+        assert sorted(channels) == ORACLE_CHANNELS
+
+    @pytest.mark.parametrize("L, exit_orbital, spin", ORACLE_CHANNELS)
+    def test_each_channel_matches_the_oracle(self, L, exit_orbital, spin):
+        oracle = oracle_coefficients(
+            lambda L_, l: float((L_, l) == (L, exit_orbital)), lambda s: float(s == spin)
+        )
+        assert self.channel_coefficients(L, exit_orbital, spin) == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("name", AUDIT_CONFIGS)
+    def test_coherent_sum_at_zero_r_matches_the_oracle(self, name):
+        config = AUDIT_CONFIGS[name]
+        for point in audit_points(seed=31, n=4):
+            A, B, C = point.A, point.B, point.C
+            oracle = oracle_coefficients(
+                lambda L, l: math.sqrt(A ** (L == 2) * B ** (l == 1) * C ** (l == 2)), oracle_weight(config)
+            )
+            series = legendre_coefficients(ShapeParams(A, B, C, 0.0), config, huby_phase=True)
+            assert series.coefficients == pytest.approx(oracle, abs=1e-12)
 
 
 def _bits(matrix):
