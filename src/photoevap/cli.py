@@ -223,13 +223,12 @@ def _cmd_times(args) -> dict:
     return {
         "r": report.r,
         "beta_ev": report.beta,
-        "tau_phase_s": report.tau_phase,
+        "tau_phase_s": report.tau_phase if report.r > 0 else None,  # r = 0: unbounded
         "gamma_cn_ev": report.gamma_cn,
         "tau_cn_s": report.tau_cn,
         "gamma_spreading_mev": report.gamma_spreading,
         "tau_thermalization_s": report.tau_thermalization,
-        # infinite at r = 0: the JSON Infinity token
-        "tau_phase_over_tau_thermalization": report.tau_ratio,
+        "tau_phase_over_tau_thermalization": report.tau_ratio if report.r > 0 else None,
         "level_spacing_mev": report.level_spacing,
         "t_heisenberg_s": report.t_heisenberg,
         "n_eff": report.n_eff,
@@ -392,7 +391,7 @@ def main(argv=None) -> int:
         result = args.func(args)
         if isinstance(result, dict):
             envelope = {"schema_version": SCHEMA_VERSION, "command": args.command}
-            result = json.dumps({**envelope, **result}, indent=2) + "\n"
+            result = json.dumps({**envelope, **result}, indent=2, allow_nan=False) + "\n"
         if (output := getattr(args, "output", None)) in (None, "-"):
             sys.stdout.write(result)
         else:

@@ -486,10 +486,8 @@ def fit_angular(
         raise ValueError("no datasets to fit")
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    if tol < _MACHINE_EPS:
-        raise ValueError(f"tol must be >= machine epsilon {_MACHINE_EPS!r}, got {tol!r}")
+    if not (math.isfinite(tol) and tol >= _MACHINE_EPS):
+        raise ValueError(f"tol must be finite and >= machine epsilon {_MACHINE_EPS!r}, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 

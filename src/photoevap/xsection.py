@@ -255,16 +255,11 @@ def raw_coefficients(
 
     Even orders collect only same-multipole terms and are independent of
     r; odd orders collect only cross terms and scale as sqrt(A)/(1+r).
-    A square A^2, B^2 or C^2 beyond the float range raises
-    ``DegenerateModelError``; a product of powers beyond it leaves inf or
-    NaN, which :func:`legendre_coefficients` reports the same way.
+    A square or product of powers beyond the float range leaves inf or
+    NaN, which :func:`legendre_coefficients` reports.
     """
     matrix, powers, cross = _coefficient_matrix(config, huby_phase)
-    try:
-        # every power is 0, 1 or 2
-        A, B, C = ((1.0, x, x ** 2) for x in (params.A, params.B, params.C))
-    except OverflowError:
-        raise DegenerateModelError(f"raw coefficients overflow at {params}") from None
+    A, B, C = ((1.0, x, x * x) for x in (params.A, params.B, params.C))  # every power is 0, 1 or 2
     damping = 1.0 / (1.0 + params.r)
     magnitude = [
         math.sqrt(A[a] * B[b] * C[c]) * (damping if is_cross else 1.0)
@@ -286,11 +281,10 @@ class LegendreSeries:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        n = len(self.coefficients)
-        if n > MAX_ORDER + 1:
-            raise ValueError(f"series has orders above P_{MAX_ORDER}")
-        if n < MAX_ORDER + 1:
-            raise ValueError(f"series needs c_0..c_{MAX_ORDER}, got {n} values")
+        if (n := len(self.coefficients)) != MAX_ORDER + 1:
+            raise ValueError(
+                f"series needs c_0..c_{MAX_ORDER} and no order above P_{MAX_ORDER}, got {n} values"
+            )
         if not all(map(math.isfinite, self.coefficients)):
             raise ValueError(f"coefficients must be finite, got {self.coefficients!r}")
 
@@ -328,8 +322,8 @@ def legendre_coefficients(
     """c_0-normalised Legendre coefficients for the given params.
 
     A non-positive c_0 (possible only for pathological weightings) or a
-    non-finite raw coefficient (A, B or C so large that the products
-    overflow) raises ``DegenerateModelError``.
+    non-finite raw coefficient (A, B or C so large that a square or a
+    product overflows) raises ``DegenerateModelError``.
     """
     raw = raw_coefficients(params, config, huby_phase=huby_phase)
     scale = raw[0]
@@ -338,7 +332,7 @@ def legendre_coefficients(
     try:
         return LegendreSeries(tuple(c / scale for c in raw), scale=scale)
     except ValueError:
-        # an overflowing product leaves inf or NaN in raw, and so in the
+        # an overflowing square or product leaves inf or NaN in raw, and so in the
         # normalised coefficients (inf / inf is NaN)
         raise DegenerateModelError(f"raw coefficients overflow at {params}") from None
 

@@ -509,12 +509,12 @@ class TestFitAngular:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"tol": math.nan}, "tol must be finite and > 0"),
-            ({"tol": math.inf}, "tol must be finite and > 0"),
-            ({"tol": 0.0}, "tol must be finite and > 0"),
-            ({"tol": -1e-8}, "tol must be finite and > 0"),
+            ({"tol": math.nan}, "tol must be finite and >= machine epsilon"),
+            ({"tol": math.inf}, "tol must be finite and >= machine epsilon"),
+            ({"tol": 0.0}, "tol must be finite and >= machine epsilon"),
+            ({"tol": -1e-8}, "tol must be finite and >= machine epsilon"),
             ({"max_iter": 0}, "max_iter must be >= 1"),
-            ({"tol": 1e-17}, "tol must be >= machine epsilon"),
+            ({"tol": 1e-17}, "tol must be finite and >= machine epsilon"),
             ({"seed": -1}, "seed must be a non-negative integer"),
         ],
     )

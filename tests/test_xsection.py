@@ -145,27 +145,34 @@ class TestEnumerateTerms:
 
 
 class TestRawCoefficients:
-    def test_shape_and_realness(self):
-        raw = np.asarray(raw_coefficients(BASE))
-        assert raw.shape == (5,)
-        assert np.max(np.abs(raw.imag)) <= 1e-13 * abs(raw[0])
+    def test_returns_five_real_floats(self):
+        raw = raw_coefficients(BASE)
+        assert type(raw) is tuple and len(raw) == 5
+        assert all(type(c) is float for c in raw)
+
+    def test_overflowing_square_leaves_a_non_finite_entry(self):
+        # A**2 = inf: raw_coefficients returns it, legendre_coefficients reports it
+        params = ShapeParams(A=1e200, B=1.0, C=1.0, r=0.0)
+        assert not all(map(math.isfinite, raw_coefficients(params)))
+        with pytest.raises(DegenerateModelError, match="overflow"):
+            legendre_coefficients(params)
 
     def test_even_orders_independent_of_correlation(self):
         raws = [np.asarray(raw_coefficients(params_with(r))) for r in (0.0, 0.3, 2.0, 7.0)]
         for raw in raws[1:]:
-            assert np.array_equal(raw.real[[0, 2, 4]], raws[0].real[[0, 2, 4]])
+            assert np.array_equal(raw[[0, 2, 4]], raws[0][[0, 2, 4]])
 
     def test_odd_orders_scale_as_inverse_one_plus_r(self):
         rs = (0.0, 0.3, 2.0, 7.0, 40.0)
         scaled = [
-            (1.0 + r) * np.asarray(raw_coefficients(params_with(r))).real[[1, 3]] for r in rs
+            (1.0 + r) * np.asarray(raw_coefficients(params_with(r)))[[1, 3]] for r in rs
         ]
         for vec in scaled[1:]:
             assert vec == pytest.approx(scaled[0], rel=1e-12)
 
     def test_even_orders_affine_in_quadrupole_strength(self):
         a_values = (0.0, 0.5, 1.0, 2.0)
-        raws = {a: np.asarray(raw_coefficients(params_with(0.11, A=a))).real for a in a_values}
+        raws = {a: np.asarray(raw_coefficients(params_with(0.11, A=a))) for a in a_values}
         for order in (0, 2, 4):
             f0, f05, f1, f2 = (raws[a][order] for a in a_values)
             # equally spaced second difference vanishes for an affine map
@@ -176,7 +183,7 @@ class TestRawCoefficients:
     def test_odd_orders_scale_as_sqrt_quadrupole_strength(self):
         a_values = (0.04, 0.25, 1.0, 4.0)
         ratios = [
-            np.asarray(raw_coefficients(params_with(0.11, A=a))).real[[1, 3]] / math.sqrt(a)
+            np.asarray(raw_coefficients(params_with(0.11, A=a)))[[1, 3]] / math.sqrt(a)
             for a in a_values
         ]
         for vec in ratios[1:]:
@@ -187,7 +194,7 @@ class TestRawCoefficients:
         # each coefficient is alpha + beta sqrt(x) + gamma x in either
         # exit ratio; fit on three values, predict a fourth
         xs = (0.25, 1.0, 2.25, 4.0)
-        raws = [np.asarray(raw_coefficients(params_with(0.11, **{field: x}))).real for x in xs]
+        raws = [np.asarray(raw_coefficients(params_with(0.11, **{field: x}))) for x in xs]
         roots = np.sqrt(xs)
         for order in range(5):
             coeffs = np.polyfit(roots[:3], [raws[i][order] for i in range(3)], 2)
@@ -199,8 +206,8 @@ class TestRawCoefficients:
         r2=st.floats(min_value=0.0, max_value=1e3),
     )
     def test_correlation_invariants_hold_for_random_r(self, r1, r2):
-        raw1 = np.asarray(raw_coefficients(params_with(r1))).real
-        raw2 = np.asarray(raw_coefficients(params_with(r2))).real
+        raw1 = np.asarray(raw_coefficients(params_with(r1)))
+        raw2 = np.asarray(raw_coefficients(params_with(r2)))
         assert np.array_equal(raw1[[0, 2, 4]], raw2[[0, 2, 4]])
         assert (1.0 + r1) * raw1[[1, 3]] == pytest.approx(
             (1.0 + r2) * raw2[[1, 3]], rel=1e-12
@@ -233,7 +240,7 @@ class TestLegendreCoefficients:
     @pytest.mark.parametrize(
         "params, config, message",
         [
-            # A**2 or B**2 overflows; raw_coefficients raises before a NaN can form
+            # A**2 or B**2 overflows to inf, which leaves inf or NaN in the raw coefficients
             (ShapeParams(A=1e308, B=1.0, C=1.0, r=0.0), ChannelConfig(), "overflow"),
             (ShapeParams(A=1.0, B=1e200, C=0.0, r=1.0), ChannelConfig(), "overflow"),
             # A**2 and C**2 are finite; only their product A**2 C**2 overflows
