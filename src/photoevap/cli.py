@@ -214,22 +214,20 @@ def _cmd_exciton(args) -> dict:
 def _cmd_times(args) -> dict:
     from . import thermo
 
-    report = thermo.timescales(
-        args.r,
-        _parse_width(args.gcn, _WIDTH_SCALE_EV),
-        _parse_width(args.gspr, _WIDTH_SCALE_MEV),
-        _parse_width(args.D, _WIDTH_SCALE_MEV),
-    )
+    gamma_cn = _parse_width(args.gcn, _WIDTH_SCALE_EV)
+    gamma_spreading = _parse_width(args.gspr, _WIDTH_SCALE_MEV)
+    level_spacing = _parse_width(args.D, _WIDTH_SCALE_MEV)
+    report = thermo.timescales(args.r, gamma_cn, gamma_spreading, level_spacing)
     return {
-        "r": report.r,
+        "r": args.r,
         "beta_ev": report.beta,
-        "tau_phase_s": report.tau_phase if report.r > 0 else None,  # r = 0: unbounded
-        "gamma_cn_ev": report.gamma_cn,
+        "tau_phase_s": report.tau_phase if args.r > 0 else None,  # r = 0: unbounded
+        "gamma_cn_ev": gamma_cn,
         "tau_cn_s": report.tau_cn,
-        "gamma_spreading_mev": report.gamma_spreading,
+        "gamma_spreading_mev": gamma_spreading,
         "tau_thermalization_s": report.tau_thermalization,
-        "tau_phase_over_tau_thermalization": report.tau_ratio if report.r > 0 else None,
-        "level_spacing_mev": report.level_spacing,
+        "tau_phase_over_tau_thermalization": report.tau_ratio if args.r > 0 else None,
+        "level_spacing_mev": level_spacing,
         "t_heisenberg_s": report.t_heisenberg,
         "n_eff": report.n_eff,
     }

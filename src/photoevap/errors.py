@@ -18,7 +18,7 @@ class DataFormatError(PhotoevapError, ValueError):
 
 
 class DegenerateModelError(PhotoevapError, ValueError):
-    """A model evaluation collapsed (non-positive normalisation or yield, or a spectrum that does not fall)."""
+    """A model evaluation collapsed (non-positive normalisation or yield, a spectrum that does not fall) or left the float range."""
 
 
 class UnderdeterminedError(PhotoevapError, ValueError):

@@ -352,17 +352,13 @@ def exciton_report(mass_number: int, e_star: float) -> ExcitonReport:
 
 @dataclass(frozen=True)
 class TimescaleReport:
-    """Widths and the lifetimes tau = hbar / Gamma they imply."""
+    """The dephasing width and the lifetimes tau = hbar / Gamma the widths imply."""
 
-    r: float                    # beta / gamma_cn
-    beta: float                 # dephasing width [eV]
+    beta: float                 # dephasing width r * gamma_cn [eV]
     tau_phase: float            # hbar / beta [s]
-    gamma_cn: float             # compound decay width [eV]
     tau_cn: float               # hbar / gamma_cn [s]
-    gamma_spreading: float      # spreading width [MeV]
     tau_thermalization: float   # hbar / gamma_spreading [s]
     tau_ratio: float            # tau_phase / tau_thermalization, inf at r = 0
-    level_spacing: float        # compound level spacing D [MeV]
     t_heisenberg: float         # hbar / D [s]
     n_eff: float                # gamma_spreading / D
 
@@ -375,9 +371,9 @@ def timescales(
 ) -> TimescaleReport:
     """Convert the fitted r and the three input widths into lifetimes.
 
-    A width that is not positive and finite in eV, or inputs whose derived
-    widths, lifetimes or tau_phase / tau_thermalization overflow (with
-    r > 0, tau_phase too), raise ``ValueError``.
+    A width that is not positive and finite in eV raises ``ValueError``.
+    Inputs whose derived widths, lifetimes or tau_phase / tau_thermalization
+    overflow (with r > 0, tau_phase too) raise ``DegenerateModelError``.
     """
     if r < 0 or not math.isfinite(r):
         raise ValueError(f"r must be finite and >= 0, got {r!r}")
@@ -392,15 +388,11 @@ def timescales(
     tau_phase = math.inf if beta == 0.0 else HBAR_EV_S / beta
     tau_thermalization = HBAR_EV_S / (gamma_spreading_mev * 1e6)
     report = TimescaleReport(
-        r=r,
         beta=beta,
         tau_phase=tau_phase,
-        gamma_cn=gamma_cn_ev,
         tau_cn=HBAR_EV_S / gamma_cn_ev,
-        gamma_spreading=gamma_spreading_mev,
         tau_thermalization=tau_thermalization,
         tau_ratio=tau_phase / tau_thermalization,
-        level_spacing=level_spacing_mev,
         t_heisenberg=HBAR_EV_S / (level_spacing_mev * 1e6),
         n_eff=gamma_spreading_mev / level_spacing_mev,
     )
@@ -409,5 +401,5 @@ def timescales(
     if r > 0:
         derived += [tau_phase, report.tau_ratio]
     if not all(math.isfinite(value) for value in derived):
-        raise ValueError("widths out of range: a derived width, lifetime or ratio overflows")
+        raise DegenerateModelError("widths out of range: a derived width, lifetime or ratio overflows")
     return report

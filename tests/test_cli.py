@@ -446,6 +446,21 @@ class TestBadInputExitsCleanly:
         assert message in err and "max_nfev" not in err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", str(SAMPLE_ANGULAR), "--starts", "2", "--tol=-1e-8"], "tol must be"),
+            (["model", "-A=-1e-3", "-B", "1", "-C", "1", "-r", "0"], "A must be finite"),
+        ],
+        ids=["tol", "A"],
+    )
+    def test_negative_exponent_value_joined_with_equals(self, capsys, argv, message):
+        # Python 3.11's argparse reads a separate -1e-8 as an option; joined with =,
+        # the value reaches the range check
+        code, out, err = run(capsys, *argv)
+        self.assert_clean(code, out, err, 1)
+        assert message in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["fit", "{bad}"],
@@ -685,6 +700,15 @@ class TestTimes:
         assert code == 1
         assert out == ""
         assert "gamma_spreading_mev" in err
+
+    def test_overflowing_derived_value_is_numerical_error(self, capsys):
+        # tau_phase / tau_thermalization = 1e300 / 1e-300 leaves the float range
+        code, out, err = run(
+            capsys, "times", "-r", "1e-300", "--gcn", "1eV", "--gspr", "1e300MeV", "--D", "1MeV"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("photoevap: numerical error:") and "overflows" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "gcn, message",

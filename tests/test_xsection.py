@@ -443,7 +443,7 @@ class TestCoefficientMatrix:
         config = AUDIT_CONFIGS[name]
         terms = enumerate_terms(config, huby_phase=huby_phase)
         for params in audit_points():
-            expected = np.zeros(5, dtype=complex)
+            expected = np.zeros(5)
             for t in terms:
                 # sqrt(A^a B^b C^c), counted from the term's own fields, over (1+r) for cross terms
                 a = [t.L1, t.L2].count(2)
