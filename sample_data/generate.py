@@ -9,6 +9,11 @@ the model at A=0.082, B=0.47, C=0.37, r=0.11 with 5% Gaussian noise and
 per-bin normalizations (seed 20260823).  The spectrum file draws counts
 from eps * sigma_inv(eps) * exp(-eps/T) at T=0.55 MeV for proton capture
 on a (208, 82) residual, with sqrt-N counting noise (same seed).
+
+The bundled angular file was drawn under the 0.1.0 interference geometry;
+the 0.2.0 model (Huby's phase) fits it jointly at chi-square 18.92 / 18.32
+/ 18.11 (equal / 2I+1 / spin-cutoff, 23 dof).  This script now draws a
+different angular file from the 0.2.0 model and the same spectrum file.
 """
 
 from __future__ import annotations

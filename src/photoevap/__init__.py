@@ -15,7 +15,7 @@ statement.
 
 from importlib import import_module
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # searched in this order, so that a name outside fitkit loads no numpy
 _MODULES = ("errors", "angmom", "thermo", "xsection", "fitkit")

@@ -19,10 +19,9 @@ one argparse pass finds ``--config FILE``, which every subcommand lists,
 where the subcommand's parser would, before or after the subcommand.
 Its flat ``key = value`` lines are each the option ``-key`` where the
 subcommand defines it, else ``--key`` with underscores as hyphens
-(``l = 2`` is ``--l 2``); a flag takes ``true`` or ``false``; a key that
-names no option, ``config``, ``help`` or an option the file has already
-set is a usage error, and so is a second ``--config``; and explicit
-command-line flags override it.
+(``l = 2`` is ``--l 2``); a key that names no option, ``config``,
+``help`` or an option the file has already set is a usage error, and so
+is a second ``--config``; and explicit command-line options override it.
 
 A subcommand imports the library module it needs when it runs.  Only
 ``fit`` (through ``fitkit``) imports numpy; ``coeff``, ``model``,
@@ -113,7 +112,7 @@ def _cmd_model(args) -> dict | str:
 
     params = xsection.ShapeParams(A=args.A, B=args.B, C=args.C, r=args.r)
     config = _channel_config(args)
-    series = xsection.legendre_coefficients(params, config, huby_phase=args.huby_phase)
+    series = xsection.legendre_coefficients(params, config)
     grid = _parse_grid(args.grid)
     sigma = series.evaluate(map(math.radians, grid))
     ratio = xsection.forward_backward_ratio(series)
@@ -289,11 +288,6 @@ def _build_parser() -> tuple[ArgumentParser, ArgumentParser, dict[str, ArgumentP
     _add_weighting_options(model)
     model.add_argument("--grid", default="0:180:37", help="theta grid start:stop:count in degrees")
     model.add_argument("--format", choices=("json", "csv"), default="json")
-    model.add_argument(
-        "--huby-phase",
-        action="store_true",
-        help="sign-audit variant: apply the i-power phase revision to each Z",
-    )
     model.set_defaults(func=_cmd_model)
 
     fit = sub.add_parser("fit", **runs, help="fit shape parameters to angular data")
@@ -354,12 +348,7 @@ def _load_config_tokens(path: str, parser: ArgumentParser) -> list[str]:
                     spelled = "/".join(action.option_strings)
                     parser.error(f"config key {key!r}: {spelled} is already set in this file")
                 dests.add(action.dest)
-                if action.nargs != 0:
-                    tokens += [option, value]
-                elif value.lower() == "true":  # a flag such as --huby-phase
-                    tokens.append(option)
-                elif value.lower() != "false":
-                    parser.error(f"config key {key!r} is a flag and takes true or false, got {value!r}")
+                tokens += [option, value]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read config file {path}: {exc}") from exc
     return tokens

@@ -212,7 +212,7 @@ class _FitProblem:
     """
 
     def __init__(self, datasets: list[AngularDataset], config: ChannelConfig):
-        matrix, powers, cross_columns = map(np.asarray, _coefficient_matrix(config, False))
+        matrix, powers, cross_columns = map(np.asarray, _coefficient_matrix(config))
         self._matrix = matrix
         row_size = np.max(np.abs(matrix[1:]), axis=1)
         self.shape_rows = int(np.sum(row_size > 1e-12 * np.max(np.abs(matrix))))

@@ -6,7 +6,9 @@ spin-0 target, with exit proton orbitals l' <= 2.  Each term carries
 
 * a geometric weight built from Clebsch-Gordan and Blatt-Biedenharn Z
   coefficients (photon coupling, entrance orbital l = L -+ 1, exit proton
-  orbital l', residual spin I'),
+  orbital l', residual spin I') in Huby's phase convention (Huby, Proc.
+  Phys. Soc. A 67, 1103 (1954)), the one that reproduces the squared
+  partial-wave amplitudes,
 * a magnitude factor sqrt(A^a B^b C^c) holding the transmission-coefficient
   ratios (A: quadrupole/dipole photon, B: l'=1 / l'=0, C: l'=2 / l'=0),
 * a correlation factor which is 1 for same-multipole terms and 1/(1+r)
@@ -24,8 +26,8 @@ The 195 terms share 10 power triples (a, b, c), so the sum is
 c = M m with m_j = sqrt(A^a B^b C^c), over (1+r) for cross terms.  The
 residual-spin weight w(I') multiplies a geometry free of it, so the real
 5 x 10 matrix is M = sum_I' w(I') G[I'], where G[I'] groups the terms of
-spin I' by triple; G is built once per audit phase and M once per
-(configuration, phase) behind a bounded memo.
+spin I' by triple; G is built once and M once per configuration behind
+a bounded memo.
 
 The module is pure Python, with no numpy: one model point is a few dozen
 multiply-adds, which numpy's per-call overhead would cost more than it
@@ -135,17 +137,11 @@ def _residual_weight(config: ChannelConfig, spin: int) -> float:
     return math.exp(-spin * (spin + 1) / 2.0 / sigma / sigma)
 
 
-def enumerate_terms(
-    config: ChannelConfig = ChannelConfig(), *, huby_phase: bool = False
-) -> list[TermAmplitude]:
+def enumerate_terms(config: ChannelConfig = ChannelConfig()) -> list[TermAmplitude]:
     """Every term passing the selection rules, in deterministic order.
 
     The list is closed under swapping the two amplitudes
     (L1, l1, l1p) <-> (L2, l2, l2p); swapped partners carry equal geometry.
-
-    ``huby_phase=True`` multiplies each Z coefficient by i**(-l1+l2-L)
-    (the later phase revision of the Z convention).  It exists as a sign
-    audit aid and is never applied implicitly.
     """
     terms = []
     for L1 in _MULTIPOLES:
@@ -166,7 +162,7 @@ def enumerate_terms(
                             ip_hi = min(l1p + L1, l2p + L2)
                             for ip in range(ip_lo, ip_hi + 1):
                                 for order in range(lo, hi + 1, 2):
-                                    geom = _geometry(L1, L2, l1, l2, l1p, l2p, ip, order, huby_phase)
+                                    geom = _geometry(L1, L2, l1, l2, l1p, l2p, ip, order)
                                     geom *= _residual_weight(config, ip)
                                     terms.append(
                                         TermAmplitude(L1, L2, l1, l2, l1p, l2p, ip, order, geom)
@@ -174,17 +170,12 @@ def enumerate_terms(
     return terms
 
 
-def _geometry(
-    L1: int, L2: int, l1: int, l2: int, l1p: int, l2p: int, ip: int, order: int,
-    huby_phase: bool,
-) -> float:
-    # one sign for i**(L2 - L1 + l1 - l2), (-1)**(Ip + 1) and, under huby_phase,
-    # Zbar = i**(-l1 + l2 - L) Z on both Z factors.  Both i-powers are even:
-    # l = L -+ 1 makes the first -2, 0 or 2, and Z parity makes l1 + l2 + L and
-    # l1p + l2p + L even, so l2 - l1 + l2p - l1p - 2L is even too
-    exponent = (L2 - L1 + l1 - l2) // 2 + ip + 1
-    if huby_phase:
-        exponent += (l2 - l1 + l2p - l1p) // 2 - order
+def _geometry(L1: int, L2: int, l1: int, l2: int, l1p: int, l2p: int, ip: int, order: int) -> float:
+    # one sign for the photon phase i**(L2 - L1 + l1 - l2), (-1)**(Ip + 1) and Huby's
+    # Zbar = i**(-l1 + l2 - L) Z on both Z factors.  The entrance orbitals cancel, which
+    # leaves i**(L2 - L1 + l2p - l1p - 2L), an even power: the exit parity rule makes
+    # l1p + l2p + L1 + L2 even
+    exponent = (L2 - L1 + l2p - l1p) // 2 + ip + 1 - order
     return (
         clebsch_gordan(L1, -1, 1, 1, l1, 0)
         * clebsch_gordan(L2, -1, 1, 1, l2, 0)
@@ -204,7 +195,7 @@ def _powers(term: TermAmplitude) -> tuple[int, int, int]:
 
 
 @cache
-def _spin_geometry(huby_phase: bool):
+def _spin_geometry():
     """(G, spins, P, cross): the unweighted term sum per residual spin, as tuples.
 
     G[s] holds the nonzero entries (L, j, g) of that sum for residual spin
@@ -213,7 +204,7 @@ def _spin_geometry(huby_phase: bool):
     whose m_j carries 1/(1+r): equal-multipole amplitudes stay fully
     correlated, while dipole and quadrupole ones decorrelate by it.
     """
-    terms = enumerate_terms(huby_phase=huby_phase)
+    terms = enumerate_terms()
     spins = sorted({term.Ip for term in terms})
     powers = sorted({_powers(term) for term in terms})
     sums: dict[tuple[int, int, int], float] = {}
@@ -229,14 +220,14 @@ def _spin_geometry(huby_phase: bool):
 
 
 @lru_cache(maxsize=16)  # a few configurations used in turn stay resident; memory is flat in sigma
-def _coefficient_matrix(config: ChannelConfig, huby_phase: bool):
+def _coefficient_matrix(config: ChannelConfig):
     """(M, P, cross) with c = M m: M = sum_I' w(I') G[I'] as 5 row tuples of n.
 
     Column j holds the terms whose magnitude factor has the powers P[j].
     Only the nonzero entries of G are summed.  The value is immutable, so
     every caller shares the memoised one.
     """
-    geometry, spins, powers, cross = _spin_geometry(huby_phase)
+    geometry, spins, powers, cross = _spin_geometry()
     rows = [[0.0] * len(powers) for _ in range(MAX_ORDER + 1)]
     for spin, entries in zip(spins, geometry):
         weight = _residual_weight(config, spin)
@@ -245,12 +236,7 @@ def _coefficient_matrix(config: ChannelConfig, huby_phase: bool):
     return tuple(map(tuple, rows)), powers, cross
 
 
-def raw_coefficients(
-    params: ShapeParams,
-    config: ChannelConfig = ChannelConfig(),
-    *,
-    huby_phase: bool = False,
-) -> tuple[float, ...]:
+def raw_coefficients(params: ShapeParams, config: ChannelConfig = ChannelConfig()) -> tuple[float, ...]:
     """Unnormalised real Legendre coefficients c_0..c_4 of the term sum.
 
     Even orders collect only same-multipole terms and are independent of
@@ -258,7 +244,7 @@ def raw_coefficients(
     A square or product of powers beyond the float range leaves inf or
     NaN, which :func:`legendre_coefficients` reports.
     """
-    matrix, powers, cross = _coefficient_matrix(config, huby_phase)
+    matrix, powers, cross = _coefficient_matrix(config)
     A, B, C = ((1.0, x, x * x) for x in (params.A, params.B, params.C))  # every power is 0, 1 or 2
     damping = 1.0 / (1.0 + params.r)
     magnitude = [
@@ -314,18 +300,19 @@ class LegendreSeries:
 
 
 def legendre_coefficients(
-    params: ShapeParams,
-    config: ChannelConfig = ChannelConfig(),
-    *,
-    huby_phase: bool = False,
+    params: ShapeParams, config: ChannelConfig = ChannelConfig(), *, huby_phase: bool = False
 ) -> LegendreSeries:
     """c_0-normalised Legendre coefficients for the given params.
 
     A non-positive c_0 (possible only for pathological weightings) or a
     non-finite raw coefficient (A, B or C so large that a square or a
     product overflows) raises ``DegenerateModelError``.
+
+    ``huby_phase`` is accepted and ignored: Huby's phase is the model's
+    only convention, and the keyword stays until the benchmark, which
+    still passes it, drops it.
     """
-    raw = raw_coefficients(params, config, huby_phase=huby_phase)
+    raw = raw_coefficients(params, config)
     scale = raw[0]
     if scale <= 0.0:
         raise DegenerateModelError(f"non-positive isotropic coefficient c_0 = {scale:g}")

@@ -124,9 +124,9 @@ class TestModel:
         assert payload["params"] == {"A": 0.082, "B": 0.47, "C": 0.37, "r": 0.11}
         assert payload["coefficients"]["c_0"] == 1.0
         assert payload["coefficients"]["c_1"] == pytest.approx(
-            0.1549446619116085, rel=1e-15
+            0.5824936681432782, rel=1e-15
         )
-        assert payload["asymmetry_U"] == pytest.approx(1.1663866153332487, rel=1e-15)
+        assert payload["asymmetry_U"] == pytest.approx(1.8745908416797143, rel=1e-15)
         assert len(payload["curve"]) == 19
         assert payload["curve"][0]["theta_deg"] == 0.0
 
@@ -153,12 +153,6 @@ class TestModel:
         assert out == ""
         assert json.loads(target.read_text())["command"] == "model"
 
-    def test_audit_phase_flag_changes_result(self, capsys):
-        plain, _ = run_json(capsys, *self.ARGS)
-        audited, _ = run_json(capsys, *self.ARGS, "--huby-phase")
-        assert audited["asymmetry_U"] == pytest.approx(1.8745908416797141, rel=1e-12)
-        assert audited["asymmetry_U"] != plain["asymmetry_U"]
-
     @pytest.mark.parametrize(
         "grid", ["10:5:10", "0:181:10", "0:180:1", "0:180", "a:b:c"]
     )
@@ -174,7 +168,12 @@ class TestModel:
 
     def test_weighting_option(self, capsys):
         payload, _ = run_json(capsys, *self.ARGS, "--weighting", "2I+1")
-        assert payload["asymmetry_U"] == pytest.approx(0.9449872477085287, rel=1e-12)
+        assert payload["asymmetry_U"] == pytest.approx(1.8429235104845452, rel=1e-12)
+
+    def test_removed_phase_flag_is_usage_error(self, capsys):
+        code, out, err = run(capsys, *self.ARGS, "--huby-phase")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --huby-phase" in err
 
     def test_overflowing_parameter_is_numerical_error(self, capsys):
         # A**2 overflows; this used to print "c_0": NaN with exit 0
@@ -801,22 +800,10 @@ class TestConfigFile:
         assert payload["params"]["A"] == 0.082
 
     @pytest.mark.parametrize(
-        "value, flags",
-        [("true", ["--huby-phase"]), ("TRUE", ["--huby-phase"]), ("False", []), ("false", [])],
-    )
-    def test_flag_key_takes_true_or_false(self, capsys, tmp_path, value, flags):
-        cfg = tmp_path / "model.cfg"
-        cfg.write_text(f"A = 0.082\nB = 0.47\nC = 0.37\nr = 0.11\nhuby_phase = {value}\n")
-        code, from_config, err = run(capsys, "model", "--config", str(cfg))
-        assert code == 0, err
-        shape = ["-A", "0.082", "-B", "0.47", "-C", "0.37", "-r", "0.11"]
-        code, from_flags, err = run(capsys, "model", *shape, *flags)
-        assert code == 0, err
-        assert from_config == from_flags
-
-    @pytest.mark.parametrize(
         "argv, text, key",
         [
+            # huby_phase names no option (the model has one phase convention): a file
+            # that sets it, to any value, is refused with the key named
             (["model"], "A = 0.082\nB = 0.47\nC = 0.37\nr = 0.11\nhuby_phase = yes\n", "huby_phase"),
             (["model"], "A = 0.082\nB = 0.47\nC = 0.37\nr = 0.11\nhuby_phase = 1\n", "huby_phase"),
             (["model"], "A = 0.082\nB = 0.47\nC = 0.37\nr = 0.11\ncolour = red\n", "colour"),
@@ -1029,7 +1016,7 @@ class TestTopLevel:
             ["coeff", "racah", "1", "2", "3", "2", "1", "2"],
             list(TestModel.ARGS),
             [*TestModel.ARGS, "--format", "csv", "--grid", "0:180:19"],
-            [*TestModel.ARGS, "--huby-phase"],
+            [*TestModel.ARGS, "--weighting", "spin-cutoff", "--spin-cutoff-sigma", "0.7"],
             ["exciton", "-A", "208", "-E", "6.3"],
             ["times", "-r", "0.11", "--gcn", "0.1eV", "--gspr", "2MeV", "--D", "1e-16MeV"],
             ["spectrum", *spectrum, "--l", "0"],
@@ -1247,12 +1234,11 @@ def _coeff_argv(draw):
     return ["coeff", kind, "--", *draw(st.lists(_SPIN, min_size=6, max_size=6))]
 
 
-# --huby-phase as a flag or as a config key: `yes` is a usage error, a blank value a data error
-_HUBY_PHASE = st.one_of(
+# a config-file grid: a bad one is a usage error, a blank value a data error
+_MODEL_CONFIG = st.one_of(
     st.just([]),
-    st.just(["--huby-phase"]),
-    st.sampled_from(["true", "false", "TRUE", "False", "yes", ""]).map(
-        lambda value: [_File("--config=", f"huby_phase = {value}\n", malformed=not value)]
+    st.sampled_from(["0:180:7", "x", ""]).map(
+        lambda value: [_File("--config=", f"grid = {value}\n", malformed=not value)]
     ),
 )
 
@@ -1269,7 +1255,7 @@ def _model_argv(draw):
             ("--grid", st.just(":".join(map(str, grid)))),
             ("--format", st.sampled_from(["json", "csv"])),
         ),
-        *draw(_HUBY_PHASE),
+        *draw(_MODEL_CONFIG),
     ]
 
 
@@ -1348,7 +1334,6 @@ class TestContract:
     @example(["times", "-r1", "--gcn=0.1eV", "--gspr=1e308MeV", "--D=1MeV"])
     @example(["spectrum", _File("", "eps_mev,counts\n3.0,1\n4.0\n5.0,2\n", True), "-Z82", "-A208"])
     @example(["spectrum", _File("", "eps_mev,counts\n", True), "-Z82", "-A208"])
-    @example(["model", "-A0.1", "-B1", "-C1", "-r0", _File("--config=", "huby_phase = true\n")])
     @example(["exciton", f"-A{10**400}", "-E1"])
     @example(["spectrum", _File("", _SPECTRUM), "-Z82", f"-A{10**400}"])
     @example(["spectrum", _File("", _SPECTRUM), "-Z82", "-A208", f"--l={10**400}"])

@@ -34,23 +34,24 @@ from photoevap.xsection import _coefficient_matrix, _spin_geometry
 
 BASE = ShapeParams(A=0.082, B=0.47, C=0.37, r=0.11)
 
-# frozen against this implementation once its sign conventions were
-# validated; guards against silent regressions of the term table
+# frozen against this implementation once its phase convention passed the
+# first-principles oracle (TestFirstPrinciplesOracle); guards against silent
+# regressions of the term table
 BASE_COEFFS = (
     1.0,
-    0.1549446619116085,
-    -0.2392847389436211,
-    0.005348650135933385,
-    0.016435625328414624,
+    0.5824936681432782,
+    -0.25606595896498746,
+    -0.10401580425916793,
+    -0.011739732377438979,
 )
-BASE_ASYMMETRY = 1.1663866153332487
+BASE_ASYMMETRY = 1.8745908416797143
 ASYMMETRY_BY_R = {
-    0.0: 1.1863948918543135,
-    0.11: 1.1663866153332487,
-    0.5: 1.1205192330025628,
-    1.0: 1.089047926279956,
-    10.0: 1.0156214625241238,
-    1000.0: 1.0001703484983884,
+    0.0: 2.019853325051551,
+    0.11: 1.8745908416797143,
+    0.5: 1.5811251476791,
+    1.0: 1.4063279378949094,
+    10.0: 1.0633478125923779,
+    1000.0: 1.0006749853254602,
 }
 
 
@@ -117,9 +118,8 @@ class TestEnumerateTerms:
             assert abs(t.l2p - t.L2) <= t.Ip <= t.l2p + t.L2
             assert abs(t.L1 - t.L2) <= t.L <= min(t.L1 + t.L2, t.l1 + t.l2, t.l1p + t.l2p)
 
-    @pytest.mark.parametrize("huby_phase", [False, True])
-    def test_closed_under_amplitude_swap_with_equal_geometry(self, huby_phase):
-        terms = enumerate_terms(huby_phase=huby_phase)
+    def test_closed_under_amplitude_swap_with_equal_geometry(self):
+        terms = enumerate_terms()
         index = {
             (t.L1, t.L2, t.l1, t.l2, t.l1p, t.l2p, t.Ip, t.L): t.geometry for t in terms
         }
@@ -132,16 +132,6 @@ class TestEnumerateTerms:
                 assert t.L % 2 == 1
             else:
                 assert t.L % 2 == 0
-
-    def test_audit_phase_changes_geometry_not_structure(self):
-        plain = enumerate_terms()
-        audited = enumerate_terms(huby_phase=True)
-        assert len(plain) == len(audited)
-        assert any(p.geometry != a.geometry for p, a in zip(plain, audited))
-        for p, a in zip(plain, audited):
-            assert (p.L1, p.L2, p.l1, p.l2, p.l1p, p.l2p, p.Ip, p.L) == (
-                a.L1, a.L2, a.l1, a.l2, a.l1p, a.l2p, a.Ip, a.L,
-            )
 
 
 class TestRawCoefficients:
@@ -229,12 +219,16 @@ class TestLegendreCoefficients:
         series = legendre_coefficients(BASE)
         assert all(type(c) is float for c in series.coefficients)
 
+    def test_phase_keyword_is_ignored(self):
+        assert legendre_coefficients(BASE, huby_phase=True) == legendre_coefficients(BASE)
+        assert legendre_coefficients(BASE, huby_phase=False) == legendre_coefficients(BASE)
+
     def test_dipole_only_has_even_orders_up_to_two(self):
         series = legendre_coefficients(params_with(BASE.r, A=0.0))
         assert series.coefficients[1] == 0.0
         assert series.coefficients[3] == 0.0
         assert series.coefficients[4] == 0.0
-        assert series.coefficients[2] == pytest.approx(-0.24875728401852257, abs=1e-12)
+        assert series.coefficients[2] == pytest.approx(-0.33951411067085385, abs=1e-12)
 
 
     @pytest.mark.parametrize(
@@ -268,7 +262,7 @@ class TestLegendreCoefficients:
     def test_tiny_spin_cutoff_sigma_keeps_only_spin_zero(self):
         # 2 sigma^2 underflows to 0 here; the weights must still be exp(-I'(I'+1)/2sigma^2)
         config = ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=1e-200)
-        matrix = _coefficient_matrix(config, False)[0]
+        matrix = _coefficient_matrix(config)[0]
         terms = enumerate_terms(config)
         assert all(t.geometry == 0 for t in terms if t.Ip > 0)
         assert any(t.geometry != 0 for t in terms if t.Ip == 0)
@@ -375,16 +369,25 @@ class TestAsymmetry:
     def test_residual_weighting_changes_shape(self):
         two_i = asymmetry(BASE, ChannelConfig(residual_weighting="2I+1"))
         cutoff = asymmetry(BASE, ChannelConfig(residual_weighting="spin-cutoff"))
-        assert two_i == pytest.approx(0.9449872477085287, rel=1e-10)
-        assert cutoff == pytest.approx(1.3913297536143867, rel=1e-10)
-        assert two_i < 1.0 < cutoff
+        assert two_i == pytest.approx(1.8429235104845452, rel=1e-10)
+        assert cutoff == pytest.approx(1.888224163165425, rel=1e-10)
+        assert two_i < BASE_ASYMMETRY < cutoff
 
-    def test_audit_phase_variant_differs(self):
-        audited = forward_backward_ratio(
-            legendre_coefficients(BASE, huby_phase=True)
-        )
-        assert audited == pytest.approx(1.8745908416797141, rel=1e-10)
-        assert abs(audited - BASE_ASYMMETRY) > 0.1
+    @pytest.mark.parametrize(
+        "config",
+        [ChannelConfig(), ChannelConfig("2I+1")]
+        + [ChannelConfig("spin-cutoff", sigma) for sigma in (0.7, 2.0, 3.9)],
+        ids=["equal", "2I+1", "spin-cutoff-0.7", "spin-cutoff-2", "spin-cutoff-3.9"],
+    )
+    def test_interference_signs_hold_everywhere(self, config):
+        # row 1 of every G[I'] is positive and row 3's I' = 0 entry outweighs the rest,
+        # so c_1 >= 0, c_3 <= 0 and U >= 1 at every shape, whatever the weighting
+        rng = np.random.default_rng(7)
+        for point in np.exp(rng.uniform(math.log(1e-6), math.log(1e4), (2000, 4))):  # the fit's box
+            series = legendre_coefficients(ShapeParams(*point), config)
+            _, c1, _, c3, _ = series.coefficients
+            assert c1 >= 0.0 and c3 <= 0.0, point
+            assert forward_backward_ratio(series) >= 1.0, point
 
     def test_negative_backward_yield_raises(self):
         with pytest.raises(DegenerateModelError):
@@ -423,7 +426,7 @@ class TestCoefficientMatrix:
     """
 
     def test_default_matrix_is_five_by_ten_and_read_only(self):
-        matrix, powers, cross = _coefficient_matrix(ChannelConfig(), False)
+        matrix, powers, cross = _coefficient_matrix(ChannelConfig())
         assert np.asarray(matrix).shape == (5, 10)
         assert np.asarray(powers).shape == (10, 3)
         assert list(cross) == [a == 1 for a, _, _ in powers]
@@ -431,17 +434,16 @@ class TestCoefficientMatrix:
         assert isinstance(matrix, tuple) and all(type(row) is tuple for row in matrix)
 
     def test_geometry_keeps_only_nonzero_entries(self):
-        geometry, spins, powers, _ = _spin_geometry(False)
+        geometry, spins, powers, _ = _spin_geometry()
         entries = [entry for per_spin in geometry for entry in per_spin]
         assert len(entries) == 47
         assert all(value != 0.0 for _, _, value in entries)
         assert all(0 <= order <= 4 and 0 <= j < len(powers) for order, j, _ in entries)
 
-    @pytest.mark.parametrize("huby_phase", [False, True])
     @pytest.mark.parametrize("name", sorted(AUDIT_CONFIGS))
-    def test_matches_explicit_term_sum(self, name, huby_phase):
+    def test_matches_explicit_term_sum(self, name):
         config = AUDIT_CONFIGS[name]
-        terms = enumerate_terms(config, huby_phase=huby_phase)
+        terms = enumerate_terms(config)
         for params in audit_points():
             expected = np.zeros(5)
             for t in terms:
@@ -453,14 +455,14 @@ class TestCoefficientMatrix:
                 if t.L1 != t.L2:
                     factor /= 1.0 + params.r
                 expected[t.L] += t.geometry * factor
-            got = raw_coefficients(params, config, huby_phase=huby_phase)
+            got = raw_coefficients(params, config)
             # relative to the largest coefficient: some orders cancel to rounding
             scale = float(np.max(np.abs(expected)))
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestSpinGeometry:
-    """M = sum_I' w(I') G[I'] from one sigma-free geometry per audit phase."""
+    """M = sum_I' w(I') G[I'] from one sigma-free geometry."""
 
     def test_unseen_sigma_reuses_the_geometry(self, monkeypatch):
         legendre_coefficients(BASE, ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=2.0))
@@ -476,11 +478,10 @@ class TestSpinGeometry:
         assert calls == []
 
     def test_every_i_power_exponent_is_even(self):
-        # the photon phase i**(L2 - L1 + l1 - l2) and Huby's i**(l2 - l1 + l2p - l1p - 2L)
-        # are then signs, so each term's geometry is real and needs no imaginary part
+        # the photon phase i**(L2 - L1 + l1 - l2) times Huby's i**(l2 - l1 + l2p - l1p - 2L)
+        # is then a sign, so each term's geometry is real and needs no imaginary part
         for t in enumerate_terms():
-            assert (t.L2 - t.L1 + t.l1 - t.l2) % 2 == 0
-            assert (t.l2 - t.l1 + t.l2p - t.l1p - 2 * t.L) % 2 == 0
+            assert (t.L2 - t.L1 + t.l2p - t.l1p) % 2 == 0
 
 
 def oracle_coefficients(magnitude, weight):
@@ -508,17 +509,17 @@ ORACLE_CHANNELS = [
 
 
 class TestFirstPrinciplesOracle:
-    """The huby_phase=True geometry against the partial-wave amplitude sum.
+    """The model's geometry against the partial-wave amplitude sum.
 
     The oracle (tests/oracles.py) squares the amplitudes themselves and
-    shares no code with the Z-coefficient terms.  The default convention
-    fails both checks; only Huby's revision passes them.
+    shares no code with the Z-coefficient terms.  Huby's revision of the
+    Z phase passes both checks; the original phase fails them.
     """
 
     @staticmethod
     def channel_coefficients(L, exit_orbital, spin):
         coefficients = np.zeros(5)
-        for t in enumerate_terms(huby_phase=True):
+        for t in enumerate_terms():
             if (t.L1, t.L2, t.l1p, t.l2p, t.Ip) == (L, L, exit_orbital, exit_orbital, spin):
                 coefficients[t.L] += t.geometry
         return coefficients / coefficients[0]
@@ -553,7 +554,7 @@ class TestFirstPrinciplesOracle:
             oracle = oracle_coefficients(
                 lambda L, l: math.sqrt(A ** (L == 2) * B ** (l == 1) * C ** (l == 2)), oracle_weight(config)
             )
-            series = legendre_coefficients(ShapeParams(A, B, C, 0.0), config, huby_phase=True)
+            series = legendre_coefficients(ShapeParams(A, B, C, 0.0), config)
             assert series.coefficients == pytest.approx(oracle, abs=1e-12)
 
 
@@ -562,7 +563,7 @@ def _bits(matrix):
 
 
 class TestMatrixMemo:
-    """One M per (configuration, phase), bit for bit the cold build."""
+    """One M per configuration, bit for bit the cold build."""
 
     @pytest.fixture(autouse=True)
     def fresh_memo(self):
@@ -571,17 +572,16 @@ class TestMatrixMemo:
         _coefficient_matrix.cache_clear()
 
     def test_repeated_key_returns_the_same_object(self):
-        first = _coefficient_matrix(ChannelConfig("spin-cutoff", 1.3), False)
-        assert _coefficient_matrix(ChannelConfig("spin-cutoff", 1.3), False) is first
-        assert _coefficient_matrix(ChannelConfig("spin-cutoff", 1.3), True) is not first
+        first = _coefficient_matrix(ChannelConfig("spin-cutoff", 1.3))
+        assert _coefficient_matrix(ChannelConfig("spin-cutoff", 1.3)) is first
+        assert _coefficient_matrix(ChannelConfig("spin-cutoff", 1.4)) is not first
 
-    @pytest.mark.parametrize("huby_phase", [False, True])
     @pytest.mark.parametrize("name", sorted(AUDIT_CONFIGS))
-    def test_memoised_matrix_is_the_cold_build(self, name, huby_phase):
+    def test_memoised_matrix_is_the_cold_build(self, name):
         config = AUDIT_CONFIGS[name]
-        _coefficient_matrix(config, huby_phase)
-        matrix, powers, cross = _coefficient_matrix(config, huby_phase)
-        cold_matrix, cold_powers, cold_cross = _coefficient_matrix.__wrapped__(config, huby_phase)
+        _coefficient_matrix(config)
+        matrix, powers, cross = _coefficient_matrix(config)
+        cold_matrix, cold_powers, cold_cross = _coefficient_matrix.__wrapped__(config)
         assert _bits(matrix) == _bits(cold_matrix)
         assert (powers, cross) == (cold_powers, cold_cross)
 
@@ -589,15 +589,15 @@ class TestMatrixMemo:
         bound = _coefficient_matrix.cache_parameters()["maxsize"]
         in_turn = [ChannelConfig(), ChannelConfig("2I+1"), ChannelConfig("spin-cutoff")]
         for config in in_turn:
-            _coefficient_matrix(config, False)
+            _coefficient_matrix(config)
         hits = _coefficient_matrix.cache_info().hits
         for k in range(bound + 8):
             config = ChannelConfig("spin-cutoff", 0.55 + 0.25 * k)
-            assert _bits(_coefficient_matrix(config, False)[0]) == _bits(
-                _coefficient_matrix.__wrapped__(config, False)[0]
+            assert _bits(_coefficient_matrix(config)[0]) == _bits(
+                _coefficient_matrix.__wrapped__(config)[0]
             )
             for other in in_turn:
-                _coefficient_matrix(other, False)
+                _coefficient_matrix(other)
             assert _coefficient_matrix.cache_info().currsize <= bound
         # configurations used in turn stay resident while unseen sigmas pass through
         assert _coefficient_matrix.cache_info().hits == hits + len(in_turn) * (bound + 8)
@@ -626,18 +626,17 @@ def test_series_rejects_bad_coefficients(coefficients):
         LegendreSeries(coefficients)
 
 
-@pytest.mark.parametrize("huby_phase", [False, True])
 @pytest.mark.parametrize(
     "weighting, sigma",
     [("equal", 2.0), ("2I+1", 2.0)]
     + [("spin-cutoff", sigma) for sigma in (5e-324, 1e-300, 0.01, 1.3, 2.0, 1e300)],
 )
-def test_isotropic_row_is_non_negative_with_a_positive_entry(weighting, sigma, huby_phase):
+def test_isotropic_row_is_non_negative_with_a_positive_entry(weighting, sigma):
     """M[0] >= 0 with one entry > 0, so c_0 > 0 at every shape with A, B, C > 0.
 
     The fit never checks c_0, so this sign is what keeps its
     normalisation away from zero.
     """
-    isotropic = np.asarray(_coefficient_matrix(ChannelConfig(weighting, sigma), huby_phase)[0][0])
+    isotropic = np.asarray(_coefficient_matrix(ChannelConfig(weighting, sigma))[0][0])
     assert np.all(isotropic >= 0.0)
     assert np.any(isotropic > 0.0)
