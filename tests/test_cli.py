@@ -799,6 +799,16 @@ class TestConfigFile:
         payload, _ = run_json(capsys, "model", f"--config={cfg}")
         assert payload["params"]["A"] == 0.082
 
+    @pytest.mark.parametrize("value", ["true", "TRUE", "False", "false"])
+    def test_former_flag_key_is_usage_error(self, capsys, tmp_path, value):
+        # 0.1.0 read these values as the --huby-phase flag; a file written for it
+        # is refused rather than run under the one phase convention left
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(f"A = 0.082\nB = 0.47\nC = 0.37\nr = 0.11\nhuby_phase = {value}\n")
+        code, out, err = run(capsys, "model", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert "config key 'huby_phase'" in err.splitlines()[-1]
+
     @pytest.mark.parametrize(
         "argv, text, key",
         [

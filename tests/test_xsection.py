@@ -8,6 +8,7 @@ against adaptive quadrature.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -400,6 +401,8 @@ AUDIT_CONFIGS = {
     "spin-cutoff-1.3": ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=1.3),
     "spin-cutoff-0.7": ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=0.7),
     "spin-cutoff-3.9": ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=3.9),
+    # the command line's spin-cutoff weighting
+    "spin-cutoff-2": ChannelConfig(residual_weighting="spin-cutoff", spin_cutoff_sigma=2.0),
 }
 
 
@@ -556,6 +559,50 @@ class TestFirstPrinciplesOracle:
             )
             series = legendre_coefficients(ShapeParams(A, B, C, 0.0), config)
             assert series.coefficients == pytest.approx(oracle, abs=1e-12)
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+class TestHubyReference:
+    """Term geometries and M, bit for bit those of 0.1.0's huby_phase=True.
+
+    Each digest is the SHA-256 prefix of the values as float.hex, one line
+    per term (its quantum numbers, then its geometry) or per row of M.
+    """
+
+    TERM_DIGESTS = {
+        "2I+1": "47483017011b07fa",
+        "equal": "d0acf62acbeadcbd",
+        "spin-cutoff-0.7": "60ab93c4199f0246",
+        "spin-cutoff-1.3": "3cd8345db1f295a2",
+        "spin-cutoff-2": "2f982ba5e9859d91",
+        "spin-cutoff-3.9": "b4fd5f0b6b02003c",
+    }
+    MATRIX_DIGESTS = {
+        "2I+1": "00cd71d9656e8908",
+        "equal": "9c86bb3591cee104",
+        "spin-cutoff-0.7": "eb180c79862e8a56",
+        "spin-cutoff-1.3": "614b0dfdf23d997c",
+        "spin-cutoff-2": "4977a8fc378e5d9e",
+        "spin-cutoff-3.9": "2c6160a5f12bdeae",
+    }
+
+    @pytest.mark.parametrize("name", sorted(AUDIT_CONFIGS))
+    def test_term_geometries_are_the_huby_table(self, name):
+        terms = enumerate_terms(AUDIT_CONFIGS[name])
+        assert len(terms) == 195
+        lines = [
+            " ".join(map(str, dataclasses.astuple(t)[:-1])) + " " + float.hex(t.geometry)
+            for t in terms
+        ]
+        assert _digest(lines) == self.TERM_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(AUDIT_CONFIGS))
+    def test_matrix_is_the_huby_matrix(self, name):
+        matrix = _coefficient_matrix.__wrapped__(AUDIT_CONFIGS[name])[0]
+        assert _digest(" ".join(map(float.hex, row)) for row in matrix) == self.MATRIX_DIGESTS[name]
 
 
 def _bits(matrix):
