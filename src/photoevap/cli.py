@@ -112,8 +112,8 @@ def _cmd_model(args) -> dict | str:
 
     params = xsection.ShapeParams(A=args.A, B=args.B, C=args.C, r=args.r)
     config = _channel_config(args)
-    series = xsection.legendre_coefficients(params, config)
     grid = _parse_grid(args.grid)
+    series = xsection.legendre_coefficients(params, config)
     sigma = series.evaluate(map(math.radians, grid))
     ratio = xsection.forward_backward_ratio(series)
     if args.format == "csv":
@@ -180,7 +180,7 @@ def _cmd_spectrum(args) -> dict:
     points = thermo.read_spectrum_csv(args.data)
     nucleus = thermo.NucleusSpec(args.mass_number, args.charge)
     table = thermo.SigmaInvTable.from_csv(args.sigma_inv_table) if args.sigma_inv_table else None
-    window = [p for p in points if not p.eps > args.eps_max]  # NaN keeps all: fit_temperature rejects it
+    window = [p for p in points if p.eps <= args.eps_max]
     scaled = thermo.scale_spectrum(window, nucleus, l=args.l, table=table)
     fit = thermo.fit_temperature(scaled, args.eps_max)
     return {

@@ -477,10 +477,10 @@ def fit_angular(
     most ``max_iter`` iterations each; one that runs out of them only
     leaves ``converged`` false when it is the best.  ``chi2`` is the
     solver's full chi-square at the best shape and its profiled norms.
+    The search options are checked before the data: ``ValueError`` names
+    an ``n_starts`` too large for the start lattice or a negative ``seed``.
     No more points than parameters (four plus one norm per dataset)
-    raises :class:`UnderdeterminedError` naming the bin labels; an
-    ``n_starts`` too large for the start lattice, or a negative ``seed``,
-    raises ``ValueError`` naming it.
+    raises :class:`UnderdeterminedError` naming the bin labels.
     """
     if not datasets:
         raise ValueError("no datasets to fit")
@@ -490,6 +490,7 @@ def fit_angular(
         raise ValueError(f"tol must be finite and >= machine epsilon {_MACHINE_EPS!r}, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    starts = _lattice_starts(n_starts, seed)
 
     n_points = sum(map(len, datasets))
     n_params = _N_SHAPE + len(datasets)  # one norm per dataset
@@ -499,7 +500,7 @@ def fit_angular(
         raise UnderdeterminedError(f"{n_points} points in {labels} cannot constrain {n_params} parameters")
 
     problem = _FitProblem(datasets, config)
-    chi2s, shapes, converged = _solve(problem, _lattice_starts(n_starts, seed), tol, max_iter)
+    chi2s, shapes, converged = _solve(problem, starts, tol, max_iter)
     best = int(np.argmin(chi2s))
     agreeing = int(np.sum(chi2s - chi2s[best] <= _AGREE_REL * max(1.0, chi2s[best])))
     best_norms = problem.profiled(shapes[best : best + 1])[2][0]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import partial
 from numbers import Integral
 from operator import mul
 
@@ -81,15 +82,16 @@ class SpectrumPoint:
             raise ValueError(f"err must be finite and >= 0, got {self.err!r}")
 
 
-def inverse_capture_xsec(
-    nucleus: NucleusSpec,
-    l: int,
-    eps: float,
-    table: "SigmaInvTable | None" = None,
-) -> float:
-    """Inverse (capture) cross section sigma_inv(eps) in fm^2.
+def _check_partial_wave(l) -> None:
+    # int first: the Integral check alone costs about 0.5 us, once per point
+    if isinstance(l, bool) or not isinstance(l, (int, Integral)) or l < 0:
+        raise ValueError(f"l must be a non-negative integer, got {l!r}")
 
-    Default model: pi R^2 times the transmission of partial wave l
+
+def inverse_capture_xsec(nucleus: NucleusSpec, l: int, eps: float) -> float:
+    """Barrier-model inverse (capture) cross section sigma_inv(eps) in fm^2.
+
+    It is pi R^2 times the transmission of partial wave l
     through the Coulomb + centrifugal barrier.  With a = e^2 Z,
     b = l(l+1) (hbar c)^2 / 2 mu and Q(r) = -eps r^2 + a r + b, eps is at or
     above the barrier where Q(R) <= 0; there the transmission is taken as 1,
@@ -114,15 +116,8 @@ def inverse_capture_xsec(
     closed form's terms still cancel in part, so there sigma_inv is
     non-decreasing in eps only to 1e-13 relative: one ulp up in eps can
     lower it by that much.
-
-    A user-supplied (eps, sigma) table overrides the model entirely;
-    ``l`` is validated either way.
     """
-    # int first: the Integral check alone costs about 0.5 us, once per point
-    if isinstance(l, bool) or not isinstance(l, (int, Integral)) or l < 0:
-        raise ValueError(f"l must be a non-negative integer, got {l!r}")
-    if table is not None:
-        return table(eps)
+    _check_partial_wave(l)
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive, got {eps!r}")
     radius = R0_FM * nucleus.mass_number ** (1.0 / 3.0)
@@ -216,14 +211,17 @@ def scale_spectrum(
 ) -> list[SpectrumPoint]:
     """Divide each point by eps * sigma_inv(eps), propagating errors.
 
-    A vanishing divisor or an overflowing quotient makes a point unscalable;
-    the offending energies are reported together in the raised error.  An
-    empty list scales to an empty list.
+    sigma_inv is ``table`` when given, else :func:`inverse_capture_xsec` at
+    partial wave ``l``, which is checked first, with or without points.  A
+    vanishing divisor or an overflowing quotient makes a point unscalable;
+    the offending energies are reported together in the raised error.
     """
+    _check_partial_wave(l)
+    sigma_inv = table if table is not None else partial(inverse_capture_xsec, nucleus, l)
     bad = []
     scaled = []
     for point in points:
-        divisor = point.eps * inverse_capture_xsec(nucleus, l, point.eps, table)
+        divisor = point.eps * sigma_inv(point.eps)
         if divisor > 0.0:
             counts, err = point.counts / divisor, point.err / divisor
             if math.isfinite(counts) and math.isfinite(err):

@@ -157,8 +157,10 @@ class TestModel:
         "grid", ["10:5:10", "0:181:10", "0:180:1", "0:180", "a:b:c"]
     )
     def test_bad_grid_is_usage_error(self, capsys, grid):
-        code, _, _ = run(capsys, *self.ARGS, "--grid", grid)
-        assert code == 1
+        # also at A = 1e200, which overflows the model: the grid is parsed first
+        for args in (self.ARGS, ("model", "-A", "1e200", "-B", "1", "-C", "1", "-r", "0")):
+            code, _, _ = run(capsys, *args, "--grid", grid)
+            assert code == 1
 
     def test_negative_parameter_is_usage_error(self, capsys):
         code, _, _ = run(
@@ -376,14 +378,24 @@ class TestBadInputExitsCleanly:
         self.assert_clean(code, out, err, 2)
         assert "line 3" in err
 
+    # finite counts that overflow once divided by eps * sigma_inv(0.5 MeV) = 3.8e-36
+    OVERFLOWING_SPECTRUM = "eps_mev,counts,err\n0.5,1e300,1e299\n3.0,120.0,5\n4.0,80.0,4\n5.0,40.0,3\n"
+
     def test_overflowing_scaled_count_is_numerical_error(self, capsys, tmp_path):
-        # finite counts that overflow once divided by eps * sigma_inv(0.5 MeV) = 3.8e-36
         path = tmp_path / "spectrum.csv"
-        path.write_text("eps_mev,counts,err\n0.5,1e300,1e299\n3.0,120.0,5\n4.0,80.0,4\n5.0,40.0,3\n")
+        path.write_text(self.OVERFLOWING_SPECTRUM)
         code, out, err = run(capsys, "spectrum", str(path), "-A", "208", "-Z", "82")
         self.assert_clean(code, out, err, 3)
         assert err.startswith("photoevap: numerical error: ") and err.count("\n") == 1
         assert "eps = 0.5 MeV" in err
+
+    def test_nan_eps_max_is_checked_before_any_point(self, capsys, tmp_path):
+        # NaN keeps no point in the window, so the unscalable one is never scaled
+        path = tmp_path / "spectrum.csv"
+        path.write_text(self.OVERFLOWING_SPECTRUM)
+        code, out, err = run(capsys, "spectrum", str(path), "-A", "208", "-Z", "82", "--eps-max", "nan")
+        self.assert_clean(code, out, err, 1)
+        assert err == "photoevap: error: eps_max must be a number, got nan\n"
 
     @pytest.mark.parametrize(
         "table_row", ["5.0,nan", "nan,100.0", "5.0,inf"], ids=["nan-sigma", "nan-eps", "inf-sigma"]
@@ -419,12 +431,14 @@ class TestBadInputExitsCleanly:
         spectrum.write_text("eps_mev,counts\n3.0,120.0\n4.0,80.0\n5.0,40.0\n6.0,20.0\n")
         table = tmp_path / "table.csv"
         table.write_text("eps_mev,sigma_fm2\n0.5,100.0\n10.0,100.0\n")
-        code, out, err = run(
-            capsys, "spectrum", str(spectrum), "-A", "208", "-Z", "82", "--l", "-3",
-            "--sigma-inv-table", str(table),
-        )
-        self.assert_clean(code, out, err, 1)
-        assert "l must be a non-negative integer" in err
+        # also with a window that holds no point: l is checked before any point
+        for window in ([], ["--eps-max", "0.1"]):
+            code, out, err = run(
+                capsys, "spectrum", str(spectrum), "-A", "208", "-Z", "82", "--l", "-3",
+                "--sigma-inv-table", str(table), *window,
+            )
+            self.assert_clean(code, out, err, 1)
+            assert "l must be a non-negative integer" in err
 
     @pytest.mark.parametrize(
         "option, message",
@@ -439,10 +453,17 @@ class TestBadInputExitsCleanly:
         ],
         ids=["tol-nan", "tol-inf", "max-iter-0", "tol-below-eps", "starts-2**63", "seed-negative"],
     )
-    def test_unusable_stopping_rule_is_usage_error(self, capsys, option, message):
-        code, out, err = run(capsys, "fit", str(SAMPLE_ANGULAR), "--starts", "2", *option)
-        self.assert_clean(code, out, err, 1)
-        assert message in err and "max_nfev" not in err
+    def test_unusable_stopping_rule_is_usage_error(self, capsys, tmp_path, option, message):
+        # also on data whose chi-square overflows: every option is checked before the data
+        lines = SAMPLE_ANGULAR.read_text().splitlines()
+        row = lines[1].split(",")
+        row[lines[0].split(",").index("yield")] = "1.5e300"
+        overflowing = tmp_path / "overflow.csv"
+        overflowing.write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n")
+        for data in (SAMPLE_ANGULAR, overflowing):
+            code, out, err = run(capsys, "fit", str(data), "--starts", "2", *option)
+            self.assert_clean(code, out, err, 1)
+            assert message in err and "max_nfev" not in err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -630,8 +651,12 @@ class TestSpectrum:
 
     @pytest.mark.parametrize(
         "option, message",
-        [(["-Z", "300"], ""), (["-Z", "82", "--eps-max", "nan"], "eps_max")],
-        ids=["bad-nucleus", "eps-max-nan"],
+        [
+            (["-Z", "300"], ""),
+            (["-Z", "82", "--eps-max", "nan"], "eps_max"),
+            (["-Z", "82", "--l=-3", "--eps-max", "0.1"], "l must be a non-negative integer"),
+        ],
+        ids=["bad-nucleus", "eps-max-nan", "negative-l-empty-window"],
     )
     def test_bad_option_is_usage_error(self, capsys, spectrum_csv, option, message):
         code, _, err = run(capsys, "spectrum", str(spectrum_csv), "-A", "208", *option)

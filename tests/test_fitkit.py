@@ -475,16 +475,31 @@ class TestFitAngular:
         assert baseline.n_starts_agreeing == 32
 
     @pytest.mark.parametrize(
-        "option",
-        [{"n_starts": 3}, {"seed": 4}, {"tol": 1e-4}, {"max_iter": 3}],
+        "option, received",
+        [
+            ({"n_starts": 3}, "starts"),
+            ({"seed": 4}, "starts"),
+            ({"tol": 1e-4}, "tol"),
+            ({"max_iter": 3}, "max_iter"),
+        ],
         ids=["n_starts", "seed", "tol", "max_iter"],
     )
-    def test_every_search_option_changes_the_result(self, option):
-        # data whose optimum lies on the r = 0 face, where the solver stops at its
-        # tolerance and so each option moves chi2 by more than rounding
-        reference = fit_angular(make_noisy(seed=9), n_starts=6, tol=1e-10)
-        result = fit_angular(make_noisy(seed=9), **{"n_starts": 6, "tol": 1e-10, **option})
-        assert result.chi2 != reference.chi2
+    def test_every_search_option_changes_the_result(self, monkeypatch, option, received):
+        # each option reaches the solver and changes only what it is for; whether
+        # the best chi2 then moves by more than rounding depends on the data
+        calls = []
+        solve = fitkit._solve
+
+        def recording(problem, starts, tol, max_iter):
+            calls.append({"starts": starts.tolist(), "tol": tol, "max_iter": max_iter})
+            return solve(problem, starts, tol, max_iter)
+
+        monkeypatch.setattr(fitkit, "_solve", recording)
+        datasets = make_noisy()
+        fit_angular(datasets, n_starts=6, tol=1e-10)
+        fit_angular(datasets, **{"n_starts": 6, "tol": 1e-10, **option})
+        reference, changed = calls
+        assert [key for key in reference if reference[key] != changed[key]] == [received]
 
     def test_iteration_cap_leaves_best_start_unconverged(self):
         assert not fit_angular(make_noisy(), n_starts=6, tol=1e-10, max_iter=3).converged

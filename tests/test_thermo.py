@@ -243,8 +243,10 @@ class TestInverseCapture:
                 assert inverse_capture_xsec(nucleus, l, eps) == pytest.approx(expected, rel=rel)
 
     def test_table_override(self):
+        # sigma_inv(2 MeV) = 20 fm^2 from the table, so the divisor is 2 * 20
         table = SigmaInvTable((1.0, 3.0, 5.0), (10.0, 30.0, 50.0))
-        assert inverse_capture_xsec(PB208, 0, 2.0, table) == pytest.approx(20.0, rel=1e-14)
+        [scaled] = scale_spectrum([SpectrumPoint(2.0, 80.0, 8.0)], PB208, l=2, table=table)
+        assert (scaled.counts, scaled.err) == pytest.approx((2.0, 0.2), rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -263,11 +265,12 @@ class TestInverseCapture:
         assert inverse_capture_xsec(PB208, np.int64(2), 4.0) == inverse_capture_xsec(PB208, 2, 4.0)
 
     def test_table_does_not_bypass_l_validation(self):
+        # l is checked before any point, whatever the source of sigma_inv
         table = SigmaInvTable((1.0, 3.0, 5.0), (10.0, 30.0, 50.0))
-        with pytest.raises(ValueError, match="l must be a non-negative integer"):
-            inverse_capture_xsec(PB208, -3, 2.0, table)
-        with pytest.raises(ValueError, match="l must be a non-negative integer"):
-            scale_spectrum([SpectrumPoint(2.0, 5.0)], PB208, l=-3, table=table)
+        for points in ([SpectrumPoint(2.0, 5.0)], []):
+            for source in (table, None):
+                with pytest.raises(ValueError, match="l must be a non-negative integer"):
+                    scale_spectrum(points, PB208, l=-3, table=source)
 
 
 class TestSigmaInvTable:
