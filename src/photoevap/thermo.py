@@ -6,7 +6,9 @@ pure exponential whose log-slope is -1/T.  sigma_inv is the inverse
 (capture) cross section of the residual nucleus, modelled here as a
 single-partial-wave barrier transmission times the geometric area, or
 supplied as a lookup table.  The transmission is the WKB penetrability
-of the Coulomb + centrifugal barrier, in closed form for every l.
+of the Coulomb + centrifugal barrier, in closed form for every l; its
+(nucleus, l) constants are built once per spectrum, and each point
+evaluates only the eps-dependent terms.
 
 The exciton estimate relates the same temperature to the equilibrium
 exciton number n = sqrt(2 g E*) with g = A/13 MeV^-1, and the timescale
@@ -21,7 +23,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import partial
 from numbers import Integral
 from operator import mul
 
@@ -83,7 +84,7 @@ class SpectrumPoint:
 
 
 def _check_partial_wave(l) -> None:
-    # int first: the Integral check alone costs about 0.5 us, once per point
+    # int first: the Integral check alone costs about 0.5 us, once per spectrum
     if isinstance(l, bool) or not isinstance(l, (int, Integral)) or l < 0:
         raise ValueError(f"l must be a non-negative integer, got {l!r}")
 
@@ -120,35 +121,46 @@ def inverse_capture_xsec(nucleus: NucleusSpec, l: int, eps: float) -> float:
     _check_partial_wave(l)
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive, got {eps!r}")
+    return _barrier(nucleus, l)(eps)
+
+
+def _barrier(nucleus: NucleusSpec, l: int):
+    """sigma_inv(eps) of :func:`inverse_capture_xsec`, its (nucleus, l) constants built once."""
     radius = R0_FM * nucleus.mass_number ** (1.0 / 3.0)
     mu = AMU_MEV * nucleus.mass_number / (1.0 + nucleus.mass_number)  # reduced mass [MeV]
     a = E2_MEV_FM * nucleus.charge
     b = l * (l + 1) * HBARC_MEV_FM ** 2 / (2.0 * mu)
     top = a * radius + b
-    q_surface = top - eps * radius * radius
-    if q_surface <= 0.0:  # at or above the barrier
-        return math.pi * radius * radius
-    d = math.sqrt(a * a + 4.0 * eps * b)
-    if q_surface < 5e-4 * top:
-        h = 2.0 * q_surface / (2.0 * eps * radius - a + d)
-        alpha, beta = eps * h / d, h / radius
-        series = (
-            2.0 / 3.0 - alpha / 5.0 - 4.0 * beta / 15.0
-            - alpha * alpha / 28.0 + 2.0 * alpha * beta / 35.0 + 16.0 * beta * beta / 105.0
-        )
-        integral = math.sqrt(d) / radius * h * math.sqrt(h) * series
-    else:
-        r_out = (a + d) / (2.0 * eps)
-        integral = (
-            -math.sqrt(q_surface)
-            + a / (2.0 * math.sqrt(eps)) * math.acos((2.0 * eps * radius - a) / d)
-            + math.sqrt(b) * math.log(
-                (2.0 * b + a * radius + 2.0 * math.sqrt(b * q_surface)) * r_out
-                / ((2.0 * b + a * r_out) * radius)
+    area = math.pi * radius * radius
+    gamow_scale = 2.0 * math.sqrt(2.0 * mu) / HBARC_MEV_FM
+    a2, b2, sqrt_b, log_num = a * a, 2.0 * b, math.sqrt(b), 2.0 * b + a * radius
+
+    def sigma_inv(eps: float) -> float:
+        q_surface = top - eps * radius * radius
+        if q_surface <= 0.0:  # at or above the barrier
+            return area
+        d = math.sqrt(a2 + 4.0 * eps * b)
+        if q_surface < 5e-4 * top:
+            h = 2.0 * q_surface / (2.0 * eps * radius - a + d)
+            alpha, beta = eps * h / d, h / radius
+            series = (
+                2.0 / 3.0 - alpha / 5.0 - 4.0 * beta / 15.0
+                - alpha * alpha / 28.0 + 2.0 * alpha * beta / 35.0 + 16.0 * beta * beta / 105.0
             )
-        )
-    gamow = 2.0 * math.sqrt(2.0 * mu) / HBARC_MEV_FM * integral
-    return math.pi * radius * radius * math.exp(-gamow)
+            integral = math.sqrt(d) / radius * h * math.sqrt(h) * series
+        else:
+            r_out = (a + d) / (2.0 * eps)
+            log_arg = (log_num + 2.0 * math.sqrt(b * q_surface)) * r_out / ((b2 + a * r_out) * radius)
+            if not log_arg < math.inf:  # overflows only at eps so small that exp(-G) is 0
+                return 0.0
+            integral = (
+                -math.sqrt(q_surface)
+                + a / (2.0 * math.sqrt(eps)) * math.acos((2.0 * eps * radius - a) / d)
+                + sqrt_b * math.log(log_arg)
+            )
+        return area * math.exp(-gamow_scale * integral)
+
+    return sigma_inv
 
 
 @dataclass(frozen=True)
@@ -212,12 +224,13 @@ def scale_spectrum(
     """Divide each point by eps * sigma_inv(eps), propagating errors.
 
     sigma_inv is ``table`` when given, else :func:`inverse_capture_xsec` at
-    partial wave ``l``, which is checked first, with or without points.  A
+    partial wave ``l``, which is checked first, with or without points; the
+    barrier's (nucleus, l) constants are built once per spectrum.  A
     vanishing divisor or an overflowing quotient makes a point unscalable;
     the offending energies are reported together in the raised error.
     """
     _check_partial_wave(l)
-    sigma_inv = table if table is not None else partial(inverse_capture_xsec, nucleus, l)
+    sigma_inv = table if table is not None else _barrier(nucleus, l)
     bad = []
     scaled = []
     for point in points:

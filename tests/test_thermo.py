@@ -242,6 +242,15 @@ class TestInverseCapture:
                 expected = float(mpmath.pi * r * r * mpmath.exp(-gamow))
                 assert inverse_capture_xsec(nucleus, l, eps) == pytest.approx(expected, rel=rel)
 
+    @pytest.mark.parametrize("l", range(8))
+    @pytest.mark.parametrize("mass, charge", [(208, 82), (120, 50), (60, 28), (4, 2), (250, 100)])
+    def test_vanishes_at_the_smallest_energies(self, mass, charge, l):
+        # r_out = (a + D) / 2 eps overflows the closed form's log argument down here;
+        # the transmission is already exactly zero from far higher energies
+        nucleus = NucleusSpec(mass, charge)
+        for eps in (5e-324, 1e-320, 1e-310, 1e-308, 1e-307, 1e-306, 1e-305, 1e-300, 1e-20):
+            assert inverse_capture_xsec(nucleus, l, eps) == 0.0, eps
+
     def test_table_override(self):
         # sigma_inv(2 MeV) = 20 fm^2 from the table, so the divisor is 2 * 20
         table = SigmaInvTable((1.0, 3.0, 5.0), (10.0, 30.0, 50.0))
@@ -390,13 +399,22 @@ class TestReadSpectrumCsv:
 
 
 class TestScaleSpectrum:
-    def test_round_trip(self):
-        points = [SpectrumPoint(e, 100.0 * e, 5.0) for e in (4.0, 6.0, 8.0)]
-        scaled = scale_spectrum(points, PB208)
+    @pytest.mark.parametrize("l", range(5))
+    @pytest.mark.parametrize("mass, charge", [(208, 82), (120, 50), (60, 28)])
+    def test_round_trip(self, mass, charge, l):
+        # one barrier model: scaling divides by exactly the single-point sigma_inv
+        # above the barrier top, within 5e-4 of it (series) and deep below it (closed form)
+        nucleus = NucleusSpec(mass, charge)
+        radius = nuclear_radius(nucleus)
+        mu = AMU_MEV * mass / (mass + 1.0)
+        top = E2_MEV_FM * charge * radius + l * (l + 1) * HBARC_MEV_FM**2 / (2.0 * mu)
+        below = (-0.5, -0.01, 1e-9, 1e-4, 4.9e-4, 0.01, 0.2, 0.5)
+        points = [SpectrumPoint(e, 100.0 * e, 5.0) for e in (top * (1.0 - f) / radius / radius for f in below)]
+        scaled = scale_spectrum(points, nucleus, l=l)
+        assert len(scaled) == len(points)
         for before, after in zip(points, scaled):
-            divisor = before.eps * inverse_capture_xsec(PB208, 0, before.eps)
-            assert after.counts * divisor == pytest.approx(before.counts, rel=1e-12)
-            assert after.err * divisor == pytest.approx(before.err, rel=1e-12)
+            divisor = before.eps * inverse_capture_xsec(nucleus, l, before.eps)
+            assert (after.eps, after.counts, after.err) == (before.eps, before.counts / divisor, before.err / divisor)
 
     def test_unscalable_energy_is_reported(self):
         # deep sub-barrier transmission underflows to zero
