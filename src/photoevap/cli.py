@@ -24,10 +24,10 @@ subcommand defines it, else ``--key`` with underscores as hyphens
 is a second ``--config``; and explicit command-line options override it.
 
 A subcommand imports the library module it needs when it runs.  Only
-``fit`` (through ``fitkit``) imports numpy; ``coeff``, ``model``,
-``exciton``, ``times`` and ``spectrum`` run without it.  ``main`` runs
-every subcommand alike: each library module keeps its own arithmetic
-finite or raises a typed error.
+``fit`` (through ``fitkit``) imports numpy, and no subcommand imports
+``dataclasses``: the value types are plain frozen classes.  ``main``
+runs every subcommand alike: each library module keeps its own
+arithmetic finite or raises a typed error.
 """
 
 from __future__ import annotations

@@ -30,11 +30,11 @@ only dependency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._csvfile import read_csv
+from ._record import Record
 from .errors import DegenerateModelError, UnderdeterminedError
 from .xsection import (
     ChannelConfig,
@@ -67,7 +67,6 @@ _MACHINE_EPS = float(np.finfo(float).eps)  # no stopping test can resolve less
 _AGREE_REL = math.sqrt(_MACHINE_EPS)  # chi^2 rounding scale: starts this close agree
 
 
-@dataclass
 class AngularDataset:
     """Angular yields of one proton-energy bin.
 
@@ -78,12 +77,13 @@ class AngularDataset:
     bin_label: str
     theta_deg: np.ndarray
     yields: np.ndarray
-    errors: np.ndarray | None = None
-    unit_weights: bool = field(init=False, default=False)
+    errors: np.ndarray
+    unit_weights: bool
 
-    def __post_init__(self) -> None:
-        self.theta_deg = np.asarray(self.theta_deg, dtype=float)
-        self.yields = np.asarray(self.yields, dtype=float)
+    def __init__(self, bin_label, theta_deg, yields, errors=None) -> None:
+        self.bin_label = bin_label
+        self.theta_deg = np.asarray(theta_deg, dtype=float)
+        self.yields = np.asarray(yields, dtype=float)
         n = self.theta_deg.size
         if n < 5:
             raise ValueError(f"bin {self.bin_label!r}: need at least 5 points, have {n}")
@@ -95,15 +95,15 @@ class AngularDataset:
             raise ValueError(f"bin {self.bin_label!r}: angles must lie strictly inside (0, 180)")
         if np.all(self.theta_deg == self.theta_deg[0]):
             raise ValueError(f"bin {self.bin_label!r}: all angles equal; no shape information")
-        if self.errors is None:
+        if errors is None:
             self.errors = np.ones(n)
-            self.unit_weights = True
         else:
-            self.errors = np.asarray(self.errors, dtype=float)
+            self.errors = np.asarray(errors, dtype=float)
             if self.errors.size != n:
                 raise ValueError(f"bin {self.bin_label!r}: error column length differs")
             if not np.all((self.errors > 0.0) & np.isfinite(self.errors)):
                 raise ValueError(f"bin {self.bin_label!r}: errors must be finite and strictly positive")
+        self.unit_weights = errors is None
 
     def __len__(self) -> int:
         return self.theta_deg.size
@@ -133,8 +133,7 @@ def read_angular_csv(path) -> list[AngularDataset]:
     return read_csv(path, ("bin_label", "theta_deg", "yield"), convert, build, optional=("err",))
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Best-fit parameters plus uncertainty bookkeeping.
 
     ``covariance`` is over (log A, log B, log C, log(1+r), log norm_k) in
@@ -158,6 +157,10 @@ class FitResult:
     n_starts_agreeing: int
     identifiable: bool
     bin_labels: tuple[str, ...]
+
+    def __init__(self, params, norms, chi2, dof, covariance, converged, n_starts_agreeing, identifiable, bin_labels):
+        self.__dict__.update(params=params, norms=norms, chi2=chi2, dof=dof, covariance=covariance, converged=converged,
+                             n_starts_agreeing=n_starts_agreeing, identifiable=identifiable, bin_labels=bin_labels)
 
     @property
     def covariance_labels(self) -> tuple[str, ...]:

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from numbers import Integral
 from operator import mul
 
 from ._csvfile import read_csv
+from ._record import Record
 from .errors import DataFormatError, DegenerateModelError, InvalidPointError, UnderdeterminedError
 
 __all__ = [
@@ -52,29 +52,27 @@ AMU_MEV = 931.494             # atomic mass unit [MeV / c^2]
 R0_FM = 1.5                   # nuclear radius parameter, R = R0 * A**(1/3) [fm]
 
 
-@dataclass(frozen=True)
-class NucleusSpec:
+class NucleusSpec(Record):
     """Residual (capturing) nucleus: mass number and charge."""
 
     mass_number: int
     charge: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, mass_number, charge) -> None:
+        self.__dict__.update(mass_number=mass_number, charge=charge)
         if self.mass_number < 2 or self.charge < 1 or self.charge >= self.mass_number:
-            raise ValueError(
-                f"need 1 <= Z < A, got A={self.mass_number}, Z={self.charge}"
-            )
+            raise ValueError(f"need 1 <= Z < A, got A={self.mass_number}, Z={self.charge}")
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
+class SpectrumPoint(Record):
     """One spectrum sample: proton energy [MeV], counts, absolute error."""
 
     eps: float
     counts: float
-    err: float = 0.0
+    err: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, eps, counts, err=0.0) -> None:
+        self.__dict__.update(eps=eps, counts=counts, err=err)
         if not (self.eps > 0 and math.isfinite(self.eps)):
             raise ValueError(f"eps must be positive, got {self.eps!r}")
         if not math.isfinite(self.counts):
@@ -163,14 +161,14 @@ def _barrier(nucleus: NucleusSpec, l: int):
     return sigma_inv
 
 
-@dataclass(frozen=True)
-class SigmaInvTable:
+class SigmaInvTable(Record):
     """Piecewise-linear (eps [MeV], sigma_inv [fm^2]) lookup table."""
 
     eps: tuple[float, ...]
     sigma: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, eps, sigma) -> None:
+        self.__dict__.update(eps=eps, sigma=sigma)
         if len(self.eps) != len(self.sigma) or len(self.eps) < 2:
             raise DataFormatError("table needs at least two (eps, sigma) rows")
         if not all(math.isfinite(v) for v in (*self.eps, *self.sigma)):
@@ -249,14 +247,17 @@ def scale_spectrum(
     return scaled
 
 
-@dataclass(frozen=True)
-class TemperatureFit:
+class TemperatureFit(Record):
     """Weighted log-linear fit of a scaled spectrum: T = -1/slope [MeV]."""
 
     temperature: float
     log_intercept: float
     temperature_err: float
     n_points: int
+
+    def __init__(self, temperature, log_intercept, temperature_err, n_points) -> None:
+        self.__dict__.update(temperature=temperature, log_intercept=log_intercept,
+                             temperature_err=temperature_err, n_points=n_points)
 
 
 def fit_temperature(points: list[SpectrumPoint], eps_max: float) -> TemperatureFit:
@@ -332,8 +333,7 @@ def fit_temperature(points: list[SpectrumPoint], eps_max: float) -> TemperatureF
     return TemperatureFit(temperature, intercept, temperature_err, len(usable))
 
 
-@dataclass(frozen=True)
-class ExcitonReport:
+class ExcitonReport(Record):
     """Equilibrium exciton statistics at excitation e_star [MeV]."""
 
     g: float        # single-particle level density A/13 [1/MeV]
@@ -341,6 +341,9 @@ class ExcitonReport:
     n_sigma: float  # fluctuation width sqrt(n_bar / 2)
     t_low: float    # E* / (n_bar + n_sigma) [MeV]
     t_high: float   # E* / (n_bar - n_sigma) [MeV]
+
+    def __init__(self, g, n_bar, n_sigma, t_low, t_high) -> None:
+        self.__dict__.update(g=g, n_bar=n_bar, n_sigma=n_sigma, t_low=t_low, t_high=t_high)
 
 
 def exciton_report(mass_number: int, e_star: float) -> ExcitonReport:
@@ -361,8 +364,7 @@ def exciton_report(mass_number: int, e_star: float) -> ExcitonReport:
     return ExcitonReport(g, n_bar, n_sigma, e_star / (n_bar + n_sigma), e_star / (n_bar - n_sigma))
 
 
-@dataclass(frozen=True)
-class TimescaleReport:
+class TimescaleReport(Record):
     """The dephasing width and the lifetimes tau = hbar / Gamma the widths imply."""
 
     beta: float                 # dephasing width r * gamma_cn [eV]
@@ -372,6 +374,10 @@ class TimescaleReport:
     tau_ratio: float            # tau_phase / tau_thermalization, inf at r = 0
     t_heisenberg: float         # hbar / D [s]
     n_eff: float                # gamma_spreading / D
+
+    def __init__(self, beta, tau_phase, tau_cn, tau_thermalization, tau_ratio, t_heisenberg, n_eff) -> None:
+        self.__dict__.update(beta=beta, tau_phase=tau_phase, tau_cn=tau_cn, tau_thermalization=tau_thermalization,
+                             tau_ratio=tau_ratio, t_heisenberg=t_heisenberg, n_eff=n_eff)
 
 
 def timescales(

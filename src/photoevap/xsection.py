@@ -37,10 +37,10 @@ saves.  M is a tuple of row tuples, the coefficients a tuple of floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from operator import mul
 
+from ._record import Record
 from .angmom import clebsch_gordan, z_coeff
 from .errors import DegenerateModelError
 
@@ -66,8 +66,7 @@ _EXIT_ORBITALS = (0, 1, 2)
 MAX_ORDER = 4  # dipole+quadrupole entrance caps the series at P_4
 
 
-@dataclass(frozen=True)
-class ShapeParams:
+class ShapeParams(Record):
     """Transmission ratios and dephasing-to-decay ratio of the model.
 
     A = T(E2)/T(E1), B = T(l'=1)/T(l'=0), C = T(l'=2)/T(l'=0),
@@ -79,15 +78,14 @@ class ShapeParams:
     C: float
     r: float
 
-    def __post_init__(self) -> None:
-        for name in ("A", "B", "C", "r"):
-            value = getattr(self, name)
+    def __init__(self, A, B, C, r) -> None:
+        self.__dict__.update(A=A, B=B, C=C, r=r)
+        for name, value in self.__dict__.items():
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(Record):
     """How the terms of the fixed channel set are summed over residual spins.
 
     residual_weighting: weight per allowed residual spin I' when summing
@@ -95,18 +93,18 @@ class ChannelConfig:
     spin_cutoff_sigma: cutoff parameter for the "spin-cutoff" mode.
     """
 
-    residual_weighting: str = "equal"
-    spin_cutoff_sigma: float = 2.0
+    residual_weighting: str
+    spin_cutoff_sigma: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, residual_weighting="equal", spin_cutoff_sigma=2.0) -> None:
+        self.__dict__.update(residual_weighting=residual_weighting, spin_cutoff_sigma=spin_cutoff_sigma)
         if self.residual_weighting not in _WEIGHTING_MODES:
             raise ValueError(f"residual_weighting must be one of {_WEIGHTING_MODES}, got {self.residual_weighting!r}")
         if not (self.spin_cutoff_sigma > 0 and math.isfinite(self.spin_cutoff_sigma)):
             raise ValueError(f"spin_cutoff_sigma must be positive, got {self.spin_cutoff_sigma!r}")
 
 
-@dataclass(frozen=True)
-class TermAmplitude:
+class TermAmplitude(Record):
     """One interference term of the multipole/exit-channel sum.
 
     L1, L2 are the photon multipole orders of the two interfering
@@ -125,6 +123,9 @@ class TermAmplitude:
     Ip: int
     L: int
     geometry: float
+
+    def __init__(self, L1, L2, l1, l2, l1p, l2p, Ip, L, geometry) -> None:
+        self.__dict__.update(L1=L1, L2=L2, l1=l1, l2=l2, l1p=l1p, l2p=l2p, Ip=Ip, L=L, geometry=geometry)
 
 
 def _residual_weight(config: ChannelConfig, spin: int) -> float:
@@ -254,8 +255,7 @@ def raw_coefficients(params: ShapeParams, config: ChannelConfig = ChannelConfig(
     return tuple(sum(map(mul, row, magnitude)) for row in matrix)
 
 
-@dataclass(frozen=True)
-class LegendreSeries:
+class LegendreSeries(Record):
     """sigma(theta) = sum_L c_L P_L(cos theta) with c_0 normalised to 1.
 
     ``coefficients`` holds exactly five finite values c_0..c_4.  ``scale``
@@ -264,13 +264,12 @@ class LegendreSeries:
     """
 
     coefficients: tuple[float, ...]
-    scale: float = 1.0
+    scale: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, coefficients, scale=1.0) -> None:
+        self.__dict__.update(coefficients=coefficients, scale=scale)
         if (n := len(self.coefficients)) != MAX_ORDER + 1:
-            raise ValueError(
-                f"series needs c_0..c_{MAX_ORDER} and no order above P_{MAX_ORDER}, got {n} values"
-            )
+            raise ValueError(f"series needs c_0..c_{MAX_ORDER} and no order above P_{MAX_ORDER}, got {n} values")
         if not all(map(math.isfinite, self.coefficients)):
             raise ValueError(f"coefficients must be finite, got {self.coefficients!r}")
 

@@ -9,7 +9,6 @@ in 40-digit mpmath arithmetic (mpmath comes with sympy), whose
 cancellation costs nothing at that precision.
 """
 
-import dataclasses
 import math
 import re
 from pathlib import Path
@@ -36,6 +35,7 @@ from photoevap.thermo import (
     NucleusSpec,
     SigmaInvTable,
     SpectrumPoint,
+    TemperatureFit,
     exciton_report,
     fit_temperature,
     inverse_capture_xsec,
@@ -601,8 +601,9 @@ class TestFitTemperature:
             points = self.exponential_points(0.55)
             points = [SpectrumPoint(p.eps, p.counts, 0.05 * p.counts) for p in points]
         fit = fit_temperature(points, eps_max=8.0)
-        for field in dataclasses.fields(fit):
-            assert type(getattr(fit, field.name)).__name__ == field.type, field.name
+        assert list(vars(fit)) == list(TemperatureFit.__annotations__)
+        for name, type_name in TemperatureFit.__annotations__.items():
+            assert type(getattr(fit, name)).__name__ == type_name, name
 
     def test_weights_that_all_underflow_are_underdetermined(self):
         points = [SpectrumPoint(eps, 1e-300, 1e30) for eps in (1.0, 2.0, 3.0)]
