@@ -398,36 +398,30 @@ def _solve(problem: _FitProblem, starts: np.ndarray, tol: float, max_iter: int):
     every trial step: ftol, dF <= tol F with the ratio of actual to
     predicted reduction above 0.25; xtol, ||dx|| <= tol (tol + ||x||)
     (all a rejected step can meet); and gtol, a projected gradient
-    ||x - P(x - g)||_inf <= tol at the current x.  The per-start state
-    holds the running starts only, and shrinks when one stops.  Returns
-    (chi2, x, converged) per start; ``converged`` is False for a start
-    that ran ``max_iter`` iterations without stopping.
+    ||x - P(x - g)||_inf <= tol at the current x.  A start leaves the
+    stack of running starts, which alone hold per-start state, at one
+    place: the top of an iteration, after its projected gradient meets
+    gtol there or its last step met ftol or xtol.  Returns (chi2, x,
+    converged) per start; ``converged`` is False for a start that ran
+    ``max_iter`` iterations without stopping, and True for one whose
+    last allowed step met ftol or xtol.
     """
     final_chi2, final_x = np.empty(len(starts)), np.empty_like(starts)
     converged = np.zeros(len(starts), dtype=bool)
-    x = starts.copy()
+    idx, x, stop = np.arange(len(starts)), starts, np.zeros(len(starts), dtype=bool)
     chi2, grad, hess = problem.normal_equations(x)
-    state = (
-        np.arange(len(x)), x, chi2, grad, hess,
-        np.diagonal(hess, axis1=1, axis2=2).copy(),  # D
-        np.full(len(x), 1e-3),  # lam
-        np.full(len(x), 2.0),  # growth of lam on the next rejection
-    )
-
-    def retire(state, stop):
-        idx, x, chi2 = state[:3]
-        final_chi2[idx[stop]], final_x[idx[stop]], converged[idx[stop]] = chi2[stop], x[stop], True
-        return tuple(a[~stop] for a in state)
-
+    scale = np.diagonal(hess, axis1=1, axis2=2).copy()  # D
+    lam, growth = np.full(len(x), 1e-3), np.full(len(x), 2.0)  # growth: of lam on the next rejection
     eye = np.eye(_N_SHAPE)
     for _ in range(max_iter):
-        x, grad = state[1], state[3]
-        running = np.abs(x - np.minimum(np.maximum(x - grad, _BOUND_LO), _BOUND_HI)).max(axis=1) > tol
-        if not running.all():
-            state = retire(state, ~running)
-        idx, x, chi2, grad, hess, scale, lam, growth = state
-        if idx.size == 0:
-            break
+        # gtol, met also where the projected gradient is NaN
+        stop |= ~(np.abs(x - np.minimum(np.maximum(x - grad, _BOUND_LO), _BOUND_HI)).max(axis=1) > tol)
+        if stop.any():
+            final_chi2[idx[stop]], final_x[idx[stop]], converged[idx[stop]] = chi2[stop], x[stop], True
+            state = (idx, x, chi2, grad, hess, scale, lam, growth, stop)
+            idx, x, chi2, grad, hess, scale, lam, growth, stop = (a[~stop] for a in state)
+            if idx.size == 0:
+                break
         free = ~(((x <= _BOUND_LO) & (grad > 0.0)) | ((x >= _BOUND_HI) & (grad < 0.0)))
         scale = np.maximum(scale, hess.diagonal(0, 1, 2))
         d = np.maximum(scale, _MACHINE_EPS * scale.max(axis=1, keepdims=True))
@@ -446,20 +440,10 @@ def _solve(problem: _FitProblem, starts: np.ndarray, tol: float, max_iter: int):
         stop |= np.sqrt((step * step).sum(axis=1)) <= tol * (tol + np.sqrt((x * x).sum(axis=1)))
         taken = reduction > 0.0
         shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(ratio, 1.0) - 1.0) ** 3)
-        state = (
-            idx,
-            np.where(taken[:, None], trial, x),
-            np.where(taken, t_chi2, chi2),
-            np.where(taken[:, None], t_grad, grad),
-            np.where(taken[:, None, None], t_hess, hess),
-            scale,
-            lam * np.where(taken, shrink, growth),
-            np.where(taken, 2.0, 2.0 * growth),
-        )
-        if stop.any():
-            state = retire(state, stop)
-    idx, x, chi2 = state[:3]
-    final_chi2[idx], final_x[idx] = chi2, x
+        x, chi2 = np.where(taken[:, None], trial, x), np.where(taken, t_chi2, chi2)
+        grad, hess = np.where(taken[:, None], t_grad, grad), np.where(taken[:, None, None], t_hess, hess)
+        lam, growth = lam * np.where(taken, shrink, growth), np.where(taken, 2.0, 2.0 * growth)
+    final_chi2[idx], final_x[idx], converged[idx] = chi2, x, stop
     return final_chi2, final_x, converged
 
 

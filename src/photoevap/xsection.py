@@ -279,13 +279,13 @@ class LegendreSeries(Record):
         A number gives a float and an iterable of angles a list.  An angle
         outside [0, pi], NaN included, raises ``ValueError``.
         """
-        c0, c1, c2, c3, c4 = self.coefficients
         try:
             angles = iter(theta)
         except TypeError:
-            angles = None
+            return self.evaluate((theta,))[0]
+        c0, c1, c2, c3, c4 = self.coefficients
         values = []
-        for t in (theta,) if angles is None else angles:
+        for t in angles:
             if not 0.0 <= t <= math.pi:
                 raise ValueError("theta must lie in [0, pi]")
             x = math.cos(t)
@@ -295,7 +295,7 @@ class LegendreSeries(Record):
                 c0 + c1 * x + c2 * (1.5 * x2 - 0.5) + c3 * ((2.5 * x2 - 1.5) * x)
                 + c4 * ((4.375 * x2 - 3.75) * x2 + 0.375)
             )
-        return values[0] if angles is None else values
+        return values
 
 
 def legendre_coefficients(

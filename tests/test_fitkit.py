@@ -540,6 +540,67 @@ class TestFitAngular:
             fit_angular(make_noisy(), n_starts=1, **kwargs)
 
 
+class SeparableQuadratic:
+    """chi2 = c + sum_i w_i (x_i - m_i)^2, with g = w (x - m) and H = diag(w):
+    every row is computed alone, so no result can depend on stack height."""
+
+    def __init__(self, c, m):
+        self.c, self.w, self.m = c, np.array([1.0, 3.0, 0.5, 2.0]), np.array(m)
+        self.calls = 0
+
+    def normal_equations(self, x):
+        self.calls += 1
+        d = x - self.m
+        return self.c + (self.w * d * d).sum(axis=1), self.w * d, np.zeros((len(x), 1, 1)) + np.diag(self.w)
+
+
+class TestSolverLifecycle:
+    """Starts leave the stack at different iterations and for different
+    reasons; each row of the stacked solve must be that start solved alone."""
+
+    MINIMA = {"inside": (1e-6, [0.5, -1.0, 2.0, 1.0]), "on-bound": (2.0, [0.5, -1.0, 2.0, -1.0])}
+
+    def starts(self, m):
+        at_min = np.minimum(np.maximum(m, fitkit._BOUND_LO), fitkit._BOUND_HI)
+        away = np.array([1.0, -0.5, 0.25, 0.75])
+        return np.array(
+            [at_min]  # gtol at the start
+            + [at_min + d * away for d in (1e-6, 1e-3, 0.1, 1.0, 4.0)]
+            + [[-3.0, 1.0, 0.0, 0.0], [2.0, 2.0, 2.0, 5.0]]  # on the r bound; beyond the minimum
+        )
+
+    @pytest.mark.parametrize("minimum", MINIMA, ids=list(MINIMA))
+    def test_stacked_rows_equal_each_start_alone(self, minimum):
+        c, m = self.MINIMA[minimum]
+        starts, tol = self.starts(m), 1e-10
+        steps = []  # iterations each start takes alone, with no cap in reach
+        for start in starts:
+            problem = SeparableQuadratic(c, m)
+            assert fitkit._solve(problem, start[None], tol, 50)[2][0]
+            steps.append(problem.calls - 1)
+        assert steps[0] == 0 and max(steps) <= 7
+
+        last_step = {}  # converged with max_iter = its step count: ftol or xtol on that step
+        for max_iter in range(1, 9):
+            stacked = fitkit._solve(SeparableQuadratic(c, m), starts, tol, max_iter)
+            for i, start in enumerate(starts):
+                alone = fitkit._solve(SeparableQuadratic(c, m), start[None], tol, max_iter)
+                for got, want in zip(stacked, alone):
+                    assert np.array_equal(got[i], want[0])
+                if max_iter < steps[i]:
+                    assert not stacked[2][i]  # capped
+                elif max_iter > steps[i]:
+                    assert stacked[2][i]
+                else:
+                    last_step[i] = bool(stacked[2][i])
+        # stops on its last allowed step and is converged, after a cap one step sooner
+        assert any(stopped and steps[i] >= 2 for i, stopped in last_step.items())
+        if minimum == "inside":  # gtol met only at the top of the step after: unconverged
+            assert not all(last_step.values())
+        if minimum == "on-bound":
+            assert np.all(stacked[1][:, 3] == 0.0)  # held on its lower bound
+
+
 class TestLatticeStarts:
     @pytest.mark.parametrize("seed", [None, 0, 12345])
     @pytest.mark.parametrize("n_starts", [1, 6, 32, 100])
@@ -611,6 +672,17 @@ class TestFitRegression:
         result = fit_angular(read_angular_csv(SAMPLE_ANGULAR), ChannelConfig(residual_weighting="spin-cutoff"))
         assert result.chi2 <= 18.113825136611116 * (1.0 + 1e-10)
         assert result.chi2 == pytest.approx(18.113825136611116, rel=1e-8)
+
+    # the command line's defaults (32 starts, tol 1e-12, 400 iterations); the
+    # per-bin E65 fit under 2I+1 takes 385 batched evaluations of the 401 the
+    # cap allows, and the joint spin-cutoff fit 377
+    @pytest.mark.parametrize("mode", ["joint", "per-bin"])
+    @pytest.mark.parametrize("weighting", ["equal", "2I+1", "spin-cutoff"])
+    def test_every_sample_fit_converges(self, weighting, mode):
+        datasets = read_angular_csv(SAMPLE_ANGULAR)
+        groups = [datasets] if mode == "joint" else [[ds] for ds in datasets]
+        config = ChannelConfig(residual_weighting=weighting)
+        assert all(fit_angular(group, config).converged for group in groups)
 
     # covariance[3, 3], the variance of log(1+r) that criterion 5 reads, on
     # the sample's noisy data with the command line's weightings (spin-cutoff
