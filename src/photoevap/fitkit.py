@@ -173,12 +173,12 @@ class _FitProblem:
     """Per-bin compressed least-squares statistics and the coefficient
     matrix of one fit.
 
-    The coefficient vector reads the same real matrix M as
-    :func:`raw_coefficients`, in log space: c = M m with
-    m = exp(Q x) and Q = [P / 2, -cross], so that m_j = sqrt(A^a B^b C^c)
-    times 1/(1+r) on the cross columns.  The log form stays defined for
-    the slightly negative r probed by the covariance's gradient
-    differences at the r = 0 bound.
+    The coefficient vector reads the same real matrix M and exponent
+    table P as :func:`raw_coefficients`, in log space: c = M m with
+    m = exp(Q x) and Q = P diag(1/2, 1/2, 1/2, -1), so that row (a, b,
+    c, k) of P gives m_j = sqrt(A^a B^b C^c) (1+r)^-k.  The log form
+    stays defined for the slightly negative r probed by the covariance's
+    gradient differences at the r = 0 bound.
 
     Every isotropic geometry group is positive and every weight is >= 0,
     so M[0] >= 0, and with m > 0 the raw c_0 is positive at every
@@ -215,11 +215,11 @@ class _FitProblem:
     """
 
     def __init__(self, datasets: list[AngularDataset], config: ChannelConfig):
-        matrix, powers, cross_columns = map(np.asarray, _coefficient_matrix(config))
+        matrix, powers = map(np.asarray, _coefficient_matrix(config))
         self._matrix = matrix
         row_size = np.max(np.abs(matrix[1:]), axis=1)
         self.shape_rows = int(np.sum(row_size > 1e-12 * np.max(np.abs(matrix))))
-        self._log_powers = np.column_stack([0.5 * powers, -cross_columns.astype(float)])
+        self._log_powers = powers * (0.5, 0.5, 0.5, -1.0)
         self.scales = [float(np.min(ds.errors)) for ds in datasets]
         with np.errstate(over="ignore"):
             targets = [ds.yields / ds.errors for ds in datasets]

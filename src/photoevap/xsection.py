@@ -22,12 +22,12 @@ per-dataset fit parameter elsewhere.  The channel set is fixed: a reduced
 model is a face of the full one (A = 0 is E1 only, B = 0 or C = 0 drops
 l' = 1 or l' = 2).
 
-The 195 terms share 10 power triples (a, b, c), so the sum is
-c = M m with m_j = sqrt(A^a B^b C^c), over (1+r) for cross terms.  The
-residual-spin weight w(I') multiplies a geometry free of it, so the real
-5 x 10 matrix is M = sum_I' w(I') G[I'], where G[I'] groups the terms of
-spin I' by triple; G is built once and M once per configuration behind
-a bounded memo.
+The 195 terms share 10 exponent rows (a, b, c, k) of one table P, so
+the sum is c = M m with m_j = sqrt(A^a B^b C^c) (1+r)^-k, k = 1 on the
+cross terms.  The residual-spin weight w(I') multiplies a geometry free
+of it, so the real 5 x 10 matrix is M = sum_I' w(I') G[I'], where G[I']
+groups the terms of spin I' by row of P; G is built once and M once per
+configuration behind a bounded memo.
 
 The module is pure Python, with no numpy: one model point is a few dozen
 multiply-adds, which numpy's per-call overhead would cost more than it
@@ -186,55 +186,50 @@ def _geometry(L1: int, L2: int, l1: int, l2: int, l1p: int, l2p: int, ip: int, o
     )
 
 
-def _powers(term: TermAmplitude) -> tuple[int, int, int]:
-    """Powers (a, b, c) of the term's magnitude factor sqrt(A^a B^b C^c)."""
+def _powers(term: TermAmplitude) -> tuple[int, int, int, int]:
+    """Exponents (a, b, c, k) of the term's magnitude sqrt(A^a B^b C^c) (1+r)^-k.
+
+    k = 1 on a dipole-quadrupole term, whose amplitudes decorrelate by
+    1/(1+r); equal-multipole amplitudes stay fully correlated.
+    """
     return (
         (term.L1 == 2) + (term.L2 == 2),
         (term.l1p == 1) + (term.l2p == 1),
         (term.l1p == 2) + (term.l2p == 2),
+        int(term.L1 != term.L2),
     )
 
 
 @cache
 def _spin_geometry():
-    """(G, spins, P, cross): the unweighted term sum per residual spin, as tuples.
+    """(G, P): the unweighted term sums and the exponent table, as tuples.
 
-    G[s] holds the nonzero entries (L, j, g) of that sum for residual spin
-    spins[s]: g sums the geometries of the terms with Legendre order L and
-    magnitude powers (a, b, c) = P[j].  ``cross`` marks the a == 1 columns,
-    whose m_j carries 1/(1+r): equal-multipole amplitudes stay fully
-    correlated, while dipole and quadrupole ones decorrelate by it.
+    G holds, sorted, the nonzero sums (I', L, j, g): g sums the
+    geometries of the terms with residual spin I', Legendre order L and
+    magnitude exponents (a, b, c, k) = P[j].
     """
     terms = enumerate_terms()
-    spins = sorted({term.Ip for term in terms})
     powers = sorted({_powers(term) for term in terms})
     sums: dict[tuple[int, int, int], float] = {}
     for term in terms:
         key = (term.Ip, term.L, powers.index(_powers(term)))
         sums[key] = sums.get(key, 0.0) + term.geometry
-    geometry = tuple(
-        tuple((order, j, g) for (ip, order, j), g in sorted(sums.items()) if ip == spin and g)
-        for spin in spins
-    )
-    cross = tuple(a == 1 for a, _, _ in powers)
-    return geometry, tuple(spins), tuple(powers), cross
+    return tuple((*key, g) for key, g in sorted(sums.items()) if g), tuple(powers)
 
 
 @lru_cache(maxsize=16)  # a few configurations used in turn stay resident; memory is flat in sigma
 def _coefficient_matrix(config: ChannelConfig):
-    """(M, P, cross) with c = M m: M = sum_I' w(I') G[I'] as 5 row tuples of n.
+    """(M, P) with c = M m: M = sum_I' w(I') G[I'] as 5 row tuples of n.
 
-    Column j holds the terms whose magnitude factor has the powers P[j].
-    Only the nonzero entries of G are summed.  The value is immutable, so
-    every caller shares the memoised one.
+    Column j holds the terms whose magnitude factor has the exponents
+    (a, b, c, k) = P[j].  Only the nonzero entries of G are summed.  The
+    value is immutable, so every caller shares the memoised one.
     """
-    geometry, spins, powers, cross = _spin_geometry()
+    geometry, powers = _spin_geometry()
     rows = [[0.0] * len(powers) for _ in range(MAX_ORDER + 1)]
-    for spin, entries in zip(spins, geometry):
-        weight = _residual_weight(config, spin)
-        for order, j, value in entries:
-            rows[order][j] += weight * value
-    return tuple(map(tuple, rows)), powers, cross
+    for spin, order, j, value in geometry:
+        rows[order][j] += _residual_weight(config, spin) * value
+    return tuple(map(tuple, rows)), powers
 
 
 def raw_coefficients(params: ShapeParams, config: ChannelConfig = ChannelConfig()) -> tuple[float, ...]:
@@ -245,13 +240,10 @@ def raw_coefficients(params: ShapeParams, config: ChannelConfig = ChannelConfig(
     A square or product of powers beyond the float range leaves inf or
     NaN, which :func:`legendre_coefficients` reports.
     """
-    matrix, powers, cross = _coefficient_matrix(config)
+    matrix, powers = _coefficient_matrix(config)
     A, B, C = ((1.0, x, x * x) for x in (params.A, params.B, params.C))  # every power is 0, 1 or 2
-    damping = 1.0 / (1.0 + params.r)
-    magnitude = [
-        math.sqrt(A[a] * B[b] * C[c]) * (damping if is_cross else 1.0)
-        for (a, b, c), is_cross in zip(powers, cross)
-    ]
+    damping = (1.0, 1.0 / (1.0 + params.r))
+    magnitude = [math.sqrt(A[a] * B[b] * C[c]) * damping[k] for a, b, c, k in powers]
     return tuple(sum(map(mul, row, magnitude)) for row in matrix)
 
 

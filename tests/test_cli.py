@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pkgutil
+import shlex
 import shutil
 import subprocess
 import sys
@@ -967,6 +968,58 @@ from {module} import {attr}
 sys.argv[0] = "photoevap"
 sys.exit({attr}())
 """
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_examples():
+    """(argv, value) for every `photoevap ...` line of README.md's sh blocks
+    and of sample_data/README.md's "Try:" blocks.
+
+    value is the stdout that a `# value` comment after the line promises,
+    or None where there is no comment.
+    """
+    lines = []
+    in_sh = False
+    for line in (REPO_ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("photoevap "):
+            lines.append(line)
+    after_try = False
+    for line in (REPO_ROOT / "sample_data" / "README.md").read_text(encoding="utf-8").splitlines():
+        if line == "Try:":
+            after_try = True
+        elif after_try and line.startswith("    photoevap "):
+            lines.append(line.strip())
+        elif line:
+            after_try = False
+    examples = []
+    for line in lines:
+        command, _, value = line.partition("#")
+        examples.append((shlex.split(command)[1:], value.strip() or None))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+class TestReadmeExamples:
+    """Both READMEs' command examples run as written, from the repo root."""
+
+    def test_examples_are_found(self):
+        values = {" ".join(argv[:2]): value for argv, value in README_EXAMPLES if value}
+        assert values == {"coeff cg": "0.707106781187", "coeff z": "2.00000000000"}
+        assert {argv[0] for argv, _ in README_EXAMPLES} >= {"coeff", "model", "fit", "spectrum", "exciton", "times"}
+
+    @pytest.mark.parametrize("argv, value", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+    def test_example_runs(self, capsys, monkeypatch, argv, value):
+        monkeypatch.chdir(REPO_ROOT)
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        if value is not None:
+            assert out == value + "\n"
 
 
 def _declared_console_script(name):

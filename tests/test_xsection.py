@@ -431,19 +431,21 @@ class TestCoefficientMatrix:
     """
 
     def test_default_matrix_is_five_by_ten_and_read_only(self):
-        matrix, powers, cross = _coefficient_matrix(ChannelConfig())
+        matrix, powers = _coefficient_matrix(ChannelConfig())
         assert np.asarray(matrix).shape == (5, 10)
-        assert np.asarray(powers).shape == (10, 3)
-        assert list(cross) == [a == 1 for a, _, _ in powers]
+        assert np.asarray(powers).shape == (10, 4)
+        # k, the power of 1/(1+r), is 1 exactly on the a == 1 (dipole-quadrupole) rows
+        assert [k for _, _, _, k in powers] == [int(a == 1) for a, _, _, _ in powers]
         # tuples all the way down: no caller can write into M
         assert isinstance(matrix, tuple) and all(type(row) is tuple for row in matrix)
 
     def test_geometry_keeps_only_nonzero_entries(self):
-        geometry, spins, powers, _ = _spin_geometry()
-        entries = [entry for per_spin in geometry for entry in per_spin]
-        assert len(entries) == 47
-        assert all(value != 0.0 for _, _, value in entries)
-        assert all(0 <= order <= 4 and 0 <= j < len(powers) for order, j, _ in entries)
+        geometry, powers = _spin_geometry()
+        assert len(geometry) == 47
+        assert all(value != 0.0 for _, _, _, value in geometry)
+        assert all(0 <= order <= 4 and 0 <= j < len(powers) for _, order, j, _ in geometry)
+        # one sorted flat table: each (I', L, j) once
+        assert list(geometry) == sorted(geometry) and len({entry[:3] for entry in geometry}) == 47
 
     @pytest.mark.parametrize("name", sorted(AUDIT_CONFIGS))
     def test_matches_explicit_term_sum(self, name):
@@ -629,10 +631,10 @@ class TestMatrixMemo:
     def test_memoised_matrix_is_the_cold_build(self, name):
         config = AUDIT_CONFIGS[name]
         _coefficient_matrix(config)
-        matrix, powers, cross = _coefficient_matrix(config)
-        cold_matrix, cold_powers, cold_cross = _coefficient_matrix.__wrapped__(config)
+        matrix, powers = _coefficient_matrix(config)
+        cold_matrix, cold_powers = _coefficient_matrix.__wrapped__(config)
         assert _bits(matrix) == _bits(cold_matrix)
-        assert (powers, cross) == (cold_powers, cold_cross)
+        assert powers == cold_powers
 
     def test_memo_stays_bounded_over_unseen_sigmas(self):
         bound = _coefficient_matrix.cache_parameters()["maxsize"]
