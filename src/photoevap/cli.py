@@ -10,9 +10,10 @@ Each ``_cmd_*`` returns its payload: a dict, or text (``coeff`` and
 ``schema_version``/``command`` envelope in front of a dict and writes it
 as JSON, writes the result once to ``--output`` or stdout, and maps every
 outcome to one exit code: 0 success, 1 usage error (argparse's own usage
-status 2 maps to 1), 2 data error (unreadable or malformed input), 3
-numerical error (every other ``PhotoevapError``: a degenerate or
-underdetermined computation, or unscalable points).
+status 2 maps to 1), 2 data error (unreadable or malformed input, or an
+``--output`` file that cannot be written), 3 numerical error (every
+other ``PhotoevapError``: a degenerate or underdetermined computation,
+or unscalable points).
 
 Options match by their full name only (``--conf`` is a usage error), so
 one argparse pass finds ``--config FILE``, which every subcommand lists,

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,32 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
-    return json.loads(out), err
+    return json.loads(out, parse_constant=_reject_constant), err
+
+
+def run_warning_free(capsys, *argv):
+    """``run``, failing on any warning raised on the way.
+
+    pytest's filter turns only RuntimeWarning into an error, and hides the
+    rest, which a user would see on stderr.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, *argv)
+    assert not caught, [str(warning.message) for warning in caught]
+    return result
+
+
+def run_error(capsys, code, text, *argv):
+    """Run a command that fails: exit ``code``, nothing on stdout, and one
+    stderr line that starts ``photoevap:`` and holds ``text``, with no
+    traceback and no warning.  Returns that line.
+    """
+    got, out, err = run_warning_free(capsys, *argv)
+    assert (got, out) == (code, ""), err
+    assert err.startswith("photoevap:") and err.count("\n") == 1, err
+    assert text in err and "Traceback" not in err and "Warning" not in err, err
+    return err
 
 
 def _reject_constant(constant):
@@ -154,14 +180,19 @@ class TestModel:
         assert out == ""
         assert json.loads(target.read_text())["command"] == "model"
 
-    @pytest.mark.parametrize(
-        "grid", ["10:5:10", "0:181:10", "0:180:1", "0:180", "a:b:c"]
-    )
-    def test_bad_grid_is_usage_error(self, capsys, grid):
+    BAD_GRIDS = [
+        ("10:5:10", "grid must satisfy"),
+        ("0:181:10", "grid must satisfy"),
+        ("0:180:1", "grid must satisfy"),
+        ("0:180", "grid must be start:stop:count"),
+        ("a:b:c", "bad grid 'a:b:c'"),
+    ]
+
+    @pytest.mark.parametrize("grid, message", BAD_GRIDS, ids=[grid for grid, _ in BAD_GRIDS])
+    def test_bad_grid_is_usage_error(self, capsys, grid, message):
         # also at A = 1e200, which overflows the model: the grid is parsed first
         for args in (self.ARGS, ("model", "-A", "1e200", "-B", "1", "-C", "1", "-r", "0")):
-            code, _, _ = run(capsys, *args, "--grid", grid)
-            assert code == 1
+            run_error(capsys, 1, message, *args, "--grid", grid)
 
     def test_negative_parameter_is_usage_error(self, capsys):
         code, _, _ = run(
@@ -275,9 +306,8 @@ class TestFit:
         datasets[1].bin_label = "short"
         path = tmp_path / "angular.csv"
         write_angular_csv(path, datasets)
-        code, _, err = run(capsys, "fit", str(path), "--mode", "per-bin", "--starts", "2")
-        assert code == 3
-        assert err.startswith("photoevap: numerical error: ") and "'short'" in err
+        err = run_error(capsys, 3, "'short'", "fit", str(path), "--mode", "per-bin", "--starts", "2")
+        assert err.startswith("photoevap: numerical error: ")
         code, _, err = run(capsys, "fit", str(path), "--starts", "2")
         assert code == 0, err
 
@@ -328,6 +358,22 @@ class TestFitUnits:
         payload = json.loads(out)
         assert math.isfinite(payload["chi2"]) and 0.0 < payload["norms"]["b"] < 1e-150
 
+    def test_sample_in_another_unit_fits_to_the_same_chi2(self, capsys, tmp_path):
+        # the sample with its yield and err columns scaled by 1e-25
+        header, *rows = SAMPLE_ANGULAR.read_text().splitlines()
+        assert header == "bin_label,theta_deg,yield,err"
+        scaled = []
+        for row in rows:
+            label, theta, value, err = row.split(",")
+            scaled.append(f"{label},{theta},{float(value) * 1e-25!r},{float(err) * 1e-25!r}")
+        path = tmp_path / "scaled.csv"
+        path.write_text("\n".join([header, *scaled]) + "\n")
+        unit, _ = run_json(capsys, "fit", str(SAMPLE_ANGULAR))
+        code, out, err = run_warning_free(capsys, "fit", str(path))
+        assert (code, err) == (0, "")
+        chi2 = json.loads(out, parse_constant=_reject_constant)["chi2"]
+        assert chi2 == pytest.approx(unit["chi2"], rel=1e-12)
+
     def test_extreme_units_exit_cleanly(self, capsys, tmp_path):
         # each bin's yields and errors in their own units from 1e-300 to 1e300; a
         # numpy warning fails the suite, so no fit may raise one on the way
@@ -351,16 +397,20 @@ class TestFitUnits:
 
 
 class TestBadInputExitsCleanly:
-    """Bad values give a typed error: no traceback, no NaN in the output."""
+    """Bad values give a typed error: one `photoevap:` line, no traceback, no warning, no output."""
 
-    @staticmethod
-    def assert_clean(code, out, err, expected_code):
-        assert code == expected_code, err
-        assert "Traceback" not in err
-        assert "NaN" not in out
-
-    @pytest.mark.parametrize("column, value", [("yield", "nan"), ("theta_deg", "nan"), ("err", "inf")])
-    def test_non_finite_angular_value_is_data_error(self, capsys, tmp_path, column, value):
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("yield", "nan", "bin {label!r}"),
+            ("theta_deg", "nan", "bin {label!r}"),
+            ("err", "inf", "bin {label!r}"),
+            # with an err column, every row needs a number there
+            ("err", "", "bad row on line 3"),
+        ],
+        ids=["yield-nan", "theta_deg-nan", "err-inf", "err-blank"],
+    )
+    def test_non_finite_angular_value_is_data_error(self, capsys, tmp_path, column, value, message):
         lines = SAMPLE_ANGULAR.read_text().splitlines()
         header = lines[0].split(",")
         row = lines[2].split(",")
@@ -368,16 +418,14 @@ class TestBadInputExitsCleanly:
         lines[2] = ",".join(row)
         path = tmp_path / "angular.csv"
         path.write_text("\n".join(lines) + "\n")
-        code, out, err = run(capsys, "fit", str(path), "--starts", "2")
-        self.assert_clean(code, out, err, 2)
-        assert f"bin {row[0]!r}" in err
+        message = message.format(label=row[0])
+        err = run_error(capsys, 2, message, "fit", str(path), "--starts", "2")
+        assert err.startswith(f"photoevap: data error: {path}: {message}")
 
     def test_non_finite_count_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "spectrum.csv"
         path.write_text("eps_mev,counts\n3.0,120.0\n4.0,nan\n5.0,40.0\n6.0,20.0\n")
-        code, out, err = run(capsys, "spectrum", str(path), "-A", "208", "-Z", "82")
-        self.assert_clean(code, out, err, 2)
-        assert "line 3" in err
+        run_error(capsys, 2, "line 3", "spectrum", str(path), "-A", "208", "-Z", "82")
 
     # finite counts that overflow once divided by eps * sigma_inv(0.5 MeV) = 3.8e-36
     OVERFLOWING_SPECTRUM = "eps_mev,counts,err\n0.5,1e300,1e299\n3.0,120.0,5\n4.0,80.0,4\n5.0,40.0,3\n"
@@ -385,17 +433,14 @@ class TestBadInputExitsCleanly:
     def test_overflowing_scaled_count_is_numerical_error(self, capsys, tmp_path):
         path = tmp_path / "spectrum.csv"
         path.write_text(self.OVERFLOWING_SPECTRUM)
-        code, out, err = run(capsys, "spectrum", str(path), "-A", "208", "-Z", "82")
-        self.assert_clean(code, out, err, 3)
-        assert err.startswith("photoevap: numerical error: ") and err.count("\n") == 1
-        assert "eps = 0.5 MeV" in err
+        err = run_error(capsys, 3, "eps = 0.5 MeV", "spectrum", str(path), "-A", "208", "-Z", "82")
+        assert err.startswith("photoevap: numerical error: ")
 
     def test_nan_eps_max_is_checked_before_any_point(self, capsys, tmp_path):
         # NaN keeps no point in the window, so the unscalable one is never scaled
         path = tmp_path / "spectrum.csv"
         path.write_text(self.OVERFLOWING_SPECTRUM)
-        code, out, err = run(capsys, "spectrum", str(path), "-A", "208", "-Z", "82", "--eps-max", "nan")
-        self.assert_clean(code, out, err, 1)
+        err = run_error(capsys, 1, "eps_max", "spectrum", str(path), "-A", "208", "-Z", "82", "--eps-max", "nan")
         assert err == "photoevap: error: eps_max must be a number, got nan\n"
 
     @pytest.mark.parametrize(
@@ -406,26 +451,26 @@ class TestBadInputExitsCleanly:
         spectrum.write_text("eps_mev,counts\n3.0,120.0\n4.0,80.0\n5.0,40.0\n6.0,20.0\n")
         table = tmp_path / "table.csv"
         table.write_text(f"eps_mev,sigma_fm2\n0.5,100.0\n{table_row}\n10.0,100.0\n")
-        code, out, err = run(
-            capsys, "spectrum", str(spectrum), "-A", "208", "-Z", "82",
+        run_error(
+            capsys, 2, "finite", "spectrum", str(spectrum), "-A", "208", "-Z", "82",
             "--sigma-inv-table", str(table),
         )
-        self.assert_clean(code, out, err, 2)
-        assert "finite" in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["model", "-A", "1", "-B", "1", "-C", "1", "-r", "0", "--grid", "0:180:10000000000000"],
-            ["fit", str(SAMPLE_ANGULAR), "--starts", "10000000000000"],
+            (["model", "-A", "1", "-B", "1", "-C", "1", "-r", "0", "--grid", "0:180:10000000000000"], ""),
+            (["fit", str(SAMPLE_ANGULAR), "--starts", "10000000000000"], "n_starts"),
+            # an integer too large for an index, or for a float
+            (["model", "-A", "1", "-B", "1", "-C", "1", "-r", "0", "--grid", f"0:180:{2**63}"], "index-sized"),
+            (["exciton", "-A", str(10**400), "-E", "1"], "too large"),
         ],
-        ids=["grid", "starts"],
+        ids=["grid", "starts", "grid-2**63", "exciton-A-10**400"],
     )
-    def test_unallocatable_count_is_usage_error(self, capsys, argv):
+    def test_unallocatable_count_is_usage_error(self, capsys, argv, message):
         # 1e13 float64 or int64 entries (73 TiB) are refused at allocation, before any write
-        code, out, err = run(capsys, *argv)
-        self.assert_clean(code, out, err, 1)
-        assert err.startswith("photoevap: error: ") and err.count("\n") == 1
+        err = run_error(capsys, 1, message, *argv)
+        assert err.startswith("photoevap: error: ")
 
     def test_negative_l_with_table_is_usage_error(self, capsys, tmp_path):
         spectrum = tmp_path / "spectrum.csv"
@@ -434,12 +479,11 @@ class TestBadInputExitsCleanly:
         table.write_text("eps_mev,sigma_fm2\n0.5,100.0\n10.0,100.0\n")
         # also with a window that holds no point: l is checked before any point
         for window in ([], ["--eps-max", "0.1"]):
-            code, out, err = run(
-                capsys, "spectrum", str(spectrum), "-A", "208", "-Z", "82", "--l", "-3",
+            run_error(
+                capsys, 1, "l must be a non-negative integer",
+                "spectrum", str(spectrum), "-A", "208", "-Z", "82", "--l", "-3",
                 "--sigma-inv-table", str(table), *window,
             )
-            self.assert_clean(code, out, err, 1)
-            assert "l must be a non-negative integer" in err
 
     @pytest.mark.parametrize(
         "option, message",
@@ -462,9 +506,8 @@ class TestBadInputExitsCleanly:
         overflowing = tmp_path / "overflow.csv"
         overflowing.write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n")
         for data in (SAMPLE_ANGULAR, overflowing):
-            code, out, err = run(capsys, "fit", str(data), "--starts", "2", *option)
-            self.assert_clean(code, out, err, 1)
-            assert message in err and "max_nfev" not in err
+            err = run_error(capsys, 1, message, "fit", str(data), "--starts", "2", *option)
+            assert "max_nfev" not in err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -477,9 +520,7 @@ class TestBadInputExitsCleanly:
     def test_negative_exponent_value_joined_with_equals(self, capsys, argv, message):
         # Python 3.11's argparse reads a separate -1e-8 as an option; joined with =,
         # the value reaches the range check
-        code, out, err = run(capsys, *argv)
-        self.assert_clean(code, out, err, 1)
-        assert message in err
+        run_error(capsys, 1, message, *argv)
 
     @pytest.mark.parametrize(
         "argv",
@@ -500,11 +541,10 @@ class TestBadInputExitsCleanly:
         late.write_bytes(("eps_mev,counts\n" + "3.0,120.0\n" * 2000 + "4.0,80.0 \u00b5\n").encode("latin-1"))
         good = tmp_path / "spectrum.csv"
         good.write_text("eps_mev,counts\n3.0,120.0\n4.0,80.0\n5.0,40.0\n6.0,20.0\n")
-        code, out, err = run(capsys, *(token.format(bad=bad, late=late, good=good) for token in argv))
-        self.assert_clean(code, out, err, 2)
-        assert err.startswith("photoevap: data error: ") and err.count("\n") == 1
         # with two input files, the message says which one
-        assert str(late if "{late}" in argv else bad) in err
+        named = late if "{late}" in argv else bad
+        err = run_error(capsys, 2, str(named), *(token.format(bad=bad, late=late, good=good) for token in argv))
+        assert err.startswith("photoevap: data error: ")
 
     @pytest.mark.parametrize(
         "name, text, message",
@@ -512,14 +552,19 @@ class TestBadInputExitsCleanly:
             ("spectrum.csv", "eps_mev,counts\n3.0,120.0\n4.0\n5.0,40.0\n", "bad row on line 3"),
             ("spectrum.csv", "eps_mev,counts\n", "no data rows"),
             ("spectrum.csv", "eps_mev,counts\n3.0,120.0\n\n4.0\n5.0,40.0\n", "bad row on line 4"),
-            ("spectrum.csv", "eps_mev,counts\n3.0," + "9" * 200_000 + "\n", "field limit"),
-            ("table.csv", "eps_mev,sigma_fm2\n10.0,100.0\n0.5,100.0\n", "strictly increasing"),
-            ("table.csv", "eps_mev,sigma_fm2\n0.5,100.0\n5.0,nan\n10.0,100.0\n", "finite"),
+            ("spectrum.csv", "eps_mev,counts\n3.0," + "9" * 200_000 + "\n", "field larger than field limit"),
+            # with an err column, every row needs a number there
+            ("spectrum.csv", "eps_mev,counts,err\n3.0,120.0,5\n4.0,80.0,\n5.0,40.0,3\n", "bad row on line 3"),
+            ("table.csv", "eps_mev,sigma_fm2\n10.0,100.0\n0.5,100.0\n", "table energies must be strictly increasing"),
+            (
+                "table.csv", "eps_mev,sigma_fm2\n0.5,100.0\n5.0,nan\n10.0,100.0\n",
+                "table energies and cross sections must be finite",
+            ),
             ("table.csv", "eps_mev,sigma_fm2\n", "no data rows"),
-            ("table.csv", "eps_mev,sigma_fm2\n0.5,100.0\n", "at least two"),
+            ("table.csv", "eps_mev,sigma_fm2\n0.5,100.0\n", "table needs at least two"),
         ],
         ids=[
-            "short-row", "header-only", "blank-line", "oversized-field",
+            "short-row", "header-only", "blank-line", "oversized-field", "blank-err",
             "decreasing-table", "non-finite-table", "header-only-table", "one-row-table",
         ],
     )
@@ -528,29 +573,41 @@ class TestBadInputExitsCleanly:
         path.write_text(text)
         data = SAMPLE_SPECTRUM if name == "table.csv" else path
         table = ["--sigma-inv-table", str(path)] if name == "table.csv" else []
-        code, out, err = run(capsys, "spectrum", str(data), "-A", "208", "-Z", "82", *table)
-        self.assert_clean(code, out, err, 2)
+        err = run_error(capsys, 2, message, "spectrum", str(data), "-A", "208", "-Z", "82", *table)
         # the path tells the table from the spectrum it scales
-        assert err.startswith(f"photoevap: data error: {path}: ") and message in err
+        assert err.startswith(f"photoevap: data error: {path}: {message}")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["model", "-A", "1e200", "-B", "1", "-C", "1", "-r", "0"],
+            (["model", "-A", "1e200", "-B", "1", "-C", "1", "-r", "0"], "overflow"),
             # A^2 and C^2 are finite, their product is not
-            ["model", "-A", "1e150", "-B", "1", "-C", "1e150", "-r", "0"],
-            ["spectrum", "spectrum.csv", "-A", "208", "-Z", "82"],
+            (["model", "-A", "1e150", "-B", "1", "-C", "1e150", "-r", "0"], "overflow"),
+            (["spectrum", "spectrum.csv", "-A", "208", "-Z", "82"], "error too small to weight"),
+            # c_0 = 0: a spin cutoff this small weights every I' >= 1 to zero, and B = 0 with
+            # A C = 0 switches off both I' = 0 channels (E1 with l' = 1, E2 with l' = 2)
+            (
+                ["model", "-A", "0", "-B", "0", "-C", "0", "-r", "0", "--weighting", "spin-cutoff",
+                 "--spin-cutoff-sigma", "0.01"],
+                "non-positive isotropic",
+            ),
+            # beta = r gamma_cn rounds to 0, so the exact hbar / beta is past the float maximum
+            (["times", "-r", "5e-324", "--gcn", "0.1eV", "--gspr", "2MeV", "--D", "1e-16MeV"], "overflows"),
         ],
-        ids=["model-overflow", "model-product-overflow", "spectrum-tiny-error"],
+        ids=[
+            "model-overflow", "model-product-overflow", "spectrum-tiny-error", "model-zero-isotropic",
+            "times-zero-beta",
+        ],
     )
-    def test_numerical_error_prints_no_numpy_warning(self, tmp_path, argv):
+    def test_numerical_error_prints_no_numpy_warning(self, tmp_path, argv, message):
         # a fresh process, since pytest captures warnings that a user would see
         (tmp_path / "spectrum.csv").write_text(
             "eps_mev,counts,err\n3.0,120.0,1e-320\n4.0,80.0,1.0\n5.0,40.0,1.0\n"
         )
         proc = _run_console_script("photoevap.cli:main", tmp_path, *argv)
         assert proc.returncode == 3, proc.stderr
-        assert proc.stderr.startswith("photoevap: numerical error: ")
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("photoevap: numerical error: ") and message in proc.stderr
         assert proc.stderr.count("\n") == 1, proc.stderr
 
     @pytest.mark.parametrize(
@@ -561,8 +618,10 @@ class TestBadInputExitsCleanly:
             ("eps_mev,counts\n1,10\n2,40\n3,120\n", True, "scaled spectrum does not fall"),
             # one zero error beside positive ones cannot be weighted
             ("eps_mev,counts,err\n3.0,120.0,0\n4.0,80.0,1.0\n5.0,40.0,1.0\n", False, "error too small to weight"),
+            # a negative count scales to a value that has no logarithm to fit
+            ("eps_mev,counts,err\n3.0,120.0,5\n4.0,-80.0,4\n5.0,40.0,3\n", False, "non-positive scaled value"),
         ],
-        ids=["flat", "rising", "zero-error"],
+        ids=["flat", "rising", "zero-error", "negative-count"],
     )
     def test_spectrum_without_temperature_is_numerical_error(self, tmp_path, spectrum, table, message):
         # a fresh process, so that a warning would reach stderr
@@ -578,9 +637,7 @@ class TestBadInputExitsCleanly:
     def test_equal_energies_are_numerical_error(self, capsys, tmp_path):
         path = tmp_path / "spectrum.csv"
         path.write_text("eps_mev,counts\n5.0,120.0\n5.0,110.0\n5.0,130.0\n")
-        code, out, err = run(capsys, "spectrum", str(path), "-A", "208", "-Z", "82")
-        self.assert_clean(code, out, err, 3)
-        assert "no spread in energy" in err
+        run_error(capsys, 3, "no spread in energy", "spectrum", str(path), "-A", "208", "-Z", "82")
 
 
 class TestSpectrum:
@@ -653,16 +710,14 @@ class TestSpectrum:
     @pytest.mark.parametrize(
         "option, message",
         [
-            (["-Z", "300"], ""),
+            (["-Z", "300"], "need 1 <= Z < A"),
             (["-Z", "82", "--eps-max", "nan"], "eps_max"),
             (["-Z", "82", "--l=-3", "--eps-max", "0.1"], "l must be a non-negative integer"),
         ],
         ids=["bad-nucleus", "eps-max-nan", "negative-l-empty-window"],
     )
     def test_bad_option_is_usage_error(self, capsys, spectrum_csv, option, message):
-        code, _, err = run(capsys, "spectrum", str(spectrum_csv), "-A", "208", *option)
-        assert code == 1
-        assert message in err
+        run_error(capsys, 1, message, "spectrum", str(spectrum_csv), "-A", "208", *option)
 
 
 class TestExciton:
@@ -678,9 +733,8 @@ class TestExciton:
         assert code == 3
 
     def test_overflowing_exciton_number_is_numerical_error(self, capsys):
-        code, out, err = run(capsys, "exciton", "-A", "208", "-E", "1e308")
-        assert (code, out) == (3, "")
-        assert err.startswith("photoevap: numerical error: exciton number") and "overflows" in err
+        err = run_error(capsys, 3, "overflows", "exciton", "-A", "208", "-E", "1e308")
+        assert err.startswith("photoevap: numerical error: exciton number")
 
 
 class TestTimes:
@@ -728,12 +782,10 @@ class TestTimes:
 
     def test_overflowing_derived_value_is_numerical_error(self, capsys):
         # tau_phase / tau_thermalization = 1e300 / 1e-300 leaves the float range
-        code, out, err = run(
-            capsys, "times", "-r", "1e-300", "--gcn", "1eV", "--gspr", "1e300MeV", "--D", "1MeV"
+        err = run_error(
+            capsys, 3, "overflows", "times", "-r", "1e-300", "--gcn", "1eV", "--gspr", "1e300MeV", "--D", "1MeV"
         )
-        assert (code, out) == (3, "")
-        assert err.startswith("photoevap: numerical error:") and "overflows" in err
-        assert err.count("\n") == 1
+        assert err.startswith("photoevap: numerical error:")
 
     @pytest.mark.parametrize(
         "gcn, message",
@@ -741,12 +793,10 @@ class TestTimes:
         ids=["no-unit", "bad-number", "inf", "nan"],
     )
     def test_missing_unit_suffix_is_usage_error(self, capsys, gcn, message):
-        code, _, err = run(
-            capsys, "times", "-r", "0.11", "--gcn", gcn, "--gspr", "2MeV",
+        run_error(
+            capsys, 1, message, "times", "-r", "0.11", "--gcn", gcn, "--gspr", "2MeV",
             "--D", "1e-16MeV",
         )
-        assert code == 1
-        assert message in err
 
 
 class TestEnvelope:
@@ -766,7 +816,7 @@ class TestEnvelope:
     ):
         code, out, err = run(capsys, *argv)
         assert code == 0, err
-        payload = json.loads(out)
+        payload = json.loads(out, parse_constant=_reject_constant)
         assert list(payload)[:2] == ["schema_version", "command"]
         assert payload["schema_version"] == 1 and payload["command"] == argv[0]
         target = tmp_path / "out.json"
@@ -774,6 +824,17 @@ class TestEnvelope:
         assert code == 0, err
         assert to_stdout == ""
         assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [("{tmp}", "Is a directory"), ("{tmp}/absent/out.json", "No such file or directory")],
+        ids=["directory", "missing-directory"],
+    )
+    def test_unwritable_output_is_data_error(self, capsys, tmp_path, target, message):
+        # the result is computed, then cannot be written: the output file is an input error too
+        target = target.format(tmp=tmp_path)
+        err = run_error(capsys, 2, message, *TestModel.ARGS, "--output", target)
+        assert err.startswith("photoevap: data error: ") and repr(target) in err
 
     def test_non_finite_value_is_error_not_invalid_json(self, capsys, monkeypatch):
         monkeypatch.setattr(photoevap.cli, "_cmd_exciton", lambda args: {"x": math.inf})
@@ -807,16 +868,14 @@ class TestConfigFile:
         assert payload["params"]["B"] == 0.47
 
     def test_missing_config_file_is_data_error(self, capsys):
-        code, _, err = run(capsys, "model", "--config", "/nonexistent.cfg")
-        assert code == 2
+        err = run_error(capsys, 2, "data error", "model", "--config", "/nonexistent.cfg")
         assert err.startswith("photoevap: data error: cannot read config file /nonexistent.cfg")
 
     @pytest.mark.parametrize("line", ["A 0.082", "A =", "= 0.1"], ids=["no-equals", "no-value", "no-key"])
     def test_malformed_config_line_is_data_error(self, capsys, tmp_path, line):
         cfg = tmp_path / "model.cfg"
         cfg.write_text(line + "\n")
-        code, _, err = run(capsys, "model", "--config", str(cfg))
-        assert code == 2
+        err = run_error(capsys, 2, "expected key = value", "model", "--config", str(cfg))
         assert err == f"photoevap: data error: {cfg}:1: expected key = value\n"
 
     def test_config_equals_form(self, capsys, tmp_path):
@@ -899,12 +958,17 @@ class TestConfigFile:
     def test_config_before_the_subcommand(self, capsys, tmp_path):
         cfg = tmp_path / "spectrum.cfg"
         cfg.write_text("mass_number = 208\ncharge = 82\nl = 2\n")
-        code, from_config, err = run(capsys, "--config", str(cfg), "spectrum", str(SAMPLE_SPECTRUM))
-        assert code == 0, err
         flags = ["-A", "208", "-Z", "82", "--l", "2"]
         code, from_flags, err = run(capsys, "spectrum", str(SAMPLE_SPECTRUM), *flags)
         assert code == 0, err
-        assert from_config == from_flags
+        # and after it, as README's example puts it
+        for argv in (
+            ["--config", str(cfg), "spectrum", str(SAMPLE_SPECTRUM)],
+            ["spectrum", str(SAMPLE_SPECTRUM), "--config", str(cfg)],
+        ):
+            code, from_config, err = run(capsys, *argv)
+            assert code == 0, err
+            assert from_config == from_flags
         assert json.loads(from_config)["partial_wave_l"] == 2
 
     @pytest.mark.parametrize(
@@ -944,8 +1008,13 @@ class TestConfigFile:
             ),
             (["exciton"], ["--mass-number", "208", "-E", "6.3"]),
             (["times"], ["-r", "0.11", "--gcn", "0.1eV", "--gspr", "2MeV", "--D", "1e-16MeV"]),
+            (
+                ["fit", str(SAMPLE_ANGULAR)],
+                ["--mode", "per-bin", "--seed", "1", "--weighting", "spin-cutoff",
+                 "--spin-cutoff-sigma", "1.3", "--max-iter", "400"],
+            ),
         ],
-        ids=["model", "fit", "spectrum", "exciton", "times"],
+        ids=["model", "fit", "spectrum", "exciton", "times", "fit-spin-cutoff"],
     )
     def test_every_option_can_come_from_the_config(self, capsys, tmp_path, positional, options):
         # each flag as its key: -A -> A, --l -> l, --mass-number -> mass_number
@@ -1020,6 +1089,8 @@ class TestReadmeExamples:
         assert code == 0, err
         if value is not None:
             assert out == value + "\n"
+        elif "csv" not in argv:
+            json.loads(out, parse_constant=_reject_constant)
 
 
 def _declared_console_script(name):
@@ -1100,15 +1171,20 @@ class TestTopLevel:
         spectrum = [str(SAMPLE_SPECTRUM), "-A", "208", "-Z", "82"]
         commands = [
             list(CG_ONE_ARGS),
+            ["coeff", "cg", "0.5", "0.5", "0.5", "--", "-0.5", "1", "0"],
+            ["coeff", "z", "0", "0.5", "2", "1.5", "0.5", "2"],
             ["coeff", "w6j", "1", "2", "3", "2", "1", "2"],
             ["coeff", "racah", "1", "2", "3", "2", "1", "2"],
             list(TestModel.ARGS),
             [*TestModel.ARGS, "--format", "csv", "--grid", "0:180:19"],
+            [*TestModel.ARGS, "--weighting", "2I+1"],
             [*TestModel.ARGS, "--weighting", "spin-cutoff", "--spin-cutoff-sigma", "0.7"],
+            ["model", "-A", "0.3", "-B", "1.2", "-C", "0.05", "-r", "2", "--weighting", "spin-cutoff",
+             "--spin-cutoff-sigma", "0.7"],
             ["exciton", "-A", "208", "-E", "6.3"],
             ["times", "-r", "0.11", "--gcn", "0.1eV", "--gspr", "2MeV", "--D", "1e-16MeV"],
-            ["spectrum", *spectrum, "--l", "0"],
-            ["spectrum", *spectrum, "--l", "2"],
+            ["spectrum", *spectrum],
+            *(["spectrum", *spectrum, "--l", str(l)] for l in range(5)),
             ["spectrum", *spectrum, "--sigma-inv-table", str(table)],
             ["spectrum", str(SAMPLE_SPECTRUM), "--config", str(config), "--l", "2"],
         ]
