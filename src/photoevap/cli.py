@@ -383,8 +383,11 @@ def main(argv=None) -> int:
         if (output := getattr(args, "output", None)) in (None, "-"):
             sys.stdout.write(result)
         else:
-            with open(output, "w") as handle:
-                handle.write(result)
+            try:
+                with open(output, "w") as handle:
+                    handle.write(result)
+            except OSError as exc:
+                raise DataFormatError(f"cannot write output {output}: {exc}") from exc
     except SystemExit as exc:  # argparse: status 2 after a usage error, 0 after --help
         return 1 if exc.code == 2 else int(exc.code or 0)
     except (DataFormatError, OSError) as exc:
@@ -394,7 +397,7 @@ def main(argv=None) -> int:
         print(f"photoevap: numerical error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OverflowError, MemoryError) as exc:  # e.g. a count too large to allocate
-        print(f"photoevap: error: {exc or type(exc).__name__}", file=sys.stderr)
+        print(f"photoevap: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -31,7 +31,10 @@ configuration behind a bounded memo.
 
 The module is pure Python, with no numpy: one model point is a few dozen
 multiply-adds, which numpy's per-call overhead would cost more than it
-saves.  M is a tuple of row tuples, the coefficients a tuple of floats.
+saves.  M is a tuple of row tuples, the coefficients a tuple of floats,
+which ``LegendreSeries.evaluate`` expands once per call to the power form
+sigma = E(y) + x O(y), x = cos(theta), y = x^2 (even orders in E, odd in O):
+one Horner pass per angle, within 32 eps sum |c_L| of the exact sum.
 """
 
 from __future__ import annotations
@@ -269,24 +272,27 @@ class LegendreSeries(Record):
         """Series value at polar angle theta (radians).
 
         A number gives a float and an iterable of angles a list.  An angle
-        outside [0, pi], NaN included, raises ``ValueError``.
+        outside [0, pi], NaN included, raises ``ValueError``.  One Horner pass
+        in y = x^2 per angle, E(y) + x O(y), is within 32 eps sum |c_L|.
         """
+        if getattr(theta, "ndim", None) == 1 and theta.dtype == float:  # float64 elements are floats
+            theta = theta.tolist()
         try:
             angles = iter(theta)
         except TypeError:
             return self.evaluate((theta,))[0]
         c0, c1, c2, c3, c4 = self.coefficients
+        # P_2 = (3y - 1)/2, P_3 = (5y - 3)x/2, P_4 = ((35y - 30)y + 3)/8
+        e0, e2, e4 = c0 - 0.5 * c2 + 0.375 * c4, 1.5 * c2 - 3.75 * c4, 4.375 * c4
+        o1, o3 = c1 - 1.5 * c3, 2.5 * c3
+        cos, pi = math.cos, math.pi
         values = []
         for t in angles:
-            if not 0.0 <= t <= math.pi:
+            if not 0.0 <= t <= pi:
                 raise ValueError("theta must lie in [0, pi]")
-            x = math.cos(t)
-            x2 = x * x
-            # P_2 = (3x^2 - 1)/2, P_3 = (5x^2 - 3)x/2, P_4 = ((35x^2 - 30)x^2 + 3)/8
-            values.append(
-                c0 + c1 * x + c2 * (1.5 * x2 - 0.5) + c3 * ((2.5 * x2 - 1.5) * x)
-                + c4 * ((4.375 * x2 - 3.75) * x2 + 0.375)
-            )
+            x = cos(t)
+            y = x * x
+            values.append(e0 + y * (e2 + y * e4) + x * (o1 + y * o3))
         return values
 
 

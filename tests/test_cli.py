@@ -459,7 +459,7 @@ class TestBadInputExitsCleanly:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["model", "-A", "1", "-B", "1", "-C", "1", "-r", "0", "--grid", "0:180:10000000000000"], ""),
+            (["model", "-A", "1", "-B", "1", "-C", "1", "-r", "0", "--grid", "0:180:10000000000000"], "MemoryError"),
             (["fit", str(SAMPLE_ANGULAR), "--starts", "10000000000000"], "n_starts"),
             # an integer too large for an index, or for a float
             (["model", "-A", "1", "-B", "1", "-C", "1", "-r", "0", "--grid", f"0:180:{2**63}"], "index-sized"),
@@ -834,7 +834,7 @@ class TestEnvelope:
         # the result is computed, then cannot be written: the output file is an input error too
         target = target.format(tmp=tmp_path)
         err = run_error(capsys, 2, message, *TestModel.ARGS, "--output", target)
-        assert err.startswith("photoevap: data error: ") and repr(target) in err
+        assert err.startswith(f"photoevap: data error: cannot write output {target}: ") and repr(target) in err
 
     def test_non_finite_value_is_error_not_invalid_json(self, capsys, monkeypatch):
         monkeypatch.setattr(photoevap.cli, "_cmd_exciton", lambda args: {"x": math.inf})

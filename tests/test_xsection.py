@@ -308,6 +308,84 @@ class TestSeriesEvaluation:
         with pytest.raises(ValueError):
             series.evaluate(np.array([0.1, math.nan, 0.2]))
 
+    # a coefficient m * 10^k, so one series mixes magnitudes over twelve decades; m is
+    # rounded to 6 places so that no coefficient is subnormal
+    @given(
+        st.lists(
+            st.builds(lambda m, k: m * 10.0**k, st.floats(-1.0, 1.0).map(lambda m: round(m, 6)), st.integers(-6, 6)),
+            min_size=5, max_size=5,
+        ),
+        st.floats(0.0, math.pi),
+    )
+    def test_within_32_eps_of_the_legendre_sum(self, coefficients, theta):
+        exact = np.polynomial.legendre.legval(math.cos(theta), coefficients)
+        bound = 32 * np.finfo(float).eps * sum(map(abs, coefficients))
+        assert abs(LegendreSeries(tuple(coefficients)).evaluate(theta) - exact) <= bound
+
+    def test_unit_series_are_the_written_out_polynomials(self):
+        # fitkit's compressed design is built from these five series
+        theta = np.linspace(0.0, math.pi, 721)
+        x = [math.cos(t) for t in theta.tolist()]
+        closed_forms = [
+            [1.0] * len(x),
+            x,
+            [1.5 * (u * u) - 0.5 for u in x],
+            [(2.5 * (u * u) - 1.5) * u for u in x],
+            [(4.375 * (u * u) - 3.75) * (u * u) + 0.375 for u in x],
+        ]
+        for order, expected in enumerate(closed_forms):
+            unit = LegendreSeries(tuple(float(L == order) for L in range(5)))
+            assert unit.evaluate(theta) == expected
+
+    ANGLES = (0.0, 0.25, 1.0, 2.0, 3.0)
+    LIST_FORMS = {
+        "float64-array": np.array,
+        "list": list,
+        "tuple": tuple,
+        "generator": lambda angles: (t for t in angles),
+        "map": lambda angles: map(float, angles),
+    }
+    SCALAR_FORMS = {"0-d-array": np.array, "numpy-scalar": np.float64, "float": float}
+
+    @pytest.mark.parametrize("form", LIST_FORMS.values(), ids=LIST_FORMS)
+    def test_iterable_forms_give_one_list(self, form):
+        series = legendre_coefficients(BASE)
+        values = series.evaluate(form(self.ANGLES))
+        assert type(values) is list and all(type(v) is float for v in values)
+        assert values == [series.evaluate(t) for t in self.ANGLES]
+
+    @pytest.mark.parametrize("form", SCALAR_FORMS.values(), ids=SCALAR_FORMS)
+    def test_scalar_forms_give_one_float(self, form):
+        series = legendre_coefficients(BASE)
+        value = series.evaluate(form(1.0))
+        assert type(value) is float and value == series.evaluate([1.0])[0]
+
+    def test_float32_array_reads_its_elements(self):
+        series = legendre_coefficients(BASE)
+        # float32(pi) exceeds pi but compares in float32, so it stays in range as before
+        theta = np.linspace(0.0, math.pi, 7, dtype=np.float32)
+        values = series.evaluate(theta)
+        assert type(values) is list and all(type(v) is float for v in values)
+        assert values == [series.evaluate(t) for t in theta]
+        assert values[:-1] == series.evaluate(theta[:-1].tolist())
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.01, math.pi + 0.01])
+    @pytest.mark.parametrize(
+        "form", [*LIST_FORMS.values(), lambda angles: np.array(angles, dtype=np.float32)],
+        ids=[*LIST_FORMS, "float32-array"],
+    )
+    def test_bad_angle_raises_in_every_form(self, form, bad):
+        series = legendre_coefficients(BASE)
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
+            series.evaluate(form((*self.ANGLES, bad)))
+        for scalar in self.SCALAR_FORMS.values():
+            with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
+                series.evaluate(scalar(bad))
+
+    def test_two_dimensional_array_raises(self):
+        with pytest.raises(ValueError):
+            legendre_coefficients(BASE).evaluate(np.array([[0.1, 0.2], [0.3, 0.4]]))
+
 
 PROJECTION_CASES = [
     BASE,
