@@ -238,13 +238,13 @@ def _add_weighting_options(parser) -> None:
         "--weighting",
         choices=("equal", "2I+1", "spin-cutoff"),
         default="equal",
-        help="residual-spin weighting mode (default: equal)",
+        help="residual-spin weighting mode (default: %(default)s)",
     )
     parser.add_argument(
         "--spin-cutoff-sigma",
         type=float,
         default=2.0,
-        help="sigma of the spin-cutoff weighting (default: 2.0)",
+        help="sigma of the spin-cutoff weighting (default: %(default)s)",
     )
 
 
@@ -287,17 +287,34 @@ def _build_parser() -> tuple[ArgumentParser, ArgumentParser, dict[str, ArgumentP
     model.add_argument("-C", type=float, required=True, help="l'=2 over l'=0 transmission ratio")
     model.add_argument("-r", type=float, required=True, help="dephasing over decay width")
     _add_weighting_options(model)
-    model.add_argument("--grid", default="0:180:37", help="theta grid start:stop:count in degrees")
-    model.add_argument("--format", choices=("json", "csv"), default="json")
+    model.add_argument(
+        "--grid",
+        default="0:180:37",
+        help="theta grid start:stop:count in degrees (default: %(default)s)",
+    )
+    model.add_argument(
+        "--format", choices=("json", "csv"), default="json", help="output format (default: %(default)s)"
+    )
     model.set_defaults(func=_cmd_model)
 
     fit = sub.add_parser("fit", **runs, help="fit shape parameters to angular data")
     fit.add_argument("data", help="CSV with columns bin_label, theta_deg, yield[, err]")
-    fit.add_argument("--mode", choices=("joint", "per-bin"), default="joint")
-    fit.add_argument("--starts", type=int, default=32, help="number of multi-start points")
+    fit.add_argument(
+        "--mode",
+        choices=("joint", "per-bin"),
+        default="joint",
+        help="fit the bins together or one at a time (default: %(default)s)",
+    )
+    fit.add_argument(
+        "--starts", type=int, default=32, help="number of multi-start points (default: %(default)s)"
+    )
     fit.add_argument("--seed", type=int, default=None, help="shifts the start lattice")
-    fit.add_argument("--tol", type=float, default=1e-12)
-    fit.add_argument("--max-iter", type=int, default=400)
+    fit.add_argument(
+        "--tol", type=float, default=1e-12, help="solver stopping tolerance (default: %(default)s)"
+    )
+    fit.add_argument(
+        "--max-iter", type=int, default=400, help="iterations per start (default: %(default)s)"
+    )
     _add_weighting_options(fit)
     fit.set_defaults(func=_cmd_fit)
 
@@ -305,8 +322,12 @@ def _build_parser() -> tuple[ArgumentParser, ArgumentParser, dict[str, ArgumentP
     spectrum.add_argument("data", help="CSV with columns eps_mev, counts[, err]")
     spectrum.add_argument("-A", "--mass-number", type=int, required=True)
     spectrum.add_argument("-Z", "--charge", type=int, required=True)
-    spectrum.add_argument("--l", type=int, default=0, help="partial wave of sigma_inv (default 0)")
-    spectrum.add_argument("--eps-max", type=float, default=8.0, help="fit window upper edge [MeV]")
+    spectrum.add_argument(
+        "--l", type=int, default=0, help="partial wave of sigma_inv (default: %(default)s)"
+    )
+    spectrum.add_argument(
+        "--eps-max", type=float, default=8.0, help="fit window upper edge [MeV] (default: %(default)s)"
+    )
     spectrum.add_argument(
         "--sigma-inv-table",
         default=None,

@@ -29,10 +29,11 @@ of it, so the real 5 x 10 matrix is M = sum_I' w(I') G[I'], where G[I']
 groups the terms of spin I' by row of P; G is built once and M once per
 configuration behind a bounded memo.
 
-The module is pure Python, with no numpy: one model point is a few dozen
-multiply-adds, which numpy's per-call overhead would cost more than it
-saves.  M is a tuple of row tuples, the coefficients a tuple of floats,
-which ``LegendreSeries.evaluate`` expands once per call to the power form
+The module is pure Python: numpy's per-call overhead would cost more than
+the few dozen multiply-adds of one model point, and none runs in a numpy
+dtype: ``ShapeParams`` stores floats, ``LegendreSeries.evaluate`` reads a
+numpy array or scalar as its ``tolist()``.  M is a tuple of row tuples, the
+coefficients a tuple of floats, which ``evaluate`` expands once per call to
 sigma = E(y) + x O(y), x = cos(theta), y = x^2 (even orders in E, odd in O):
 one Horner pass per angle, within 32 eps sum |c_L| of the exact sum.
 """
@@ -82,10 +83,10 @@ class ShapeParams(Record):
     r: float
 
     def __init__(self, A, B, C, r) -> None:
-        self.__dict__.update(A=A, B=B, C=C, r=r)
-        for name, value in self.__dict__.items():
+        for name, value in dict(A=A, B=B, C=C, r=r).items():
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        self.__dict__.update(A=float(A), B=float(B), C=float(C), r=float(r))  # an int or numpy value as its double
 
 
 class ChannelConfig(Record):
@@ -271,11 +272,11 @@ class LegendreSeries(Record):
     def evaluate(self, theta):
         """Series value at polar angle theta (radians).
 
-        A number gives a float and an iterable of angles a list.  An angle
-        outside [0, pi], NaN included, raises ``ValueError``.  One Horner pass
-        in y = x^2 per angle, E(y) + x O(y), is within 32 eps sum |c_L|.
+        A number gives a float and an iterable a list; a numpy array or scalar
+        is read as its ``tolist()``.  An angle outside [0, pi], NaN included,
+        raises ``ValueError``.  One Horner pass per angle: within 32 eps sum |c_L|.
         """
-        if getattr(theta, "ndim", None) == 1 and theta.dtype == float:  # float64 elements are floats
+        if hasattr(theta, "tolist"):
             theta = theta.tolist()
         try:
             angles = iter(theta)

@@ -7,12 +7,14 @@ import json
 import math
 import os
 import pkgutil
+import re
 import shlex
 import shutil
 import subprocess
 import sys
 import tempfile
 import warnings
+from argparse import SUPPRESS
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import photoevap
-from photoevap.cli import main
+from photoevap.cli import _build_parser, main
 from photoevap.fitkit import fit_angular, read_angular_csv, synth_dataset
 from photoevap.xsection import ShapeParams
 
@@ -1129,6 +1131,18 @@ class TestTopLevel:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert run(capsys, "transmogrify")[0] == 1
+
+    @pytest.mark.parametrize("command", ["coeff", "model", "fit", "spectrum", "exciton", "times"])
+    def test_help_states_every_default(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        # each option's entry, whitespace collapsed, by its first flag
+        entries = re.split(r"\n  (?=-)", out.split("\noptions:\n", 1)[1])
+        by_flag = {entry.split()[0].rstrip(","): " ".join(entry.split()) for entry in entries}
+        parser = _build_parser()[2][command]
+        for action in parser._actions:
+            if action.option_strings and action.default not in (None, SUPPRESS):
+                assert f"(default: {action.default})" in by_flag[action.option_strings[0]], action
 
     def test_console_script_is_installed(self, tmp_path):
         target = _declared_console_script("photoevap")

@@ -9,6 +9,7 @@ against adaptive quadrature.
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,19 @@ def params_with(r, A=BASE.A, B=BASE.B, C=BASE.C):
     return ShapeParams(A=A, B=B, C=C, r=r)
 
 
+def _bits(values):
+    """The exact bits of a sequence of Python floats."""
+    return [float.hex(v) for v in values]
+
+
+def _outcome(function, argument):
+    """The bits of ``function(argument)``, or the type and text of what it raises."""
+    try:
+        return _bits(function(argument))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestShapeParams:
     def test_holds_values(self):
         p = ShapeParams(A=1.0, B=2.0, C=3.0, r=0.5)
@@ -74,6 +88,37 @@ class TestShapeParams:
 
     def test_zero_is_allowed(self):
         ShapeParams(A=0.0, B=0.0, C=0.0, r=0.0)
+
+    NUMBER_VALUES = {
+        "float32": [np.float32(v) for v in vars(BASE).values()],
+        "float64": [np.float64(v) for v in vars(BASE).values()],
+        "int": [1, 2, 3, 0],
+    }
+
+    @pytest.mark.parametrize("values", NUMBER_VALUES.values(), ids=NUMBER_VALUES)
+    def test_stores_floats(self, values):
+        params = ShapeParams(*values)
+        assert params == ShapeParams(*map(float, values))
+        assert all(type(value) is float for value in vars(params).values())
+
+    @pytest.mark.parametrize("values", NUMBER_VALUES.values(), ids=NUMBER_VALUES)
+    def test_coefficients_are_those_of_the_float_values(self, values):
+        def numbers(params):
+            series = legendre_coefficients(params)
+            return (*raw_coefficients(params), *series.coefficients, series.scale)
+
+        got = numbers(ShapeParams(*values))
+        assert all(type(c) is float for c in got)
+        assert _bits(got) == _bits(numbers(ShapeParams(*map(float, values))))
+
+    def test_overflowing_int_is_degenerate(self):
+        # 10**200 is a finite double whose square overflows, as 1e200's does
+        with pytest.raises(DegenerateModelError, match="overflow"):
+            legendre_coefficients(ShapeParams(10**200, 1, 1, 0))
+
+    def test_non_number_raises_type_error(self):
+        with pytest.raises(TypeError):
+            ShapeParams("0.1", 1, 1, 0)
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -362,12 +407,14 @@ class TestSeriesEvaluation:
 
     def test_float32_array_reads_its_elements(self):
         series = legendre_coefficients(BASE)
-        # float32(pi) exceeds pi but compares in float32, so it stays in range as before
-        theta = np.linspace(0.0, math.pi, 7, dtype=np.float32)
+        theta = np.linspace(0.0, 3.0, 7, dtype=np.float32)
         values = series.evaluate(theta)
         assert type(values) is list and all(type(v) is float for v in values)
-        assert values == [series.evaluate(t) for t in theta]
-        assert values[:-1] == series.evaluate(theta[:-1].tolist())
+        assert _bits(values) == _bits(series.evaluate(theta.tolist()))
+        # float32(pi) exceeds pi as a double, so it is out of range in every form
+        for form in (np.float32, lambda t: np.array([0.0, t], dtype=np.float32)):
+            with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
+                series.evaluate(form(math.pi))
 
     @pytest.mark.parametrize("bad", [math.nan, -0.01, math.pi + 0.01])
     @pytest.mark.parametrize(
@@ -383,8 +430,33 @@ class TestSeriesEvaluation:
                 series.evaluate(scalar(bad))
 
     def test_two_dimensional_array_raises(self):
-        with pytest.raises(ValueError):
-            legendre_coefficients(BASE).evaluate(np.array([[0.1, 0.2], [0.3, 0.4]]))
+        # an array of rows raises as the list of lists it holds
+        series = legendre_coefficients(BASE)
+        for shape in [(3, 1), (1, 3), (3, 2)]:
+            theta = np.linspace(0.1, 3.0, math.prod(shape)).reshape(shape)
+            with pytest.raises(TypeError) as as_lists:
+                series.evaluate(theta.tolist())
+            with pytest.raises(TypeError, match=f"^{re.escape(str(as_lists.value))}$"):
+                series.evaluate(theta)
+
+    @given(
+        st.one_of(
+            st.tuples(
+                st.sampled_from([np.float16, np.float32, np.float64]),
+                st.lists(
+                    st.sampled_from([0.0, math.pi, float(np.float32(math.pi)), math.nan])
+                    | st.floats(-1.0, 4.0),
+                    max_size=6,
+                ),
+            ),
+            st.tuples(st.just(np.int64), st.lists(st.integers(-2, 5), max_size=6)),
+        )
+    )
+    def test_one_dimensional_array_reads_as_its_tolist(self, case):
+        dtype, angles = case
+        theta = np.array(angles, dtype=dtype)
+        series = legendre_coefficients(BASE)
+        assert _outcome(series.evaluate, theta) == _outcome(series.evaluate, theta.tolist())
 
 
 PROJECTION_CASES = [
