@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from ._csvfile import read_csv
-from ._record import Record
+from ._record import Record, all_finite
 from .errors import DegenerateModelError, UnderdeterminedError
 from .xsection import (
     ChannelConfig,
@@ -225,7 +225,7 @@ class _FitProblem:
             targets = [ds.yields / ds.errors for ds in datasets]
         if not math.hypot(*np.concatenate(targets)) <= _SQRT_FLOAT_MAX:
             raise DegenerateModelError("chi-square overflows: yields too large for their errors")
-        basis = [LegendreSeries(tuple(row)) for row in np.eye(5).tolist()]
+        basis = [LegendreSeries(row) for row in np.eye(5).tolist()]
         factors = [
             np.linalg.qr((np.array([p.evaluate(np.deg2rad(ds.theta_deg)) for p in basis]) * (s / ds.errors)).T)
             for ds, s in zip(datasets, self.scales)
@@ -473,7 +473,7 @@ def fit_angular(
         raise ValueError("no datasets to fit")
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
-    if not (math.isfinite(tol) and tol >= _MACHINE_EPS):
+    if not (all_finite(tol) and tol >= _MACHINE_EPS):
         raise ValueError(f"tol must be finite and >= machine epsilon {_MACHINE_EPS!r}, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -529,7 +529,7 @@ def synth_dataset(
     from ``numpy.random.default_rng(seed)`` (PCG64), so a fixed seed is
     reproducible across platforms.
     """
-    if noise_frac < 0 or not math.isfinite(noise_frac):
+    if noise_frac < 0 or not all_finite(noise_frac):
         raise ValueError(f"noise_frac must be >= 0, got {noise_frac!r}")
     thetas = np.asarray(thetas_deg, dtype=float)
     series: LegendreSeries = legendre_coefficients(params, config)

@@ -23,10 +23,10 @@ from __future__ import annotations
 import bisect
 import math
 from numbers import Integral
-from operator import mul
+from operator import index, mul
 
 from ._csvfile import read_csv
-from ._record import Record
+from ._record import Record, all_finite
 from .errors import DataFormatError, DegenerateModelError, InvalidPointError, UnderdeterminedError
 
 __all__ = [
@@ -53,32 +53,32 @@ R0_FM = 1.5                   # nuclear radius parameter, R = R0 * A**(1/3) [fm]
 
 
 class NucleusSpec(Record):
-    """Residual (capturing) nucleus: mass number and charge."""
+    """Residual (capturing) nucleus: mass number and charge, each stored as an int."""
 
     mass_number: int
     charge: int
 
     def __init__(self, mass_number, charge) -> None:
-        self.__dict__.update(mass_number=mass_number, charge=charge)
+        self.__dict__.update(mass_number=index(mass_number), charge=index(charge))  # 208.5 raises TypeError
         if self.mass_number < 2 or self.charge < 1 or self.charge >= self.mass_number:
             raise ValueError(f"need 1 <= Z < A, got A={self.mass_number}, Z={self.charge}")
 
 
 class SpectrumPoint(Record):
-    """One spectrum sample: proton energy [MeV], counts, absolute error."""
+    """One spectrum sample: proton energy [MeV], counts, absolute error, each stored as a float."""
 
     eps: float
     counts: float
     err: float
 
     def __init__(self, eps, counts, err=0.0) -> None:
-        self.__dict__.update(eps=eps, counts=counts, err=err)
-        if not (self.eps > 0 and math.isfinite(self.eps)):
-            raise ValueError(f"eps must be positive, got {self.eps!r}")
-        if not math.isfinite(self.counts):
-            raise ValueError(f"counts must be finite, got {self.counts!r}")
-        if not (self.err >= 0 and math.isfinite(self.err)):
-            raise ValueError(f"err must be finite and >= 0, got {self.err!r}")
+        if not (eps > 0 and all_finite(eps, counts, err) and err >= 0):  # one call on the common path
+            if not (eps > 0 and all_finite(eps)):
+                raise ValueError(f"eps must be positive, got {eps!r}")
+            if not all_finite(counts):
+                raise ValueError(f"counts must be finite, got {counts!r}")
+            raise ValueError(f"err must be finite and >= 0, got {err!r}")
+        self.__dict__.update(eps=float(eps), counts=float(counts), err=float(err))
 
 
 def _check_partial_wave(l) -> None:
@@ -117,7 +117,7 @@ def inverse_capture_xsec(nucleus: NucleusSpec, l: int, eps: float) -> float:
     lower it by that much.
     """
     _check_partial_wave(l)
-    if not (eps > 0 and math.isfinite(eps)):
+    if not (eps > 0 and all_finite(eps)):
         raise ValueError(f"eps must be positive, got {eps!r}")
     return _barrier(nucleus, l)(eps)
 
@@ -162,17 +162,18 @@ def _barrier(nucleus: NucleusSpec, l: int):
 
 
 class SigmaInvTable(Record):
-    """Piecewise-linear (eps [MeV], sigma_inv [fm^2]) lookup table."""
+    """Piecewise-linear (eps [MeV], sigma_inv [fm^2]) lookup table, two tuples of floats."""
 
     eps: tuple[float, ...]
     sigma: tuple[float, ...]
 
     def __init__(self, eps, sigma) -> None:
-        self.__dict__.update(eps=eps, sigma=sigma)
-        if len(self.eps) != len(self.sigma) or len(self.eps) < 2:
+        if len(eps) != len(sigma) or len(eps) < 2:
             raise DataFormatError("table needs at least two (eps, sigma) rows")
-        if not all(math.isfinite(v) for v in (*self.eps, *self.sigma)):
+        if not all_finite(*eps, *sigma):
             raise DataFormatError("table energies and cross sections must be finite")
+        # copies as doubles, whose order and sign are what the last two checks see
+        self.__dict__.update(eps=tuple(map(float, eps)), sigma=tuple(map(float, sigma)))
         if any(b <= a for a, b in zip(self.eps, self.eps[1:])):
             raise DataFormatError("table energies must be strictly increasing")
         if any(s < 0 for s in self.sigma):
@@ -193,7 +194,7 @@ class SigmaInvTable(Record):
             )
         j = bisect.bisect_right(self.eps, eps) - 1
         if self.eps[j] == eps:
-            return float(self.sigma[j])
+            return self.sigma[j]
         slope = (self.sigma[j + 1] - self.sigma[j]) / (self.eps[j + 1] - self.eps[j])
         return float(slope * (eps - self.eps[j]) + self.sigma[j])
 
@@ -233,12 +234,10 @@ def scale_spectrum(
     scaled = []
     for point in points:
         divisor = point.eps * sigma_inv(point.eps)
-        if divisor > 0.0:
-            counts, err = point.counts / divisor, point.err / divisor
-            if math.isfinite(counts) and math.isfinite(err):
-                scaled.append(SpectrumPoint(point.eps, counts, err))
-                continue
-        bad.append(point.eps)
+        try:  # a zero divisor, or a quotient that overflows and fails SpectrumPoint's check
+            scaled.append(SpectrumPoint(point.eps, point.counts / divisor, point.err / divisor))
+        except (ZeroDivisionError, ValueError):
+            bad.append(point.eps)
     if bad:
         energies = ", ".join(f"{e:g}" for e in bad)
         raise InvalidPointError(
@@ -288,11 +287,11 @@ def fit_temperature(points: list[SpectrumPoint], eps_max: float) -> TemperatureF
         raise InvalidPointError(
             "non-positive scaled value at eps = " + ", ".join(f"{e:g}" for e in bad) + " MeV"
         )
-    eps = [float(p.eps) for p in usable]
+    eps = [p.eps for p in usable]
     logy = [math.log(p.counts) for p in usable]
     weighted = any(p.err > 0 for p in usable)
     # weights relative to the heaviest point, so that no sum overflows; a zero error weighs inf
-    inv_rel = [float(p.counts / p.err) if p.err else (math.inf if weighted else 1.0) for p in usable]
+    inv_rel = [p.counts / p.err if p.err else (math.inf if weighted else 1.0) for p in usable]
     scale = max(inv_rel)
     ref = inv_rel.index(scale)
     if not math.isfinite(scale):
@@ -350,7 +349,7 @@ def exciton_report(mass_number: int, e_star: float) -> ExcitonReport:
     """Exciton-model temperature window for a nucleus at excitation e_star."""
     if mass_number < 2:
         raise ValueError(f"mass number must be >= 2, got {mass_number!r}")
-    if not (e_star >= 0 and math.isfinite(e_star)):
+    if not (e_star >= 0 and all_finite(e_star)):
         raise ValueError(f"e_star must be >= 0 MeV, got {e_star!r}")
     g = mass_number / 13.0
     n_bar = math.sqrt(2.0 * g * e_star)
@@ -392,14 +391,14 @@ def timescales(
     Inputs whose derived widths, lifetimes or tau_phase / tau_thermalization
     overflow (with r > 0, tau_phase too) raise ``DegenerateModelError``.
     """
-    if r < 0 or not math.isfinite(r):
+    if r < 0 or not all_finite(r):
         raise ValueError(f"r must be finite and >= 0, got {r!r}")
     for name, value, to_ev in (
         ("gamma_cn_ev", gamma_cn_ev, 1.0),
         ("gamma_spreading_mev", gamma_spreading_mev, 1e6),
         ("level_spacing_mev", level_spacing_mev, 1e6),
     ):
-        if not (value > 0 and math.isfinite(value * to_ev)):
+        if not (value > 0 and all_finite(value) and math.isfinite(value * to_ev)):
             raise ValueError(f"{name} must be positive and finite in eV, got {value!r}")
     beta = r * gamma_cn_ev
     tau_phase = math.inf if beta == 0.0 else HBAR_EV_S / beta

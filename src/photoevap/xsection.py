@@ -31,7 +31,7 @@ configuration behind a bounded memo.
 
 The module is pure Python: numpy's per-call overhead would cost more than
 the few dozen multiply-adds of one model point, and none runs in a numpy
-dtype: ``ShapeParams`` stores floats, ``LegendreSeries.evaluate`` reads a
+dtype: the value types store floats, ``LegendreSeries.evaluate`` reads a
 numpy array or scalar as its ``tolist()``.  M is a tuple of row tuples, the
 coefficients a tuple of floats, which ``evaluate`` expands once per call to
 sigma = E(y) + x O(y), x = cos(theta), y = x^2 (even orders in E, odd in O):
@@ -44,7 +44,7 @@ import math
 from functools import cache, lru_cache
 from operator import mul
 
-from ._record import Record
+from ._record import Record, all_finite
 from .angmom import clebsch_gordan, z_coeff
 from .errors import DegenerateModelError
 
@@ -84,7 +84,7 @@ class ShapeParams(Record):
 
     def __init__(self, A, B, C, r) -> None:
         for name, value in dict(A=A, B=B, C=C, r=r).items():
-            if not math.isfinite(value) or value < 0:
+            if not all_finite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         self.__dict__.update(A=float(A), B=float(B), C=float(C), r=float(r))  # an int or numpy value as its double
 
@@ -94,18 +94,18 @@ class ChannelConfig(Record):
 
     residual_weighting: weight per allowed residual spin I' when summing
         microstates ("equal", "2I+1" or "spin-cutoff").
-    spin_cutoff_sigma: cutoff parameter for the "spin-cutoff" mode.
+    spin_cutoff_sigma: cutoff parameter for the "spin-cutoff" mode, a float > 0.
     """
 
     residual_weighting: str
     spin_cutoff_sigma: float
 
     def __init__(self, residual_weighting="equal", spin_cutoff_sigma=2.0) -> None:
-        self.__dict__.update(residual_weighting=residual_weighting, spin_cutoff_sigma=spin_cutoff_sigma)
-        if self.residual_weighting not in _WEIGHTING_MODES:
-            raise ValueError(f"residual_weighting must be one of {_WEIGHTING_MODES}, got {self.residual_weighting!r}")
-        if not (self.spin_cutoff_sigma > 0 and math.isfinite(self.spin_cutoff_sigma)):
-            raise ValueError(f"spin_cutoff_sigma must be positive, got {self.spin_cutoff_sigma!r}")
+        if residual_weighting not in _WEIGHTING_MODES:
+            raise ValueError(f"residual_weighting must be one of {_WEIGHTING_MODES}, got {residual_weighting!r}")
+        if not (spin_cutoff_sigma > 0 and all_finite(spin_cutoff_sigma)):
+            raise ValueError(f"spin_cutoff_sigma must be positive, got {spin_cutoff_sigma!r}")
+        self.__dict__.update(residual_weighting=residual_weighting, spin_cutoff_sigma=float(spin_cutoff_sigma))
 
 
 class TermAmplitude(Record):
@@ -254,20 +254,20 @@ def raw_coefficients(params: ShapeParams, config: ChannelConfig = ChannelConfig(
 class LegendreSeries(Record):
     """sigma(theta) = sum_L c_L P_L(cos theta) with c_0 normalised to 1.
 
-    ``coefficients`` holds exactly five finite values c_0..c_4.  ``scale``
-    records the raw c_0 that was divided out (diagnostic only; absolute
-    normalisation is carried by per-dataset fit norms).
+    ``coefficients`` is a tuple of exactly five finite floats c_0..c_4, copied
+    from the sequence given.  ``scale``, a finite float > 0, records the raw c_0
+    divided out (diagnostic only; per-dataset fit norms carry the normalisation).
     """
 
     coefficients: tuple[float, ...]
     scale: float
 
     def __init__(self, coefficients, scale=1.0) -> None:
-        self.__dict__.update(coefficients=coefficients, scale=scale)
-        if (n := len(self.coefficients)) != MAX_ORDER + 1:
+        if (n := len(coefficients)) != MAX_ORDER + 1:
             raise ValueError(f"series needs c_0..c_{MAX_ORDER} and no order above P_{MAX_ORDER}, got {n} values")
-        if not all(map(math.isfinite, self.coefficients)):
-            raise ValueError(f"coefficients must be finite, got {self.coefficients!r}")
+        if not (all_finite(*coefficients, scale) and scale > 0):
+            raise ValueError(f"coefficients must be finite and scale finite and > 0, got {coefficients!r}, {scale!r}")
+        self.__dict__.update(coefficients=tuple(map(float, coefficients)), scale=float(scale))
 
     def evaluate(self, theta):
         """Series value at polar angle theta (radians).
@@ -315,7 +315,7 @@ def legendre_coefficients(
     if scale <= 0.0:
         raise DegenerateModelError(f"non-positive isotropic coefficient c_0 = {scale:g}")
     try:
-        return LegendreSeries(tuple(c / scale for c in raw), scale=scale)
+        return LegendreSeries([c / scale for c in raw], scale=scale)
     except ValueError:
         # an overflowing square or product leaves inf or NaN in raw, and so in the
         # normalised coefficients (inf / inf is NaN)

@@ -66,6 +66,16 @@ class TestNucleusSpec:
         with pytest.raises(ValueError):
             NucleusSpec(*args)
 
+    @pytest.mark.parametrize("args", [(208.5, 82.5), (208.0, 82), (208, 82.0)])
+    def test_non_integer_raises_type_error(self, args):
+        with pytest.raises(TypeError):
+            NucleusSpec(*args)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        nucleus = NucleusSpec(np.int64(208), np.int32(82))
+        assert type(nucleus.mass_number) is int and type(nucleus.charge) is int
+        assert nucleus == PB208 and hash(nucleus) == hash(PB208)
+
 
 class TestSpectrumPoint:
     def test_rejects_non_positive_energy(self):
@@ -317,6 +327,7 @@ class TestSigmaInvTable:
             ((2.0, 1.0), (1.0, 2.0)),
             ((1.0, 2.0), (1.0, -0.1)),
             ((1.0, 2.0), (1.0,)),
+            ((2**53, 2**53 + 1), (1.0, 2.0)),  # increasing as ints, equal as the doubles stored
         ],
     )
     def test_rejects_malformed_tables(self, eps, sigma):

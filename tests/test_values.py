@@ -4,17 +4,22 @@ Each type is built from its fields in order, keeps them frozen, shows
 them in its repr, compares and hashes by type and fields, survives
 pickle and deepcopy, and keeps its constructor's field names and
 defaults.  ``vars`` of a ``ShapeParams`` is the ``params`` object of the
-``model`` and ``fit`` JSON, so its key order is pinned too.
+``model`` and ``fit`` JSON, so its key order is pinned too.  A checked type
+stores Python floats (ints for ``NucleusSpec``) copied from its arguments,
+and every input check reads an int beyond the double range as the infinite
+float of its sign.
 """
 
 import copy
 import inspect
+import math
 import pickle
 
 import numpy as np
 import pytest
 
-from photoevap.fitkit import AngularDataset, FitResult
+from photoevap.errors import DataFormatError
+from photoevap.fitkit import AngularDataset, FitResult, fit_angular, synth_dataset
 from photoevap.thermo import (
     ExcitonReport,
     NucleusSpec,
@@ -22,6 +27,9 @@ from photoevap.thermo import (
     SpectrumPoint,
     TemperatureFit,
     TimescaleReport,
+    exciton_report,
+    inverse_capture_xsec,
+    timescales,
 )
 from photoevap.xsection import ChannelConfig, LegendreSeries, ShapeParams, TermAmplitude, _coefficient_matrix
 
@@ -214,3 +222,96 @@ class TestAngularDatasetStaysMutable:
         assert list(vars(ds)) == ["bin_label", "theta_deg", "yields", "errors", "unit_weights"]
         ds.bin_label = "E55"
         assert ds.bin_label == "E55"
+
+
+# each checked type built from numbers of one kind
+CHECKED = {
+    "ShapeParams": lambda num: ShapeParams(num(1), num(2), num(3), num(0)),
+    "ChannelConfig": lambda num: ChannelConfig("spin-cutoff", num(3)),
+    "LegendreSeries": lambda num: LegendreSeries(tuple(map(num, (1, 0, -2, 3, 1))), num(5)),
+    "SpectrumPoint": lambda num: SpectrumPoint(num(2), num(-7), num(1)),
+    "SigmaInvTable": lambda num: SigmaInvTable(tuple(map(num, (1, 2, 4))), tuple(map(num, (0, 3, 3)))),
+}
+NUMBER_KINDS = {"float32": np.float32, "float64": np.float64, "int": int}
+
+
+class TestStoredNumbers:
+    @pytest.mark.parametrize("kind", NUMBER_KINDS)
+    @pytest.mark.parametrize("name", CHECKED)
+    def test_fields_are_floats(self, name, kind):
+        num = NUMBER_KINDS[kind]
+        value = CHECKED[name](num)
+        for field, stored in vars(value).items():
+            if field == "residual_weighting":
+                continue
+            for number in stored if isinstance(stored, tuple) else (stored,):
+                assert type(number) is float, (field, type(number))
+        _same_fields(value, CHECKED[name](lambda v: float(num(v))))
+
+
+class TestCopiedSequences:
+    """A record copies the list or array it is given: changing the source later changes nothing."""
+
+    SOURCES = {"list": list, "ndarray": np.array}
+
+    @pytest.mark.parametrize("source", SOURCES.values(), ids=SOURCES)
+    def test_series(self, source):
+        coefficients = source([1.0, 0.1, -0.2, 0.0, 0.05])
+        series = LegendreSeries(coefficients, 3.5)
+        before = (vars(series).copy(), hash(series), series.evaluate([0.0, 1.0, math.pi]))
+        coefficients[0] = math.nan
+        coefficients[1] = 7.0
+        assert (vars(series), hash(series), series.evaluate([0.0, 1.0, math.pi])) == before
+        _same_fields(series, CASES["LegendreSeries"][0])
+
+    @pytest.mark.parametrize("source", SOURCES.values(), ids=SOURCES)
+    def test_table(self, source):
+        eps, sigma = source([1.0, 2.0, 4.0]), source([0.5, 1.5, 2.0])
+        table = SigmaInvTable(eps, sigma)
+        before = (vars(table).copy(), hash(table), [table(e) for e in (1.0, 2.0, 3.0, 4.0)])
+        assert before[2] == [0.5, 1.5, 1.75, 2.0]
+        eps[1] = 5.0
+        sigma[2] = -1.0
+        assert (vars(table), hash(table), [table(e) for e in (1.0, 2.0, 3.0, 4.0)]) == before
+        _same_fields(table, CASES["SigmaInvTable"][0])
+
+
+ANGULAR = synth_dataset(ShapeParams(0.1, 0.5, 0.4, 0.2), [1.0], [30, 60, 90, 120, 150], 0.0, 0)
+
+# every input check of a number, as a function of the value it checks, and the error it raises
+RANGE_CHECKS = {
+    "ShapeParams-A": (lambda v: ShapeParams(v, 1, 1, 0), ValueError),
+    "ShapeParams-r": (lambda v: ShapeParams(1, 1, 1, v), ValueError),
+    "ChannelConfig": (lambda v: ChannelConfig("spin-cutoff", v), ValueError),
+    "LegendreSeries-coefficient": (lambda v: LegendreSeries((1.0, v, 0.0, 0.0, 0.0)), ValueError),
+    "LegendreSeries-scale": (lambda v: LegendreSeries((1.0, 0.0, 0.0, 0.0, 0.0), v), ValueError),
+    "SpectrumPoint-eps": (lambda v: SpectrumPoint(v, 1.0, 0.1), ValueError),
+    "SpectrumPoint-counts": (lambda v: SpectrumPoint(1.0, v, 0.1), ValueError),
+    "SpectrumPoint-err": (lambda v: SpectrumPoint(1.0, 1.0, v), ValueError),
+    "SigmaInvTable-eps": (lambda v: SigmaInvTable((1.0, v), (1.0, 2.0)), DataFormatError),
+    "SigmaInvTable-sigma": (lambda v: SigmaInvTable((1.0, 2.0), (v, 2.0)), DataFormatError),
+    "timescales-r": (lambda v: timescales(v, 1.0, 1.0, 1.0), ValueError),
+    "timescales-gamma_cn_ev": (lambda v: timescales(0.1, v, 1.0, 1.0), ValueError),
+    "timescales-gamma_spreading_mev": (lambda v: timescales(0.1, 1.0, v, 1.0), ValueError),
+    "timescales-level_spacing_mev": (lambda v: timescales(0.1, 1.0, 1.0, v), ValueError),
+    "inverse_capture_xsec-eps": (lambda v: inverse_capture_xsec(NucleusSpec(208, 82), 0, v), ValueError),
+    "exciton_report-e_star": (lambda v: exciton_report(208, v), ValueError),
+    "fit_angular-tol": (lambda v: fit_angular(ANGULAR, tol=v), ValueError),
+    "synth_dataset-noise_frac": (
+        lambda v: synth_dataset(ShapeParams(0.1, 0.5, 0.4, 0.2), [1.0], [30, 90], v, 0), ValueError
+    ),
+}
+
+
+class TestBeyondTheDoubleRange:
+    @pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+    @pytest.mark.parametrize("site", RANGE_CHECKS)
+    def test_int_raises_as_the_infinite_float(self, site, sign):
+        check, error = RANGE_CHECKS[site]
+        with pytest.raises(error) as infinite:
+            check(sign * math.inf)
+        huge = sign * 10**400
+        with pytest.raises(error) as beyond:
+            check(huge)
+        assert type(beyond.value) is type(infinite.value)
+        assert str(beyond.value).replace(repr(huge), repr(sign * math.inf)) == str(infinite.value)

@@ -439,6 +439,18 @@ class TestSeriesEvaluation:
             with pytest.raises(TypeError, match=f"^{re.escape(str(as_lists.value))}$"):
                 series.evaluate(theta)
 
+    def test_float32_coefficients_sum_as_their_doubles(self):
+        coefficients = tuple(np.float32(v) for v in (1, 0.5, 0.25, 0.1, 0.05))
+        values = LegendreSeries(coefficients).evaluate(self.ANGLES)
+        assert type(values) is list and all(type(v) is float for v in values)
+        assert _bits(values) == _bits(LegendreSeries(tuple(map(float, coefficients))).evaluate(self.ANGLES))
+
+    def test_array_of_coefficients_makes_a_hashable_series(self):
+        array = np.array([1, 0.5, 0.25, 0.1, 0.05])
+        series = LegendreSeries(array)
+        assert type(series.coefficients) is tuple
+        assert hash(series) == hash(LegendreSeries(tuple(array.tolist())))
+
     @given(
         st.one_of(
             st.tuples(
@@ -825,6 +837,17 @@ def test_series_rejects_bad_coefficients(coefficients):
     # The constructor itself must refuse: a short tuple would also fail to unpack later.
     with pytest.raises(ValueError, match="needs c_0..c_4|finite"):
         LegendreSeries(coefficients)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_series_rejects_bad_scale(scale):
+    with pytest.raises(ValueError, match="scale finite and > 0"):
+        LegendreSeries(BASE_COEFFS, scale)
+
+
+def test_series_scale_must_be_a_number():
+    with pytest.raises(TypeError):
+        LegendreSeries(BASE_COEFFS, "x")
 
 
 @pytest.mark.parametrize(
